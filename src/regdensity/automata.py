@@ -202,7 +202,7 @@ class Dfa:
         """Exact number of accepted words at each length 0..max_length."""
         if max_length < 0:
             raise ValueError("max_length must be non-negative")
-        matrix = transfer_matrix(self)
+        delta = self.delta
         vec = [0] * self.n_states
         vec[self.initial] = 1
         counts = [sum(vec[q] for q in self.accepting)]
@@ -210,35 +210,11 @@ class Dfa:
             nxt = [0] * self.n_states
             for p, x in enumerate(vec):
                 if x:
-                    for q, m in enumerate(matrix.entries[p]):
-                        if m:
-                            nxt[q] += x * m
+                    for t in delta[p]:
+                        nxt[t] += x
             vec = nxt
             counts.append(sum(vec[q] for q in self.accepting))
         return LengthCensus(len(self.alphabet), counts)
-
-
-class TransferMatrix:
-    """State-to-state letter-count matrix; entry (p, q) = #letters moving p to q."""
-
-    __slots__ = ("entries", "alphabet_size")
-
-    def __init__(self, entries, alphabet_size):
-        entries = tuple(tuple(row) for row in entries)
-        for p, row in enumerate(entries):
-            if sum(row) != alphabet_size:
-                raise ValueError("row %d sums to %d, expected %d" % (p, sum(row), alphabet_size))
-        self.entries = entries
-        self.alphabet_size = alphabet_size
-
-
-def transfer_matrix(dfa):
-    n = dfa.n_states
-    entries = [[0] * n for _ in range(n)]
-    for p, row in enumerate(dfa.delta):
-        for t in row:
-            entries[p][t] += 1
-    return TransferMatrix(entries, len(dfa.alphabet))
 
 
 def combine(x, y, op):
@@ -598,18 +574,43 @@ def dfa_to_json(dfa):
     }
 
 
+def _json_int(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def _json_list(value, what):
+    if not isinstance(value, list):
+        raise ValueError("%s must be a list, got %r" % (what, value))
+    return value
+
+
 def dfa_from_json(document):
-    """Build a DFA from the JSON interchange dict (or a JSON string)."""
+    """Build a DFA from the JSON interchange dict (or a JSON string).
+
+    The document must be an object whose alphabet, accepting set, delta and
+    delta rows are lists, and whose counts, indices and targets are integers
+    (booleans are rejected).
+    """
     if isinstance(document, str):
         document = json.loads(document)
-    try:
-        alphabet = Alphabet(document["alphabet"])
-        return Dfa(
-            alphabet,
-            document["states"],
-            document["delta"],
-            document["initial"],
-            document["accepting"],
+    if not isinstance(document, dict):
+        raise ValueError(
+            "DFA document must be a JSON object, got %s" % type(document).__name__
         )
+    try:
+        alphabet = Alphabet(_json_list(document["alphabet"], "alphabet"))
+        n_states = _json_int(document["states"], "states")
+        initial = _json_int(document["initial"], "initial")
+        accepting = [
+            _json_int(q, "accepting state")
+            for q in _json_list(document["accepting"], "accepting")
+        ]
+        delta = [
+            [_json_int(t, "transition target") for t in _json_list(row, "delta row")]
+            for row in _json_list(document["delta"], "delta")
+        ]
     except KeyError as exc:
         raise ValueError("DFA document missing field %s" % exc) from None
+    return Dfa(alphabet, n_states, delta, initial, accepting)

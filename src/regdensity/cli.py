@@ -48,8 +48,11 @@ def load_dfa(source):
     the letter, over ab).
     """
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError("cannot read DFA file %s: %s" % (source, exc)) from None
         try:
             return dfa_from_json(json.loads(text))
         except json.JSONDecodeError as exc:
@@ -67,7 +70,10 @@ def load_dfa(source):
             k = int(source.split(":", 1)[1])
         except ValueError:
             raise UsageError("modk builtin needs an integer, got %r" % source) from None
-        return mod_counter_dfa(k)
+        try:
+            return mod_counter_dfa(k)
+        except ValueError as exc:
+            raise UsageError("modk builtin %r: %s" % (source, exc)) from None
     if source.startswith("starts:"):
         letter = source.split(":", 1)[1]
         if letter not in ("a", "b"):

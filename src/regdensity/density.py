@@ -5,8 +5,10 @@ chain on its states.  The density of the language is the Cesàro limit of
 the probability of sitting in an accepting state; it is computed exactly by
 decomposing the chain into bottom strongly-connected classes, solving for
 their stationary distributions, and propagating absorption values through
-the transient part.  All linear systems are solved in exact rational
-arithmetic (fraction-free elimination on integer-scaled rows).
+the transient part.  The chain is kept as integer letter counts (each row
+sums to the alphabet size s), and every linear system is solved exactly by
+sparse integer elimination in Markowitz pivot order, with Fractions only in
+the back-substitution.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ from .core import BudgetExceededError
 
 _POWER_STATE_LIMIT = 512
 _PHASE_WORK_LIMIT = 50_000_000
+_SOLVE_WORK_LIMIT = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -36,14 +39,18 @@ class DensityReport:
 
 
 class UniformChain:
-    """Row-stochastic chain on the reachable states of a DFA."""
+    """Letter-count chain on the reachable states of a DFA.
+
+    ``count_rows[p][q]`` is the number of letters moving p to q; every row
+    sums to ``alphabet_size``, so dividing by it gives the transition
+    probabilities.
+    """
 
     __slots__ = (
         "n",
         "initial",
         "accepting",
         "count_rows",
-        "prob_rows",
         "alphabet_size",
         "original",
     )
@@ -68,13 +75,10 @@ class UniformChain:
         self.initial = 0
         self.accepting = frozenset(index[q] for q in dfa.accepting if q in index)
         self.count_rows = count_rows
-        self.prob_rows = [
-            {j: Fraction(c, s) for j, c in row.items()} for row in count_rows
-        ]
         self.alphabet_size = s
         self.original = order
-        for row in self.prob_rows:
-            if sum(row.values()) != 1:
+        for row in count_rows:
+            if sum(row.values()) != s:
                 raise AssertionError("chain row is not stochastic")
 
     def successors(self):
@@ -94,40 +98,163 @@ class RecurrentClass:
             raise AssertionError("stationary distribution does not sum to 1")
 
 
+def _integer_rows(rows, rhs):
+    """Each equation as ({column: int}, int), scaled by the lcm of its
+    denominators; zero entries are dropped."""
+    n = len(rows)
+    out = []
+    for row, b in zip(rows, rhs):
+        items = row.items() if hasattr(row, "items") else enumerate(row)
+        entries = {}
+        for j, v in items:
+            if not isinstance(v, int):
+                v = Fraction(v)
+            if v:
+                if not 0 <= j < n:
+                    raise ValueError("column %r outside a %d-unknown system" % (j, n))
+                entries[j] = v
+        if not isinstance(b, int):
+            b = Fraction(b)
+        scale = lcm(b.denominator, *(v.denominator for v in entries.values()))
+        out.append(
+            (
+                {j: v.numerator * (scale // v.denominator) for j, v in entries.items()},
+                b.numerator * (scale // b.denominator),
+            )
+        )
+    return out
+
+
+def _move(buckets, key, old, new):
+    """Move ``key`` from count bucket ``old`` to count bucket ``new``."""
+    if old != new:
+        buckets[old].discard(key)
+        buckets.setdefault(new, set()).add(key)
+
+
+def _markowitz_pivot(mat, col_rows, row_buckets, col_buckets):
+    """The active entry (i, j) of least Markowitz cost
+    (row nonzeros − 1)·(column nonzeros − 1).
+
+    An entry alone in its row or column costs 0 and is taken at once.
+    Otherwise rows and columns are examined in increasing nonzero count k;
+    once every row and column of count k has been seen, each unseen entry
+    costs at least k², so the search stops as soon as the best cost is that
+    low.
+    """
+    for j in col_buckets.get(1, ()):
+        return next(iter(col_rows[j])), j
+    for i in row_buckets.get(1, ()):
+        return i, next(iter(mat[i]))
+    best = None
+    k = 2
+    while True:
+        for j in col_buckets.get(k, ()):
+            for i in col_rows[j]:
+                cost = (len(mat[i]) - 1) * (k - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+        for i in row_buckets.get(k, ()):
+            for j in mat[i]:
+                cost = (k - 1) * (len(col_rows[j]) - 1)
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+        if best is not None and best[0] <= k * k:
+            return best[1], best[2]
+        k += 1
+
+
 def solve_exact(rows, rhs):
     """Solve the square rational system rows·x = rhs exactly.
 
-    Rows are scaled to integers, reduced by fraction-free (Bareiss)
-    elimination, and back-substituted with Fractions.  Raises
-    ArithmeticError on a singular system.
+    Each row is a sequence of n coefficients or a mapping {column: value}
+    holding its nonzero entries.  Rows are scaled once to integers and
+    reduced by sparse elimination: the pivot minimises the Markowitz cost
+    (row nonzeros − 1)·(column nonzeros − 1), and each updated row is
+    divided by the gcd of its entries.  Back-substitution runs in
+    Fractions.  Raises ArithmeticError on a singular system and
+    BudgetExceededError past ``_SOLVE_WORK_LIMIT`` entry updates.
     """
     n = len(rows)
-    m = []
-    for i in range(n):
-        entries = [Fraction(v) for v in rows[i]] + [Fraction(rhs[i])]
-        scale = lcm(*(e.denominator for e in entries))
-        m.append([int(e * scale) for e in entries])
-    prev = 1
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
-        if pivot_row is None:
+    if len(rhs) != n:
+        raise ValueError("need one right-hand side per row")
+    system = _integer_rows(rows, rhs)
+    mat = [entries for entries, _ in system]
+    b = [value for _, value in system]
+    col_rows = [set() for _ in range(n)]
+    for i, entries in enumerate(mat):
+        for j in entries:
+            col_rows[j].add(i)
+    row_buckets = {}
+    for i, entries in enumerate(mat):
+        row_buckets.setdefault(len(entries), set()).add(i)
+    col_buckets = {}
+    for j, members in enumerate(col_rows):
+        col_buckets.setdefault(len(members), set()).add(j)
+    pivots = []
+    work = 0
+    for _ in range(n):
+        if row_buckets.get(0) or col_buckets.get(0):
             raise ArithmeticError("singular linear system")
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-        for i in range(k + 1, n):
-            mk = m[k]
-            mi = m[i]
-            factor = mi[k]
-            for j in range(k + 1, n + 1):
-                mi[j] = (mk[k] * mi[j] - factor * mk[j]) // prev
-            mi[k] = 0
-        prev = m[k][k]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(m[i][n])
-        for j in range(i + 1, n):
-            acc -= m[i][j] * x[j]
-        x[i] = acc / m[i][i]
+        r, c = _markowitz_pivot(mat, col_rows, row_buckets, col_buckets)
+        pivot_row = mat[r]
+        pivot = pivot_row[c]
+        pb = b[r]
+        row_buckets[len(pivot_row)].discard(r)
+        col_buckets[len(col_rows[c])].discard(c)
+        for j in pivot_row:
+            if j != c:
+                members = col_rows[j]
+                _move(col_buckets, j, len(members), len(members) - 1)
+                members.discard(r)
+        col_rows[c].discard(r)
+        for i in col_rows[c]:
+            entries = mat[i]
+            old_len = len(entries)
+            factor = entries.pop(c)
+            g = gcd(pivot, factor)
+            mul, factor = pivot // g, factor // g
+            if mul != 1:
+                for j in entries:
+                    entries[j] *= mul
+            for j, v in pivot_row.items():
+                if j == c:
+                    continue
+                w = entries.get(j, 0) - factor * v
+                if w:
+                    if j not in entries:
+                        members = col_rows[j]
+                        _move(col_buckets, j, len(members), len(members) + 1)
+                        members.add(i)
+                    entries[j] = w
+                elif j in entries:
+                    del entries[j]
+                    members = col_rows[j]
+                    _move(col_buckets, j, len(members), len(members) - 1)
+                    members.discard(i)
+            bi = mul * b[i] - factor * pb
+            g = gcd(bi, *entries.values())
+            if g > 1:
+                for j in entries:
+                    entries[j] //= g
+                bi //= g
+            b[i] = bi
+            _move(row_buckets, i, old_len, len(entries))
+            work += len(entries) + len(pivot_row)
+        col_rows[c] = set()
+        if work > _SOLVE_WORK_LIMIT:
+            raise BudgetExceededError(
+                "exact solve of a %d-unknown system exceeds the work bound %d"
+                % (n, _SOLVE_WORK_LIMIT)
+            )
+        pivots.append((c, pivot_row, pb))
+    x = [None] * n
+    for c, pivot_row, pb in reversed(pivots):
+        acc = Fraction(pb)
+        for j, v in pivot_row.items():
+            if j != c:
+                acc -= v * x[j]
+        x[c] = acc / pivot_row[c]
     return x
 
 
@@ -166,7 +293,12 @@ def _class_period_and_levels(comp, count_rows):
 
 
 def _stationary(comp, count_rows, s):
-    """Exact stationary distribution of the chain restricted to a closed class."""
+    """Exact stationary distribution of the chain restricted to a closed class.
+
+    The balance equations Σ_p c_pq·π_p = s·π_q have rank n − 1 on an
+    irreducible class, so the first state's equation is replaced by the pin
+    π_root = 1; the sparse solution is then normalised to sum 1.
+    """
     comp = list(comp)
     comp_set = set(comp)
     col = {q: 0 for q in comp}
@@ -179,56 +311,51 @@ def _stationary(comp, count_rows, s):
         share = Fraction(1, len(comp))
         return {q: share for q in comp}
     pos = {q: i for i, q in enumerate(comp)}
-    n = len(comp)
-    rows = [[0] * n for _ in range(n)]
-    rhs = [0] * n
-    for eq, q in enumerate(comp[1:], start=1):
-        for p in comp:
-            rows[eq][pos[p]] += count_rows[p].get(q, 0)
-        rows[eq][pos[q]] -= s
-    rows[0] = [1] * n
-    rhs[0] = 1
+    rows = [{i: -s} for i in range(len(comp))]
+    for p in comp:
+        for q, c in count_rows[p].items():
+            row = rows[pos[q]]
+            row[pos[p]] = row.get(pos[p], 0) + c
+    rows[0] = {0: 1}
+    rhs = [1] + [0] * (len(comp) - 1)
     solution = solve_exact(rows, rhs)
-    pi = {q: solution[pos[q]] for q in comp}
+    total = sum(solution)
+    pi = {q: v / total for q, v in zip(comp, solution)}
     if any(v < 0 for v in pi.values()) or sum(pi.values()) != 1:
         raise ArithmeticError("stationary solve produced an invalid distribution")
     return pi
 
 
-def _limit_vector(n, prob_rows, fixed):
-    """Harmonic extension of ``fixed``: f = P·f on non-fixed states.
+def _limit_vector(step_rows, scale, fixed):
+    """Harmonic extension of ``fixed``: scale·f_p = Σ_q c_pq·f_q on non-fixed
+    states, where ``step_rows[p]`` maps q to the integer count c_pq and each
+    such row sums to ``scale``.
 
     ``fixed`` must cover every recurrent state of the row graph; transient
     strongly-connected components are solved exactly in reverse topological
     order, so each system only involves one component.
     """
-    succ = [list(row.keys()) for row in prob_rows]
+    succ = [list(row.keys()) for row in step_rows]
     f = dict(fixed)
     for comp in strongly_connected_components(succ):
         if comp[0] in f:
             continue
-        comp_set = set(comp)
         if len(comp) == 1:
             p = comp[0]
-            loop = prob_rows[p].get(p, Fraction(0))
-            acc = Fraction(0)
-            for q, w in prob_rows[p].items():
-                if q != p:
-                    acc += w * f[q]
-            f[p] = acc / (1 - loop)
+            acc = sum((c * f[q] for q, c in step_rows[p].items() if q != p), Fraction(0))
+            f[p] = acc / (scale - step_rows[p].get(p, 0))
             continue
         pos = {q: i for i, q in enumerate(comp)}
         rows = []
         rhs = []
         for p in comp:
-            row = [Fraction(0)] * len(comp)
-            row[pos[p]] = Fraction(1)
+            row = {pos[p]: scale}
             acc = Fraction(0)
-            for q, w in prob_rows[p].items():
-                if q in comp_set:
-                    row[pos[q]] -= w
+            for q, c in step_rows[p].items():
+                if q in pos:
+                    row[pos[q]] = row.get(pos[q], 0) - c
                 else:
-                    acc += w * f[q]
+                    acc += c * f[q]
             rows.append(row)
             rhs.append(acc)
         solution = solve_exact(rows, rhs)
@@ -246,7 +373,7 @@ def _cesaro_value_vector(chain):
         value = sum((pi[q] for q in comp if q in chain.accepting), Fraction(0))
         for q in comp:
             fixed[q] = value
-    return _limit_vector(chain.n, chain.prob_rows, fixed)
+    return _limit_vector(chain.count_rows, chain.alphabet_size, fixed)
 
 
 def density(dfa):
@@ -275,21 +402,27 @@ def recurrent_classes(dfa):
     return classes
 
 
+def _step_counts(count_rows, vec):
+    """One step of the count chain: the words of vec, each extended by a letter."""
+    nxt = {}
+    for q, w in vec.items():
+        for t, c in count_rows[q].items():
+            nxt[t] = nxt.get(t, 0) + w * c
+    return nxt
+
+
 def _transient_power_rows(chain, transients, c):
-    """Rows of the c-step chain, computed only for transient states."""
+    """Rows of the c-step count chain (each summing to s^c), computed only
+    for transient states."""
     if chain.n > _POWER_STATE_LIMIT:
         raise BudgetExceededError(
             "c-step chain on %d states exceeds the supported size" % chain.n
         )
     rows = []
     for p in transients:
-        vec = {p: Fraction(1)}
+        vec = {p: 1}
         for _ in range(c):
-            nxt = {}
-            for q, w in vec.items():
-                for t, pw in chain.prob_rows[q].items():
-                    nxt[t] = nxt.get(t, Fraction(0)) + w * pw
-            vec = nxt
+            vec = _step_counts(chain.count_rows, vec)
         rows.append(vec)
     return rows
 
@@ -303,12 +436,13 @@ def natural_density(dfa):
     """
     chain = UniformChain(dfa)
     _, recurrent = _recurrent_components(chain)
+    s = chain.alphabet_size
 
     cesaro_fixed = {}
     phase_fixed = {}
     periods = []
     for comp in recurrent:
-        pi = _stationary(comp, chain.count_rows, chain.alphabet_size)
+        pi = _stationary(comp, chain.count_rows, s)
         period, level = _class_period_and_levels(comp, chain.count_rows)
         periods.append(period)
         value = sum((pi[q] for q in comp if q in chain.accepting), Fraction(0))
@@ -321,7 +455,7 @@ def natural_density(dfa):
             phase_fixed[q] = period * mass_by_phase[level[q] % period]
     c = lcm(*periods)
 
-    f_cesaro = _limit_vector(chain.n, chain.prob_rows, cesaro_fixed)
+    f_cesaro = _limit_vector(chain.count_rows, s, cesaro_fixed)
     dens = f_cesaro[chain.initial]
 
     recurrent_states = set(phase_fixed)
@@ -332,21 +466,18 @@ def natural_density(dfa):
             "the supported work bound" % (c, chain.n)
         )
     if c == 1:
-        step_rows = chain.prob_rows
+        f_phase = _limit_vector(chain.count_rows, s, phase_fixed)
     else:
         power = dict(zip(transients, _transient_power_rows(chain, transients, c)))
         step_rows = [power.get(q, {}) for q in range(chain.n)]
-    f_phase = _limit_vector(chain.n, step_rows, phase_fixed)
+        f_phase = _limit_vector(step_rows, s ** c, phase_fixed)
 
-    vec = {chain.initial: Fraction(1)}
+    vec = {chain.initial: 1}
     limits = []
-    for _ in range(c):
-        limits.append(sum((w * f_phase[q] for q, w in vec.items()), Fraction(0)))
-        nxt = {}
-        for q, w in vec.items():
-            for t, pw in chain.prob_rows[q].items():
-                nxt[t] = nxt.get(t, Fraction(0)) + w * pw
-        vec = nxt
+    for k in range(c):
+        mass = sum((w * f_phase[q] for q, w in vec.items()), Fraction(0))
+        limits.append(mass / s ** k)
+        vec = _step_counts(chain.count_rows, vec)
 
     if sum(limits, Fraction(0)) != c * dens:
         raise ArithmeticError("residue limits inconsistent with Cesàro density")

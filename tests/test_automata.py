@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from regdensity import (
     Dfa,
     LanguageOracle,
     Nfa,
+    UniformChain,
     census_by_enumeration,
     combine,
     dfa_from_json,
@@ -26,7 +28,6 @@ from regdensity import (
     random_dfa,
     reverse,
     shortlex_least_member,
-    transfer_matrix,
 )
 
 AB = Alphabet("ab")
@@ -140,10 +141,11 @@ def test_union_intersection_cardinalities(x, y):
 
 @settings(max_examples=40, deadline=None)
 @given(dfas())
-def test_transfer_matrix_row_sums(machine):
-    matrix = transfer_matrix(machine)
-    for row in matrix.entries:
-        assert sum(row) == len(machine.alphabet)
+def test_count_rows_row_sums(machine):
+    chain = UniformChain(machine)
+    for p, row in zip(chain.original, chain.count_rows):
+        assert sum(row.values()) == len(machine.alphabet)
+        assert {chain.original[j]: c for j, c in row.items()} == Counter(machine.delta[p])
 
 
 def test_forbidden_word_examples():

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib
 import json
+import random
 
-from regdensity import dfa_to_json, mod_counter_dfa
+import pytest
+
+from regdensity import Alphabet, dfa_to_json, mod_counter_dfa, random_dfa
 from regdensity.cli import main
 
 
@@ -58,6 +62,64 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "density", "--dfa", str(path))
     assert code == 2
     assert "line 1" in err and "column" in err
+
+
+@pytest.mark.parametrize("spec", ["modk:0", "modk:-2"])
+def test_density_modk_below_one_is_usage_error(capsys, spec):
+    code, out, err = run_cli(capsys, "density", "--dfa", spec)
+    assert code == 2
+    assert out == ""
+    assert "at least 1" in err and "Traceback" not in err
+
+
+EVENS_DOC = {
+    "alphabet": ["a", "b"],
+    "states": 2,
+    "initial": 0,
+    "accepting": [0],
+    "delta": [[1, 1], [0, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([EVENS_DOC], "must be a JSON object"),
+        (dict(EVENS_DOC, states="2"), "states must be an integer"),
+        (dict(EVENS_DOC, states=True), "states must be an integer"),
+    ],
+    ids=["top-level-list", "states-string", "states-bool"],
+)
+def test_density_malformed_document_is_usage_error(tmp_path, capsys, document, message):
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "density", "--dfa", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_density_unreadable_file_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "density", "--dfa", str(tmp_path))
+    assert code == 2
+    assert out == "" and "cannot read DFA file" in err
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "density", "--dfa", str(path))
+    assert code == 2
+    assert out == "" and "cannot read DFA file" in err
+
+
+def test_density_work_budget_exit_code(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(dfa_to_json(random_dfa(random.Random(3), 12, Alphabet("ab")))))
+    code, _, _ = run_cli(capsys, "density", "--dfa", str(path))
+    assert code == 0
+    monkeypatch.setattr(importlib.import_module("regdensity.density"), "_SOLVE_WORK_LIMIT", 0)
+    code, out, err = run_cli(capsys, "density", "--dfa", str(path))
+    assert code == 3
+    assert out == ""
+    assert "work bound" in err
 
 
 def test_census_csv(capsys):

@@ -1,7 +1,10 @@
 """Tests for the exact density engine."""
 
+import importlib
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from regdensity import (
     Alphabet,
+    BudgetExceededError,
     Dfa,
     density,
     has_forbidden_word,
@@ -20,8 +24,9 @@ from regdensity import (
     ratio_and_cesaro,
     recurrent_classes,
     solve_exact,
-    transfer_matrix,
 )
+
+density_module = importlib.import_module("regdensity.density")
 
 AB = Alphabet("ab")
 
@@ -89,7 +94,7 @@ def test_recurrent_classes_even_lengths():
 @settings(max_examples=30, deadline=None)
 @given(dfas())
 def test_recurrent_classes_are_stationary(machine):
-    counts = transfer_matrix(machine).entries
+    counts = [Counter(row) for row in machine.delta]
     size = len(machine.alphabet)
     for cls in recurrent_classes(machine):
         assert sum(cls.stationary.values()) == 1
@@ -167,3 +172,147 @@ def test_solve_exact_rational_entries():
 def test_solve_exact_singular_raises():
     with pytest.raises(ArithmeticError):
         solve_exact([[1, 1], [2, 2]], [1, 2])
+
+
+def bareiss_solve(rows, rhs):
+    """Test oracle: dense fraction-free (Bareiss) elimination on integer-scaled
+    rows, back-substituted with Fractions.  Raises ArithmeticError on a
+    singular system."""
+    n = len(rows)
+    m = []
+    for i in range(n):
+        entries = [Fraction(v) for v in rows[i]] + [Fraction(rhs[i])]
+        scale = lcm(*(e.denominator for e in entries))
+        m.append([int(e * scale) for e in entries])
+    prev = 1
+    for k in range(n):
+        pivot_row = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot_row is None:
+            raise ArithmeticError("singular linear system")
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+        for i in range(k + 1, n):
+            mk = m[k]
+            mi = m[i]
+            factor = mi[k]
+            for j in range(k + 1, n + 1):
+                mi[j] = (mk[k] * mi[j] - factor * mk[j]) // prev
+            mi[k] = 0
+        prev = m[k][k]
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        acc = Fraction(m[i][n])
+        for j in range(i + 1, n):
+            acc -= m[i][j] * x[j]
+        x[i] = acc / m[i][i]
+    return x
+
+
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+)
+
+
+@st.composite
+def square_systems(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    row = st.lists(coefficients, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        # a row that is a multiple of another makes the system singular
+        j = draw(st.integers(0, n - 1))
+        i = (j + draw(st.integers(1, n - 1))) % n
+        a = draw(coefficients)
+        rows[i] = [a * x for x in rows[j]]
+    return rows, draw(row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_systems())
+def test_solve_exact_matches_bareiss_oracle(system):
+    rows, rhs = system
+    dict_rows = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    try:
+        expected = bareiss_solve(rows, rhs)
+    except ArithmeticError:
+        for given_rows in (rows, dict_rows):
+            with pytest.raises(ArithmeticError):
+                solve_exact(given_rows, rhs)
+        return
+    assert solve_exact(rows, rhs) == expected
+    assert solve_exact(dict_rows, rhs) == expected
+
+
+def test_solve_exact_work_budget(monkeypatch):
+    machine = random_dfa(random.Random(3), 40, AB)
+    expected = natural_density(machine)
+    monkeypatch.setattr(density_module, "_SOLVE_WORK_LIMIT", 5)
+    with pytest.raises(BudgetExceededError):
+        natural_density(machine)
+    monkeypatch.setattr(density_module, "_SOLVE_WORK_LIMIT", 10 ** 6)
+    assert natural_density(machine) == expected
+
+
+def permuted(machine, perm):
+    """The same machine with state q renamed perm[q]."""
+    delta = [None] * machine.n_states
+    for q, row in enumerate(machine.delta):
+        delta[perm[q]] = [perm[t] for t in row]
+    accepting = {perm[q] for q in machine.accepting}
+    return Dfa(machine.alphabet, machine.n_states, delta, perm[machine.initial], accepting)
+
+
+@st.composite
+def machines_with_permutations(draw, max_states=40):
+    machine = draw(dfas(max_states=max_states))
+    return machine, draw(st.permutations(range(machine.n_states)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(machines_with_permutations())
+def test_natural_density_invariant_under_state_permutation(case):
+    machine, perm = case
+    assert natural_density(permuted(machine, perm)) == natural_density(machine)
+
+
+def residue_limits(report, modulus):
+    """The report's residue limits along every residue mod ``modulus``, a
+    multiple of its own modulus."""
+    return [report.accumulation_points[d % report.modulus] for d in range(modulus)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(dfas(max_states=40))
+def test_natural_density_invariant_under_minimization(machine):
+    # The modulus is the lcm of the periods of the machine's recurrent
+    # classes, which minimization can shrink (an empty language read by a
+    # 2-cycle has c = 2, its 1-state minimal machine c = 1); the limits along
+    # each residue class of lengths are properties of the language.
+    original = natural_density(machine)
+    reduced = natural_density(machine.minimized())
+    assert reduced.density == original.density
+    assert reduced.natural_density == original.natural_density
+    assert original.modulus % reduced.modulus == 0
+    assert residue_limits(reduced, original.modulus) == list(original.accumulation_points)
+
+
+def test_stationarity_of_large_recurrent_class():
+    rng = random.Random(160)
+    n = 160
+    # the a-edges form one cycle through every state, so the chain is irreducible
+    delta = [[(q + 1) % n, rng.randrange(n)] for q in range(n)]
+    accepting = {q for q in range(n) if rng.random() < 0.5}
+    machine = Dfa(AB, n, delta, 0, accepting)
+    (cls,) = recurrent_classes(machine)
+    assert cls.states == tuple(range(n))
+    pi = cls.stationary
+    assert len(set(pi.values())) > 1  # not the doubly-stochastic shortcut
+    assert all(v > 0 for v in pi.values())
+    assert sum(pi.values()) == 1
+    inflow = dict.fromkeys(range(n), Fraction(0))
+    for p, row in enumerate(delta):
+        for t in row:
+            inflow[t] += pi[p] / 2
+    assert inflow == pi
