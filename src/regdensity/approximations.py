@@ -204,8 +204,8 @@ def nonpalindrome_window_dfa(k, alphabet=None, state_budget=DEFAULT_STATE_BUDGET
 
 def _word_trie_states(alphabet, max_exclusive):
     """Deterministically ordered ids for all words shorter than the bound."""
-    order = [""]
-    for length in range(1, max_exclusive):
+    order = []
+    for length in range(max_exclusive):
         order.extend(
             "".join(p)
             for p in itertools.product(alphabet.symbols, repeat=length)
@@ -233,7 +233,7 @@ def suffix_inner_dfa(base, letter, n, state_budget=DEFAULT_STATE_BUDGET):
         delta.append(row)
     delta.append([accept] * (s + 1))
     delta.append([dead] * (s + 1))
-    return Dfa(alphabet, len(order) + 2, delta, 0, {accept})
+    return Dfa(alphabet, len(order) + 2, delta, index.get("", dead), {accept})
 
 
 def suffix_outer_dfa(base, letter, n, state_budget=DEFAULT_STATE_BUDGET):
@@ -257,7 +257,7 @@ def suffix_outer_dfa(base, letter, n, state_budget=DEFAULT_STATE_BUDGET):
     delta.append([free] * (s + 1))
     delta.append([dead] * (s + 1))
     accepting = frozenset(range(len(order))) | {free}
-    return Dfa(alphabet, len(order) + 2, delta, 0, accepting)
+    return Dfa(alphabet, len(order) + 2, delta, index.get("", free), accepting)
 
 
 def _cylinder_mass(base, letter, n, members):

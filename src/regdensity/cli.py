@@ -7,6 +7,7 @@ plain); output is byte-deterministic for a fixed invocation.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from .checks import run_criteria
 from .core import Alphabet, BudgetExceededError, census_by_enumeration, ratio_and_cesaro
 from .density import density, natural_density
 from .languages import Morphism
-from .monoid import green_classes, nonprimitive_witness, transition_monoid
+from .monoid import DEFAULT_MONOID_BUDGET, green_classes, transition_monoid, witness_in_monoid
 
 
 class UsageError(ValueError):
@@ -241,8 +242,26 @@ def _containment_cell(row):
     return "ok" if not problems else ";".join(problems)
 
 
+def _k_errors_as_usage(build):
+    """A family constructor whose ValueError (a k it does not accept) is a
+    UsageError."""
+    if build is None:
+        return None
+
+    def checked(k):
+        try:
+            return build(k)
+        except ValueError as exc:
+            raise UsageError("--k %d: %s" % (k, exc)) from None
+
+    return checked
+
+
 def cmd_gap(args, out):
     fam = load_family(args.family)
+    fam = dataclasses.replace(
+        fam, inner=_k_errors_as_usage(fam.inner), outer=_k_errors_as_usage(fam.outer)
+    )
     try:
         ks = [int(part) for part in args.k.split(",") if part]
     except ValueError:
@@ -285,10 +304,11 @@ def cmd_gap(args, out):
 
 def cmd_monoid(args, out):
     machine = load_dfa(args.dfa)
-    monoid, accept = transition_monoid(machine, budget=args.budget or 50_000)
+    budget = DEFAULT_MONOID_BUDGET if args.budget is None else args.budget
+    monoid, accept = transition_monoid(machine, budget=budget)
     greens = green_classes(monoid)
     null_language = density(machine) == 0
-    witness = None if null_language else nonprimitive_witness(machine)
+    witness = None if null_language else witness_in_monoid(machine, monoid, accept, greens)
     if args.format == "json":
         payload = {
             "elements": len(monoid),
@@ -420,6 +440,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
+        if args.budget is not None and args.budget < 1:
+            raise UsageError("--budget must be at least 1, got %d" % args.budget)
+        if getattr(args, "max", 0) < 0:
+            raise UsageError("--max must be non-negative, got %d" % args.max)
         if args.output is not None:
             with open(args.output, "w", encoding="utf-8", newline="") as out:
                 return handler(args, out)

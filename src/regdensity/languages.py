@@ -6,7 +6,6 @@ escapes every co-infinite machine of a pinned enumeration.
 """
 
 import itertools
-import threading
 from math import comb, factorial
 
 from .automata import Dfa, is_coinfinite, shortlex_least_member
@@ -443,7 +442,6 @@ class DiagonalLanguage:
             raise ValueError("diagonal language needs at least two letters")
         self.max_machines = max_machines
         self.max_word_length = max_word_length
-        self._lock = threading.Lock()
         self._stream = self._machine_stream()
         self._machines_examined = 0
         self._picks = []
@@ -488,31 +486,28 @@ class DiagonalLanguage:
 
     def accepted_words_up_to(self, length):
         """All accepted words of length <= the bound, in shortlex order."""
-        with self._lock:
-            while not self._picks or len(self._picks[-1]) <= length:
-                self._extend_picks()
-            return [w for w in self._picks if len(w) <= length]
+        while not self._picks or len(self._picks[-1]) <= length:
+            self._extend_picks()
+        return [w for w in self._picks if len(w) <= length]
 
     def escaped_machine(self, index):
         """The pinned-enumeration machine escaped by the index-th pick."""
-        with self._lock:
-            while len(self._picks) <= index:
-                self._extend_picks()
-            return self._escaped_machines[index]
+        while len(self._picks) <= index:
+            self._extend_picks()
+        return self._escaped_machines[index]
 
     def membership(self, word):
         key = self.alphabet.shortlex_key(word)
-        with self._lock:
-            i = 0
-            while True:
-                while i >= len(self._picks):
-                    self._extend_picks()
-                pick_key = self.alphabet.shortlex_key(self._picks[i])
-                if pick_key == key:
-                    return True
-                if key < pick_key:
-                    return False
-                i += 1
+        i = 0
+        while True:
+            while i >= len(self._picks):
+                self._extend_picks()
+            pick_key = self.alphabet.shortlex_key(self._picks[i])
+            if pick_key == key:
+                return True
+            if key < pick_key:
+                return False
+            i += 1
 
 
 def diagonal(alphabet=None, max_machines=200_000, max_word_length=256):

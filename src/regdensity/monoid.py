@@ -3,12 +3,15 @@
 The syntactic monoid of a regular language is realised concretely as the
 transition monoid of its minimal DFA: elements are state transformations,
 composition is left-to-right ("read u, then v"), and every element carries
-its shortlex-least witness word.  Green's R, L and J classes are the
-strongly connected components of the right, left and two-sided Cayley
-graphs, which keeps everything linear in the number of monoid elements.
+its shortlex-least witness word.  The right Cayley graph is recorded while
+the elements are enumerated (Froidure & Pin).  Green's R and L classes are
+the strongly connected components of the right and left Cayley graphs, and
+J = D = R ∨ L because the monoid is finite, which keeps everything linear in
+the number of monoid elements.
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .automata import Dfa, strongly_connected_components
 from .core import BudgetExceededError
@@ -16,6 +19,15 @@ from .density import density
 from .languages import is_primitive
 
 DEFAULT_MONOID_BUDGET = 50_000
+
+
+def _then(first):
+    """The map t -> 'apply first, then t' on transformation tuples."""
+    if len(first) == 1:
+        # one state: (0,) is the only transformation, and itemgetter of one
+        # index would return a scalar instead of a 1-tuple
+        return lambda t: t
+    return itemgetter(*first)
 
 
 class Monoid:
@@ -33,7 +45,8 @@ class Monoid:
         "_left",
     )
 
-    def __init__(self, alphabet, elements, index, identity, generators, witnesses, minimal_dfa):
+    def __init__(self, alphabet, elements, index, identity, generators, witnesses, minimal_dfa,
+                 right):
         self.alphabet = alphabet
         self.elements = elements
         self.index = index
@@ -41,7 +54,7 @@ class Monoid:
         self.generators = generators
         self.witnesses = witnesses
         self.minimal_dfa = minimal_dfa
-        self._right = None
+        self._right = right
         self._left = None
 
     def __len__(self):
@@ -49,31 +62,27 @@ class Monoid:
 
     def compose(self, i, j):
         """Index of the transformation 'apply element i, then element j'."""
-        ei, ej = self.elements[i], self.elements[j]
-        return self.index[tuple(ej[p] for p in ei)]
+        return self.index[_then(self.elements[i])(self.elements[j])]
 
     def right_cayley(self):
         """right_cayley()[i][g] = index of element_i · generator_g."""
-        if self._right is None:
-            self._right = [
-                [self.compose(i, g) for g in self.generators]
-                for i in range(len(self.elements))
-            ]
         return self._right
 
     def left_cayley(self):
         """left_cayley()[i][g] = index of generator_g · element_i."""
         if self._left is None:
+            index = self.index
+            by_generator = [_then(self.elements[g]) for g in self.generators]
             self._left = [
-                [self.compose(g, i) for g in self.generators]
-                for i in range(len(self.elements))
+                tuple([index[then(element)] for then in by_generator])
+                for element in self.elements
             ]
         return self._left
 
     def element_of_word(self, word):
         e = self.identity
         for ch in word:
-            e = self.compose(e, self.generators[self.alphabet.rank(ch)])
+            e = self._right[e][self.alphabet.rank(ch)]
         return e
 
 
@@ -90,42 +99,51 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
     """Monoid of the minimal DFA plus its accept set.
 
     Elements are discovered breadth-first with letters in alphabet order, so
-    each element's recorded witness is its shortlex-least word.
+    each element's recorded witness is its shortlex-least word, and element
+    indices increase in shortlex order of the witnesses.  Row i of the right
+    Cayley graph is recorded when element i leaves the frontier.
     """
     minimal = dfa.minimized()
     n = minimal.n_states
+    symbols = minimal.alphabet.symbols
     identity = tuple(range(n))
     elements = [identity]
     index = {identity: 0}
     witnesses = [""]
+    right = []
     letter_maps = [
         tuple(minimal.delta[q][a] for q in range(n))
         for a in range(len(minimal.alphabet))
     ]
     frontier = 0
     while frontier < len(elements):
-        current = elements[frontier]
+        then = _then(elements[frontier])
         word = witnesses[frontier]
+        row = []
         for a, letter_map in enumerate(letter_maps):
-            composed = tuple(letter_map[p] for p in current)
-            if composed not in index:
+            composed = then(letter_map)
+            target = index.get(composed)
+            if target is None:
                 if len(elements) >= budget:
                     raise BudgetExceededError(
                         "transition monoid exceeds %d elements" % budget
                     )
-                index[composed] = len(elements)
+                target = len(elements)
+                index[composed] = target
                 elements.append(composed)
-                witnesses.append(word + minimal.alphabet.symbols[a])
+                witnesses.append(word + symbols[a])
+            row.append(target)
+        right.append(tuple(row))  # tuples of ints drop out of the cycle collector
         frontier += 1
-    generators = [index[m] for m in letter_maps]
     monoid = Monoid(
         minimal.alphabet,
         elements,
         index,
         0,
-        generators,
+        list(right[0]),
         witnesses,
         minimal,
+        right,
     )
     accept = AcceptSet(
         frozenset(
@@ -178,26 +196,35 @@ def green_classes(monoid):
     left = monoid.left_cayley()
     r_class, r_classes = _partition_from_sccs(n, right)
     l_class, l_classes = _partition_from_sccs(n, left)
-    two_sided = [right[i] + left[i] for i in range(n)]
-    j_class, j_classes = _partition_from_sccs(n, two_sided)
+
+    # D = R∘L in a finite monoid, and J = D: the J-class of i is the union of
+    # the L-classes that meet the R-class of i.  Scanning i upwards numbers
+    # the J-classes by least member.
+    j_class = [None] * n
+    j_members = []
+    for i in range(n):
+        if j_class[i] is None:
+            members = []
+            for lc in {l_class[k] for k in r_classes[r_class[i]]}:
+                members.extend(l_classes[lc])
+            for k in members:
+                j_class[k] = len(j_members)
+            j_members.append(frozenset(members))
 
     h_ids = {}
-    h_class = []
-    for i in range(n):
-        key = (r_class[i], l_class[i])
-        if key not in h_ids:
-            h_ids[key] = len(h_ids)
-        h_class.append(h_ids[key])
+    h_class = [h_ids.setdefault(key, len(h_ids)) for key in zip(r_class, l_class)]
     h_members = [set() for _ in range(len(h_ids))]
     for i, h in enumerate(h_class):
         h_members[h].add(i)
 
-    n_j = len(j_classes)
-    edges = [set() for _ in range(n_j)]
-    for i in range(n):
-        for t in two_sided[i]:
-            if j_class[t] != j_class[i]:
-                edges[j_class[i]].add(j_class[t])
+    n_j = len(j_members)
+    edges = [set() for _ in range(n_j)]  # self-loops are harmless below
+    for ci, right_row, left_row in zip(j_class, right, left):
+        below = edges[ci]
+        for t in right_row:
+            below.add(j_class[t])
+        for t in left_row:
+            below.add(j_class[t])
     j_below = []
     for c in range(n_j):
         seen = {c}
@@ -218,7 +245,7 @@ def green_classes(monoid):
         h_class=tuple(h_class),
         r_classes=r_classes,
         l_classes=l_classes,
-        j_classes=j_classes,
+        j_classes=tuple(j_members),
         h_classes=tuple(frozenset(s) for s in h_members),
         j_below=tuple(j_below),
         j_minimal=j_minimal,
@@ -264,14 +291,19 @@ def nonprimitive_witness(dfa, budget=DEFAULT_MONOID_BUDGET):
     if density(dfa) == 0:
         raise ValueError("language is null: no non-primitive member is guaranteed")
     monoid, accept = transition_monoid(dfa, budget=budget)
-    greens = green_classes(monoid)
+    return witness_in_monoid(dfa, monoid, accept, green_classes(monoid))
+
+
+def witness_in_monoid(dfa, monoid, accept, greens):
+    """``nonprimitive_witness`` for a non-null ``dfa`` whose transition
+    monoid, accept set and Green classes are already built."""
     minimal_ids = set(greens.j_minimal)
     candidates = [
         i for i in accept.elements if greens.j_class[i] in minimal_ids
     ]
     if not candidates:
         raise AssertionError("non-null language must meet a J-minimal element")
-    t = min(candidates, key=lambda i: monoid.alphabet.shortlex_key(monoid.witnesses[i]))
+    t = min(candidates)  # element indices follow the shortlex order of witnesses
     n = idempotent_power(monoid, t)
     word = monoid.witnesses[t]
     if word == "":

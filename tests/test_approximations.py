@@ -140,6 +140,18 @@ def test_suffix_family_sandwich():
         assert do - di == Fraction(2, 3) ** n
 
 
+@pytest.mark.parametrize("build", [suffix_extension_family, prefix_extension_family])
+def test_extension_family_claims_from_zero(build):
+    # at n=0 no cylinder is picked: inner is empty, outer is every word
+    fam = build(semi_dyck(), "c")
+    for n in range(5):
+        inner, outer = fam.inner(n), fam.outer(n)
+        assert density(inner) == fam.inner_claim(n)
+        assert density(outer) == fam.outer_claim(n)
+        assert is_subset(inner, outer)
+    assert density(fam.inner(0)) == 0 and density(fam.outer(0)) == 1
+
+
 def test_suffix_family_respects_target():
     fam = suffix_extension_family(kemp_base(), "c")
     for n in (1, 3, 5):

@@ -249,6 +249,96 @@ def test_monoid_single_state(capsys):
     assert payload["status"] == "ok"
 
 
+BIG_MONOID_DOC = {
+    "alphabet": ["a", "b"],
+    "states": 7,
+    "initial": 0,
+    "accepting": [0, 3, 4, 5, 6],
+    "delta": [[2, 2], [5, 6], [6, 5], [4, 4], [4, 1], [3, 4], [0, 0]],
+}
+
+
+def test_monoid_budget_covers_the_whole_job(tmp_path, capsys):
+    # 80,781 elements: over the default budget, within an explicit one
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_MONOID_DOC))
+    code, out, err = run_cli(capsys, "monoid", "--dfa", str(path), "--budget", "120000")
+    assert code == 0, err
+    assert out.startswith("|M|=80781\n")
+    assert "witness=(" in out
+    code, out, err = run_cli(capsys, "monoid", "--dfa", str(path))
+    assert code == 3 and out == ""
+    assert "exceeds 50000 elements" in err
+
+
+def test_monoid_job_builds_one_monoid(monkeypatch, capsys):
+    import regdensity.cli
+    import regdensity.monoid
+
+    calls = {"transition_monoid": 0, "green_classes": 0}
+    for name in calls:
+        original = getattr(regdensity.monoid, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(regdensity.monoid, name, counted)
+        monkeypatch.setattr(regdensity.cli, name, counted)
+    code, out, _ = run_cli(capsys, "monoid", "--dfa", "starts:a")
+    assert code == 0 and "witness=(" in out
+    assert calls == {"transition_monoid": 1, "green_classes": 1}
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--dfa", "evens"],
+        ["census", "--oracle", "dyck", "--max", "3"],
+        ["gap", "--family", "modk", "--k", "3", "--max", "4"],
+        ["monoid", "--dfa", "modk:3"],
+        ["check", "--only", "textbook"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_budget_below_one_is_usage_error(capsys, argv, budget):
+    code, out, err = run_cli(capsys, *argv, "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("family", ["modk", "o3", "o4", "pal", "goldstine"])
+def test_gap_k_zero_is_usage_error(capsys, family):
+    code, out, err = run_cli(capsys, "gap", "--family", family, "--k", "0", "--max", "4")
+    assert code == 2
+    assert out == ""
+    assert "--k 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--oracle", "dyck", "--max", "-1"],
+        ["gap", "--family", "modk", "--k", "3", "--max", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_max_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--max" in err
+
+
+def test_gap_extension_family_at_k_zero(capsys):
+    for family in ("suffix-ext:dyck:c", "prefix-ext:dyck:c"):
+        code, out, _ = run_cli(capsys, "gap", "--family", family, "--k", "0", "--max", "6")
+        assert code == 0
+        assert out.splitlines()[1] == "0,0,1,1,ok"
+
+
 def test_check_only_subsets(capsys):
     code, out, _ = run_cli(capsys, "check", "--only", "prim")
     assert code == 0

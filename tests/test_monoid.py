@@ -10,6 +10,7 @@ from regdensity import (
     Alphabet,
     BudgetExceededError,
     Dfa,
+    density,
     green_classes,
     idempotent_power,
     is_primitive,
@@ -19,7 +20,8 @@ from regdensity import (
     random_dfa,
     transition_monoid,
 )
-from regdensity.monoid import element_language_dfa
+from regdensity.automata import strongly_connected_components
+from regdensity.monoid import GreenClasses, element_language_dfa
 
 AB = Alphabet("ab")
 
@@ -229,8 +231,6 @@ def test_nonprimitive_witness_soundness_random():
     found = 0
     while found < 8:
         machine = random_dfa(rng, 4, AB)
-        from regdensity import density
-
         if density(machine) == 0:
             continue
         found += 1
@@ -240,3 +240,99 @@ def test_nonprimitive_witness_soundness_random():
             candidate = word * (m * power + 1)
             assert machine.accepts(candidate)
             assert not is_primitive(candidate)
+
+
+# -- oracle: Green's relations from three Tarjan passes over compose tables ----
+
+def _partition_oracle(n, successors):
+    comps = sorted((sorted(c) for c in strongly_connected_components(successors)),
+                   key=lambda c: c[0])
+    assignment = [0] * n
+    for cid, comp in enumerate(comps):
+        for q in comp:
+            assignment[q] = cid
+    return tuple(assignment), tuple(frozenset(c) for c in comps)
+
+
+def green_classes_oracle(monoid):
+    """R, L and J as the SCCs of the right, left and two-sided Cayley graphs,
+    all three built from ``compose``."""
+    n = len(monoid)
+    right = [tuple(monoid.compose(i, g) for g in monoid.generators) for i in range(n)]
+    left = [tuple(monoid.compose(g, i) for g in monoid.generators) for i in range(n)]
+    two_sided = [right[i] + left[i] for i in range(n)]
+    r_class, r_classes = _partition_oracle(n, right)
+    l_class, l_classes = _partition_oracle(n, left)
+    j_class, j_classes = _partition_oracle(n, two_sided)
+    h_ids = {}
+    h_class = []
+    for key in zip(r_class, l_class):
+        h_ids.setdefault(key, len(h_ids))
+        h_class.append(h_ids[key])
+    h_classes = [set() for _ in h_ids]
+    for i, h in enumerate(h_class):
+        h_classes[h].add(i)
+    j_below = []
+    for c in range(len(j_classes)):
+        seen, stack = {c}, [c]
+        while stack:
+            x = stack.pop()
+            for i in j_classes[x]:
+                for t in two_sided[i]:
+                    if j_class[t] not in seen:
+                        seen.add(j_class[t])
+                        stack.append(j_class[t])
+        j_below.append(frozenset(seen))
+    return GreenClasses(
+        r_class=r_class,
+        l_class=l_class,
+        j_class=j_class,
+        h_class=tuple(h_class),
+        r_classes=r_classes,
+        l_classes=l_classes,
+        j_classes=j_classes,
+        h_classes=tuple(frozenset(h) for h in h_classes),
+        j_below=tuple(j_below),
+        j_minimal=tuple(c for c in range(len(j_classes)) if j_below[c] == {c}),
+    ), right, left
+
+
+def oracle_machines():
+    """Seeded DFAs of 1-6 states over two and three letters whose monoids
+    have at most 1500 elements: two one-state machines, then machines whose
+    monoid is not trivial."""
+    rng = random.Random(59)
+    machines = [all_words(), Dfa(Alphabet("abc"), 1, [[0, 0, 0]], 0, set())]
+    for letters in ("ab", "abc"):
+        for n in range(2, 7):
+            kept = 0
+            while kept < 4:
+                machine = random_dfa(rng, n, Alphabet(letters))
+                try:
+                    monoid, _ = transition_monoid(machine, budget=1500)
+                except BudgetExceededError:
+                    continue
+                if len(monoid) > 1:
+                    machines.append(machine)
+                    kept += 1
+    return machines
+
+
+@pytest.mark.parametrize("machine", oracle_machines())
+def test_green_classes_match_three_tarjan_oracle(machine):
+    monoid, _ = transition_monoid(machine)
+    expected, right, left = green_classes_oracle(monoid)
+    assert green_classes(monoid) == expected
+    assert monoid.right_cayley() == right
+    assert monoid.left_cayley() == left
+    rng = random.Random(len(monoid))
+    for i in range(len(monoid)):
+        j = rng.randrange(len(monoid))
+        first, then = monoid.elements[i], monoid.elements[j]
+        assert monoid.elements[monoid.compose(i, j)] == tuple(then[p] for p in first)
+    for _ in range(30):
+        word = "".join(rng.choice(monoid.alphabet.symbols) for _ in range(rng.randint(0, 8)))
+        folded = monoid.identity
+        for ch in word:
+            folded = monoid.compose(folded, monoid.generators[monoid.alphabet.rank(ch)])
+        assert monoid.element_of_word(word) == folded
