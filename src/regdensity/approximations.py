@@ -8,18 +8,21 @@ claimed densities, where a closed form exists, must match the engine's
 exact value with zero tolerance.
 """
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import chain, compress, filterfalse
+from operator import gt, or_
 from typing import Callable, Optional
 
 from .automata import Dfa, mod_counter_dfa, reverse
 from .core import (
     Alphabet,
     BudgetExceededError,
-    DEFAULT_ENUMERATION_BUDGET,
     LengthCensus,
-    census_by_enumeration,
+    check_enumeration_budget,
+    count_members,
+    enumerate_words,
     ratio_and_cesaro,
 )
 from .density import density
@@ -202,19 +205,22 @@ def nonpalindrome_window_dfa(k, alphabet=None, state_budget=DEFAULT_STATE_BUDGET
     return raw.minimized()
 
 
+def _check_bound(n):
+    if n < 0:
+        raise ValueError("the parameter must be non-negative, got %d" % n)
+
+
 def _word_trie_states(alphabet, max_exclusive):
     """Deterministically ordered ids for all words shorter than the bound."""
     order = []
     for length in range(max_exclusive):
-        order.extend(
-            "".join(p)
-            for p in itertools.product(alphabet.symbols, repeat=length)
-        )
+        order.extend(enumerate_words(alphabet, length))
     return {w: i for i, w in enumerate(order)}, order
 
 
 def suffix_inner_dfa(base, letter, n, state_budget=DEFAULT_STATE_BUDGET):
     """Union of the cylinders w·letter·B* over base members w shorter than n."""
+    _check_bound(n)
     alphabet = Alphabet(base.alphabet.symbols + (letter,))
     s = len(base.alphabet)
     trie_size = sum(s ** i for i in range(n))
@@ -238,6 +244,7 @@ def suffix_inner_dfa(base, letter, n, state_budget=DEFAULT_STATE_BUDGET):
 
 def suffix_outer_dfa(base, letter, n, state_budget=DEFAULT_STATE_BUDGET):
     """All words except the cylinders of base non-members shorter than n."""
+    _check_bound(n)
     alphabet = Alphabet(base.alphabet.symbols + (letter,))
     s = len(base.alphabet)
     trie_size = sum(s ** i for i in range(n))
@@ -265,10 +272,9 @@ def _cylinder_mass(base, letter, n, members):
     size = len(base.alphabet) + 1
     total = Fraction(0)
     for length in range(n):
-        hits = 0
-        for tup in itertools.product(base.alphabet.symbols, repeat=length):
-            if base("".join(tup)) == members:
-                hits += 1
+        hits = sum(
+            base(word) == members for word in enumerate_words(base.alphabet, length)
+        )
         total += Fraction(hits, size ** (length + 1))
     return total
 
@@ -314,34 +320,40 @@ def prefix_extension_family(base, letter, state_budget=DEFAULT_STATE_BUDGET):
 def infix_extension_family(base, letter, member_search_length=12):
     """Bracketed-infix approximations: empty if the base has no member within
     the search bound, otherwise the words containing letter·w·letter for the
-    shortlex-least base member w."""
-    from .languages import infix_extension
-
+    shortlex-least base member w.  The parameter is not used, but must be
+    non-negative."""
     target = infix_extension(base, letter)
     alphabet = Alphabet(base.alphabet.symbols + (letter,))
     member = None
     for length in range(member_search_length + 1):
-        for tup in itertools.product(base.alphabet.symbols, repeat=length):
-            word = "".join(tup)
+        for word in enumerate_words(base.alphabet, length):
             if base(word):
                 member = word
                 break
         if member is not None:
             break
+
+    def empty(n):
+        _check_bound(n)
+        return empty_language_dfa(alphabet)
+
+    def containing(n):
+        _check_bound(n)
+        return contains_factor_dfa(letter + member + letter, alphabet)
+
     if member is None:
         return ApproxFamily(
             name="infix-ext:%s:%s" % (base.name, letter),
             target=target,
-            inner=lambda n: empty_language_dfa(alphabet),
-            outer=lambda n: empty_language_dfa(alphabet),
+            inner=empty,
+            outer=empty,
             inner_claim=lambda n: Fraction(0),
             outer_claim=lambda n: Fraction(0),
         )
-    pattern = letter + member + letter
     return ApproxFamily(
         name="infix-ext:%s:%s" % (base.name, letter),
         target=target,
-        inner=lambda n: contains_factor_dfa(pattern, alphabet),
+        inner=containing,
         outer=None,
         inner_claim=lambda n: Fraction(1),
         outer_claim=None,
@@ -401,79 +413,138 @@ def family(name):
 
 # -- verification --------------------------------------------------------------
 
+class _Check:
+    """One containment claim walked over all words: its automaton's state
+    after each word of the current length, and its counterexample once
+    found (the states are then dropped)."""
+
+    __slots__ = ("dfa", "inner", "states", "counterexample")
+
+    def __init__(self, dfa, direction):
+        self.dfa = dfa
+        self.inner = direction == "inner"
+        self.states = [dfa.initial]
+        self.counterexample = None
+
+
+def _guard_walk(dfa, oracle, max_length, budget):
+    if dfa.alphabet != oracle.alphabet:
+        raise ValueError("automaton and oracle alphabets differ")
+    check_enumeration_budget(len(dfa.alphabet), max_length, budget, "containment tests")
+
+
+def _walk(checks, oracle, max_length, census=False):
+    """Walk all words up to ``max_length`` in shortlex order once, asking the
+    oracle about each word at most once, and only when a census, a live outer
+    check, or a word accepted by an inner check live at the start of its
+    length needs the verdict.
+
+    Fills each check's shortlex-least counterexample; returns the per-length
+    member counts when ``census`` is set, else None.  Once every check has
+    its counterexample, the remaining lengths of the census are streamed.
+    """
+    membership = oracle.membership
+    symbols = oracle.alphabet.symbols
+    counts = [] if census else None
+    words = [""]
+    for length in range(max_length + 1):
+        live = [c for c in checks if c.counterexample is None]
+        if not live:
+            if census:
+                counts.extend(count_members(oracle, range(length, max_length + 1)))
+            break
+        accepted = [map(c.dfa.accepting.__contains__, c.states) for c in live]
+        if census or not all(c.inner for c in live):
+            verdicts = list(map(membership, words))
+            if census:
+                counts.append(sum(verdicts))
+            for c, acc in zip(live, accepted):
+                bad = map(gt, acc, verdicts) if c.inner else map(gt, verdicts, acc)
+                c.counterexample = next(compress(words, bad), None)
+        else:
+            # only inner checks: ask about the words that some of them accept,
+            # in order, until each check has met a non-member it accepts
+            pending = live
+            wanted = reduce(partial(map, or_), accepted)
+            for word in filterfalse(membership, compress(words, wanted)):
+                for c in pending:
+                    if c.dfa.accepts(word):
+                        c.counterexample = word
+                pending = [c for c in pending if c.counterexample is None]
+                if not pending:
+                    break
+        if length == max_length:
+            break
+        del accepted  # its maps hold on to the state lists replaced below
+        words = [w + ch for w in words for ch in symbols]
+        for c in live:
+            if c.counterexample is None:
+                c.states = list(chain.from_iterable(map(c.dfa.delta.__getitem__, c.states)))
+            else:
+                c.states = None
+    return counts
+
+
 def verify_containment(dfa, oracle, direction, max_length, budget=None):
     """Check an inclusion claim on all words up to a length.
 
     ``inner`` checks L(dfa) ⊆ oracle, ``outer`` checks oracle ⊆ L(dfa).
     Returns None when the inclusion holds, else the shortlex-least
-    counterexample.
+    counterexample.  An ``inner`` check asks the oracle only about accepted
+    words.  The oracle's ``membership`` must return exactly True or False.
     """
     if direction not in ("inner", "outer"):
         raise ValueError("direction must be 'inner' or 'outer'")
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
-    alphabet = dfa.alphabet
-    if alphabet != oracle.alphabet:
-        raise ValueError("automaton and oracle alphabets differ")
-    if len(alphabet) ** max_length > budget:
-        raise BudgetExceededError(
-            "%d^%d containment tests exceed budget %d"
-            % (len(alphabet), max_length, budget)
-        )
-    words = [""]
-    states = [dfa.initial]
-    ranks = range(len(alphabet))
-    for length in range(max_length + 1):
-        for word, state in zip(words, states):
-            accepted = state in dfa.accepting
-            if direction == "inner":
-                if accepted and not oracle(word):
-                    return word
-            else:
-                if oracle(word) and not accepted:
-                    return word
-        if length == max_length:
-            break
-        words = [w + ch for w in words for ch in alphabet.symbols]
-        states = [dfa.delta[q][a] for q in states for a in ranks]
-    return None
+    _guard_walk(dfa, oracle, max_length, budget)
+    check = _Check(dfa, direction)
+    _walk([check], oracle, max_length)
+    return check.counterexample
 
 
 def gap_report(fam, ks, max_length, budget=None):
-    """Exact inner/outer densities, gaps and containment verdicts per k."""
-    rows = []
+    """Exact inner/outer densities, gaps and containment verdicts per k.
+
+    One walk over the words checks every k's containments and, when the
+    target has no closed-form counter, takes its census: the oracle is asked
+    about each word at most once.  The target's ``membership`` must return
+    exactly True or False.
+    """
+    built = []
+    checks = []
     for k in ks:
         inner_dfa = fam.inner(k) if fam.inner is not None else None
         outer_dfa = fam.outer(k) if fam.outer is not None else None
         inner_d = density(inner_dfa) if inner_dfa is not None else Fraction(0)
         outer_d = density(outer_dfa) if outer_dfa is not None else Fraction(1)
-        inner_cex = (
-            verify_containment(inner_dfa, fam.target, "inner", max_length, budget)
-            if inner_dfa is not None
-            else None
-        )
-        outer_cex = (
-            verify_containment(outer_dfa, fam.target, "outer", max_length, budget)
-            if outer_dfa is not None
-            else None
-        )
-        rows.append(
-            GapRow(
-                k=k,
-                inner_density=inner_d,
-                outer_density=outer_d,
-                gap=outer_d - inner_d,
-                inner_counterexample=inner_cex,
-                outer_counterexample=outer_cex,
-            )
-        )
-    if fam.target.counter is not None:
-        counts = [fam.target.counts(n) for n in range(max_length + 1)]
-        census = LengthCensus(len(fam.target.alphabet), counts)
+        pair = []
+        for dfa, direction in ((inner_dfa, "inner"), (outer_dfa, "outer")):
+            check = None
+            if dfa is not None:
+                _guard_walk(dfa, fam.target, max_length, budget)
+                check = _Check(dfa, direction)
+                checks.append(check)
+            pair.append(check)
+        built.append((k, inner_d, outer_d, pair))
+    target = fam.target
+    if target.counter is not None:
+        _walk(checks, target, max_length)
+        counts = [target.counts(n) for n in range(max_length + 1)]
     else:
-        census = census_by_enumeration(fam.target, max_length, budget)
-    _, cesaro = ratio_and_cesaro(census)
-    return GapReport(family=fam.name, rows=tuple(rows), target_cesaro=tuple(cesaro))
+        check_enumeration_budget(len(target.alphabet), max_length, budget, "membership tests")
+        counts = _walk(checks, target, max_length, census=True)
+    rows = tuple(
+        GapRow(
+            k=k,
+            inner_density=inner_d,
+            outer_density=outer_d,
+            gap=outer_d - inner_d,
+            inner_counterexample=None if inner is None else inner.counterexample,
+            outer_counterexample=None if outer is None else outer.counterexample,
+        )
+        for k, inner_d, outer_d, (inner, outer) in built
+    )
+    _, cesaro = ratio_and_cesaro(LengthCensus(len(target.alphabet), counts))
+    return GapReport(family=fam.name, rows=rows, target_cesaro=tuple(cesaro))
 
 
 def majority_escape_witness(dfa, m=1):

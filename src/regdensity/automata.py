@@ -162,29 +162,32 @@ class Dfa:
         return not (self.reachable_states() & self.accepting)
 
     def minimized(self):
-        """The unique minimal DFA, states renumbered canonically."""
+        """The unique minimal DFA, states renumbered canonically.
+
+        Moore refinement over the reachable states: each round keys a state
+        by its block and its successors' blocks, read through one successor
+        column per letter, and numbers the keys by first occurrence.
+        """
         reach = sorted(self.reachable_states())
         pos = {q: i for i, q in enumerate(reach)}
-        n_letters = len(self.alphabet)
+        rows = [self.delta[q] for q in reach]
+        cols = [[pos[row[a]] for row in rows] for a in range(len(self.alphabet))]
         block = [1 if q in self.accepting else 0 for q in reach]
         n_blocks = len(set(block))
         while True:
             sigs = {}
-            nxt = []
-            for i, q in enumerate(reach):
-                sig = (block[i], tuple(block[pos[self.delta[q][a]]] for a in range(n_letters)))
-                if sig not in sigs:
-                    sigs[sig] = len(sigs)
-                nxt.append(sigs[sig])
-            block = nxt
+            number = sigs.setdefault
+            block = [
+                number(key, len(sigs))
+                for key in zip(block, *[map(block.__getitem__, col) for col in cols])
+            ]
             if len(sigs) == n_blocks:
                 break
             n_blocks = len(sigs)
         rep_delta = {}
-        for i, q in enumerate(reach):
-            b = block[i]
-            if b not in rep_delta:
-                rep_delta[b] = [block[pos[self.delta[q][a]]] for a in range(n_letters)]
+        for i in range(len(reach)):
+            if block[i] not in rep_delta:
+                rep_delta[block[i]] = [block[col[i]] for col in cols]
         init_block = block[pos[self.initial]]
         acc_blocks = frozenset(block[pos[q]] for q in reach if q in self.accepting)
         quotient = Dfa(

@@ -21,7 +21,7 @@ from .approximations import (
     verify_containment,
 )
 from .automata import Dfa, is_subset, mod_counter_dfa, random_dfa
-from .core import Alphabet, census_by_enumeration, ratio_and_cesaro
+from .core import Alphabet, census_by_enumeration, enumerate_words, ratio_and_cesaro
 from .density import density, is_dense, is_null, natural_density
 from .languages import (
     DiagonalLanguage,
@@ -220,7 +220,7 @@ def check_goldstine():
     prefixes = {staircase[:i] for i in range(13)}
     mismatch = None
     for n in range(13):
-        for word in _all_words(AB, n):
+        for word in enumerate_words(AB, n):
             via_copref = word not in prefixes and word.endswith("b")
             if via_copref != target(word):
                 mismatch = word
@@ -428,7 +428,7 @@ def check_primitive():
     )
     square_identity_ok = True
     for length in range(1, 11):
-        for word in _all_words(AB, length):
+        for word in enumerate_words(AB, length):
             splits = any(
                 is_primitive(word[:i]) and is_primitive(word[i:])
                 for i in range(1, length)
@@ -501,7 +501,7 @@ def check_diagonal():
     )
     consistent = True
     for n in range(6):
-        for word in _all_words(AB, n):
+        for word in enumerate_words(AB, n):
             if program.membership(word) != (word in accepted):
                 consistent = False
     items.append(_item("diagonal-membership-consistent", consistent, "all words <= 5"))
@@ -515,12 +515,6 @@ def check_diagonal():
         )
     )
     return items
-
-
-def _all_words(alphabet, length):
-    import itertools
-
-    return ("".join(p) for p in itertools.product(alphabet.symbols, repeat=length))
 
 
 CRITERIA = (

@@ -123,24 +123,40 @@ def ratio_and_cesaro(census):
     return ratios, cesaro
 
 
+def check_enumeration_budget(alphabet_size, max_length, budget, what):
+    """Refuse to enumerate ``alphabet_size ** max_length`` words past the
+    budget (default: the enumeration budget)."""
+    if budget is None:
+        budget = DEFAULT_ENUMERATION_BUDGET
+    if alphabet_size ** max_length > budget:
+        raise BudgetExceededError(
+            "%d^%d %s exceed budget %d" % (alphabet_size, max_length, what, budget)
+        )
+
+
 def census_by_enumeration(oracle, max_length, budget=None):
     """Census a language oracle by exhaustive membership tests.
 
-    The oracle must expose ``alphabet`` and be callable on words.  Guarded:
-    ``|A| ** max_length`` may not exceed the enumeration budget.
+    The oracle must expose ``alphabet`` and a ``membership`` predicate that
+    returns exactly True or False.  Words are asked in shortlex order, in
+    blocks of at most 1024 that share a head.  Guarded: ``|A| ** max_length``
+    may not exceed the enumeration budget.
     """
-    if budget is None:
-        budget = DEFAULT_ENUMERATION_BUDGET
-    size = len(oracle.alphabet)
-    if size ** max_length > budget:
-        raise BudgetExceededError(
-            "%d^%d membership tests exceed budget %d" % (size, max_length, budget)
-        )
-    counts = []
-    for n in range(max_length + 1):
-        hits = 0
-        for tup in itertools.product(oracle.alphabet.symbols, repeat=n):
-            if oracle("".join(tup)):
-                hits += 1
-        counts.append(hits)
-    return LengthCensus(size, counts)
+    alphabet = oracle.alphabet
+    check_enumeration_budget(len(alphabet), max_length, budget, "membership tests")
+    return LengthCensus(len(alphabet), list(count_members(oracle, range(max_length + 1))))
+
+
+def count_members(oracle, lengths):
+    """Yield the number of members of each given length, asking the oracle
+    about the words of each length in shortlex order, in blocks of at most
+    1024 words that share a head.  Unguarded: callers check the budget."""
+    alphabet = oracle.alphabet
+    membership = oracle.membership
+    # the longest tail length whose words fit in one block of 1024
+    block = max(t for t in range(11) if len(alphabet) ** t <= 1024)
+    for n in lengths:
+        tail = min(n, block)
+        tails = enumerate_words(alphabet, tail)
+        heads = ("".join(p) for p in itertools.product(alphabet.symbols, repeat=n - tail))
+        yield sum(sum(map(membership, map(head.__add__, tails))) for head in heads)

@@ -13,7 +13,12 @@ from .core import Alphabet, BudgetExceededError
 
 
 class LanguageOracle:
-    """Named total membership predicate with an optional exact counter."""
+    """Named total membership predicate with an optional exact counter.
+
+    ``membership`` must return exactly True or False: censuses sum its
+    results and containment checks compare them with ``>``, so a merely
+    truthy value such as a count gives wrong answers.
+    """
 
     __slots__ = ("name", "alphabet", "membership", "counter")
 

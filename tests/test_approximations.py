@@ -1,19 +1,28 @@
 """Tests for the approximation families, containment checks, and gap reports."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regdensity import (
     Alphabet,
     ApproxFamily,
     BudgetExceededError,
     Dfa,
+    GapReport,
+    GapRow,
     LanguageOracle,
+    LengthCensus,
+    census_by_enumeration,
     count_eq,
     density,
+    diagonal,
+    enumerate_words,
     family,
     gap_report,
     goldstine,
@@ -21,8 +30,12 @@ from regdensity import (
     is_subset,
     majority_escape_witness,
     mod_counter_dfa,
+    o3,
+    o4,
+    palindromes,
     prefix_extension_family,
     random_dfa,
+    ratio_and_cesaro,
     semi_dyck,
     suffix_extension_family,
     verify_containment,
@@ -269,3 +282,253 @@ def test_majority_escape_random_non_null():
 def test_unknown_family():
     with pytest.raises(ValueError):
         family("nope")
+
+
+# -- the one-pass walker against the old three-pass code ------------------------
+
+def old_verify_containment(dfa, oracle, direction, max_length):
+    """Test-only oracle: the word-by-word containment loop, one automaton
+    and one oracle call per word."""
+    words = [""]
+    states = [dfa.initial]
+    ranks = range(len(dfa.alphabet))
+    for length in range(max_length + 1):
+        for word, state in zip(words, states):
+            accepted = state in dfa.accepting
+            if direction == "inner":
+                if accepted and not oracle(word):
+                    return word
+            else:
+                if oracle(word) and not accepted:
+                    return word
+        if length == max_length:
+            break
+        words = [w + ch for w in words for ch in dfa.alphabet.symbols]
+        states = [dfa.delta[q][a] for q in states for a in ranks]
+    return None
+
+
+def old_census(oracle, max_length):
+    """Test-only oracle: one joined tuple and one oracle call per word."""
+    counts = []
+    for n in range(max_length + 1):
+        hits = 0
+        for tup in itertools.product(oracle.alphabet.symbols, repeat=n):
+            if oracle("".join(tup)):
+                hits += 1
+        counts.append(hits)
+    return LengthCensus(len(oracle.alphabet), counts)
+
+
+def old_gap_report(fam, ks, max_length):
+    """Test-only oracle: a containment walk per automaton, then a census."""
+    rows = []
+    for k in ks:
+        inner = fam.inner(k) if fam.inner is not None else None
+        outer = fam.outer(k) if fam.outer is not None else None
+        inner_d = density(inner) if inner is not None else Fraction(0)
+        outer_d = density(outer) if outer is not None else Fraction(1)
+        rows.append(
+            GapRow(
+                k=k,
+                inner_density=inner_d,
+                outer_density=outer_d,
+                gap=outer_d - inner_d,
+                inner_counterexample=None if inner is None
+                else old_verify_containment(inner, fam.target, "inner", max_length),
+                outer_counterexample=None if outer is None
+                else old_verify_containment(outer, fam.target, "outer", max_length),
+            )
+        )
+    if fam.target.counter is not None:
+        counts = [fam.target.counts(n) for n in range(max_length + 1)]
+        census = LengthCensus(len(fam.target.alphabet), counts)
+    else:
+        census = old_census(fam.target, max_length)
+    _, cesaro = ratio_and_cesaro(census)
+    return GapReport(family=fam.name, rows=tuple(rows), target_cesaro=tuple(cesaro))
+
+
+def counting(oracle):
+    """The oracle with every membership question recorded, in order."""
+    asked = []
+
+    def member(word):
+        asked.append(word)
+        return oracle.membership(word)
+
+    return LanguageOracle(oracle.name, oracle.alphabet, member, oracle.counter), asked
+
+
+def dfa_oracle(machine, counted):
+    counter = (lambda n: machine.count_words(n).counts[n]) if counted else None
+    return LanguageOracle("dfa", machine.alphabet, machine.accepts, counter)
+
+
+TARGETS = {
+    "ab": (semi_dyck, goldstine, lambda: palindromes().complement(), count_eq),
+    "abc": (o3,),
+}
+
+
+@st.composite
+def small_dfas(draw, alphabet):
+    n = draw(st.integers(1, 6))
+    delta = [[draw(st.integers(0, n - 1)) for _ in alphabet] for _ in range(n)]
+    return Dfa(alphabet, n, delta, 0, draw(st.sets(st.integers(0, n - 1))))
+
+
+@st.composite
+def gap_cases(draw):
+    """A family over a drawn target with 1-3 ks of random inner and/or outer
+    automata; against a DFA-backed target some claims are made to hold."""
+    name = draw(st.sampled_from(("ab", "abc")))
+    alphabet = Alphabet(name)
+    build = draw(st.sampled_from(TARGETS[name] + (None,)))
+    reference = None
+    if build is None:
+        reference = draw(small_dfas(alphabet))
+        target = dfa_oracle(reference, counted=draw(st.booleans()))
+    else:
+        target = build()
+    n_ks = draw(st.integers(1, 3))
+
+    def machines_for(direction):
+        if not draw(st.booleans()):
+            return None
+        machines = []
+        for _ in range(n_ks):
+            machine = draw(small_dfas(alphabet))
+            if reference is not None and draw(st.booleans()):
+                hold = reference.intersection if direction == "inner" else reference.union
+                machine = hold(machine)
+            machines.append(machine)
+        return machines
+
+    inners, outers = machines_for("inner"), machines_for("outer")
+    fam = ApproxFamily(
+        name="case",
+        target=target,
+        inner=None if inners is None else inners.__getitem__,
+        outer=None if outers is None else outers.__getitem__,
+    )
+    max_length = draw(st.integers(0, 8))
+    return fam, list(range(n_ks)), max_length
+
+
+@settings(max_examples=120, deadline=None)
+@given(gap_cases())
+def test_gap_report_matches_three_pass_oracle(case):
+    fam, ks, max_length = case
+    target, asked = counting(fam.target)
+    report = gap_report(dataclasses.replace(fam, target=target), ks, max_length)
+    assert report == old_gap_report(fam, ks, max_length)
+    assert len(asked) == len(set(asked)), "a word was asked twice in one gap report"
+
+
+@settings(max_examples=80, deadline=None)
+@given(gap_cases())
+def test_verify_containment_matches_old_loop(case):
+    fam, ks, max_length = case
+    for direction, build in (("inner", fam.inner), ("outer", fam.outer)):
+        if build is None:
+            continue
+        for k in ks:
+            machine = build(k)
+            target, asked = counting(fam.target)
+            old_target, old_asked = counting(fam.target)
+            result = verify_containment(machine, target, direction, max_length)
+            assert result == old_verify_containment(machine, old_target, direction, max_length)
+            if direction == "inner":
+                # only accepted words are asked, exactly as the old loop did
+                assert all(machine.accepts(word) for word in asked)
+                assert asked == old_asked
+
+
+@settings(max_examples=60, deadline=None)
+@given(gap_cases())
+def test_census_matches_old_loop(case):
+    fam, _, max_length = case
+    target, asked = counting(fam.target)
+    old_target, old_asked = counting(fam.target)
+    assert census_by_enumeration(target, max_length) == old_census(old_target, max_length)
+    assert asked == old_asked
+
+
+@pytest.mark.parametrize(
+    "oracle, max_length",
+    [
+        (semi_dyck(), 13),
+        (diagonal(), 12),
+        (palindromes(Alphabet("a")), 12),
+        (o3(), 8),
+        (o4(), 6),
+    ],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_census_blocks_keep_shortlex_order(oracle, max_length):
+    # past the tail length (10, 6 and 5 letters for 2, 3 and 4 symbols) the
+    # census asks in head blocks; the diagonal oracle must see the same
+    # shortlex sequence as before
+    target, asked = counting(oracle)
+    census = census_by_enumeration(target, max_length)
+    assert asked == [
+        word for n in range(max_length + 1) for word in enumerate_words(oracle.alphabet, n)
+    ]
+    assert census == old_census(oracle, max_length)
+
+
+def test_census_streams_on_once_every_check_has_failed():
+    # every k's inner automaton accepts the empty word, a goldstine
+    # non-member, so the walk stops at length 0 and the rest of the census
+    # is streamed: one question per word, still in shortlex order
+    everything = Dfa(AB, 1, [[0, 0]], 0, {0})
+    fam = ApproxFamily(name="all", target=goldstine(), inner=lambda k: everything)
+    target, asked = counting(fam.target)
+    report = gap_report(dataclasses.replace(fam, target=target), [1, 2, 3], 11)
+    assert report == old_gap_report(fam, [1, 2, 3], 11)
+    assert [row.inner_counterexample for row in report.rows] == ["", "", ""]
+    assert asked == [word for n in range(12) for word in enumerate_words(AB, n)]
+
+
+def test_inner_checks_share_verdicts_within_a_length():
+    # several inner-only checks against a target with a counter (words with
+    # #a = #b mod 2, i.e. even length): each word is asked at most once, and
+    # only when some check accepts it; two claims fail at length 3, at "aaa"
+    # and, for the one that only accepts words ending in b, at "bbb"
+    def balanced_mod(k):
+        return mod_counter_dfa(k, alphabet=AB).complement()
+
+    machines = [
+        balanced_mod(4),
+        balanced_mod(3),
+        balanced_mod(6),
+        balanced_mod(3).intersection(ends_with_letter_dfa("b", AB)),
+    ]
+    ks = range(len(machines))
+    target = dfa_oracle(balanced_mod(2), counted=True)
+    fam = ApproxFamily(name="mod", target=target, inner=machines.__getitem__)
+    target, asked = counting(target)
+    report = gap_report(dataclasses.replace(fam, target=target), ks, 10)
+    assert report == old_gap_report(fam, ks, 10)
+    assert [row.inner_counterexample for row in report.rows] == [None, "aaa", None, "bbb"]
+    assert len(asked) == len(set(asked))
+    assert all(any(m.accepts(word) for m in machines) for word in asked)
+
+
+@pytest.mark.parametrize("build", [suffix_extension_family, prefix_extension_family])
+def test_extension_families_reject_negative_bounds(build):
+    fam = build(semi_dyck(), "c")
+    for generator in (fam.inner, fam.outer):
+        with pytest.raises(ValueError):
+            generator(-1)
+
+
+def test_infix_family_rejects_negative_parameter():
+    for base in (semi_dyck(), LanguageOracle("nothing", AB, lambda w: False)):
+        fam = infix_extension_family(base, "c", member_search_length=4)
+        for generator in (fam.inner, fam.outer):
+            if generator is not None:
+                with pytest.raises(ValueError):
+                    generator(-7)
+                generator(0)

@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,8 @@ from regdensity import (
     reverse,
     shortlex_least_member,
 )
+from regdensity import automata
+from regdensity.approximations import nonpalindrome_window_dfa
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -109,6 +112,83 @@ def test_minimize_idempotent_and_language_preserving(machine):
     minimal = machine.minimized()
     assert minimal.minimized() == minimal
     assert machine.count_words(10) == minimal.count_words(10)
+
+
+def moore_minimized(dfa):
+    """Test-only oracle: Moore refinement state by state, one signature
+    tuple per state per round, then the quotient and its BFS renumbering."""
+    reach = sorted(dfa.reachable_states())
+    pos = {q: i for i, q in enumerate(reach)}
+    n_letters = len(dfa.alphabet)
+    block = [1 if q in dfa.accepting else 0 for q in reach]
+    n_blocks = len(set(block))
+    while True:
+        sigs = {}
+        nxt = []
+        for i, q in enumerate(reach):
+            sig = (block[i], tuple(block[pos[dfa.delta[q][a]]] for a in range(n_letters)))
+            if sig not in sigs:
+                sigs[sig] = len(sigs)
+            nxt.append(sigs[sig])
+        block = nxt
+        if len(sigs) == n_blocks:
+            break
+        n_blocks = len(sigs)
+    rep_delta = {}
+    for i, q in enumerate(reach):
+        b = block[i]
+        if b not in rep_delta:
+            rep_delta[b] = [block[pos[dfa.delta[q][a]]] for a in range(n_letters)]
+    quotient = Dfa(
+        dfa.alphabet,
+        len(rep_delta),
+        [rep_delta[b] for b in range(len(rep_delta))],
+        block[pos[dfa.initial]],
+        frozenset(block[pos[q]] for q in reach if q in dfa.accepting),
+    )
+    return automata._renumber_bfs(quotient)
+
+
+def assert_minimized_matches_moore(machine):
+    assert machine.minimized() == moore_minimized(machine)
+    # the quotients agree before renumbering too: same blocks, same block ids
+    with mock.patch.object(automata, "_renumber_bfs", lambda dfa: dfa):
+        assert machine.minimized() == moore_minimized(machine)
+
+
+@st.composite
+def dfas_with_unreachable_states(draw):
+    alphabet = Alphabet(draw(st.sampled_from(("a", "ab", "abc"))))
+    n = draw(st.integers(1, 40))
+    delta = [
+        [draw(st.integers(0, n - 1)) for _ in range(len(alphabet))]
+        for _ in range(n)
+    ]
+    initial = draw(st.integers(0, n - 1))
+    accepting = draw(st.sets(st.integers(0, n - 1)))
+    return Dfa(alphabet, n, delta, initial, accepting)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dfas_with_unreachable_states())
+def test_minimized_matches_moore_oracle(machine):
+    assert_minimized_matches_moore(machine)
+
+
+def test_minimized_matches_moore_oracle_on_window_machines():
+    raw = []
+    original = Dfa.minimized
+
+    def capture(self):
+        raw.append(self)
+        return original(self)
+
+    with mock.patch.object(Dfa, "minimized", capture):
+        for k in range(1, 6):
+            nonpalindrome_window_dfa(k)
+    assert [machine.n_states for machine in raw] == [2 ** (2 * k + 1) - 1 for k in range(1, 6)]
+    for machine in raw:
+        assert_minimized_matches_moore(machine)
 
 
 @settings(max_examples=25, deadline=None)

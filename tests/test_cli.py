@@ -339,6 +339,17 @@ def test_gap_extension_family_at_k_zero(capsys):
         assert out.splitlines()[1] == "0,0,1,1,ok"
 
 
+@pytest.mark.parametrize(
+    "family, k",
+    [("suffix-ext:dyck:c", "-1"), ("prefix-ext:dyck:c", "-3"), ("infix-ext:dyck:c", "-7")],
+)
+def test_gap_extension_family_negative_k_is_usage_error(capsys, family, k):
+    code, out, err = run_cli(capsys, "gap", "--family", family, "--k=" + k, "--max", "4")
+    assert code == 2
+    assert out == ""
+    assert "--k %s" % k in err and "Traceback" not in err
+
+
 def test_check_only_subsets(capsys):
     code, out, _ = run_cli(capsys, "check", "--only", "prim")
     assert code == 0

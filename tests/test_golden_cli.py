@@ -1,0 +1,108 @@
+"""Byte-level regression guard for the command-line surface.
+
+``golden_cli.json`` lists fixed invocations with the sha256 digest of
+``"<exit code>\\n<stdout>"``.  The test replays every invocation and compares
+digests.  To re-record after an intended output change, run this module as a
+script: ``PYTHONPATH=src python tests/test_golden_cli.py``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from regdensity.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+
+_GAP_CASES = [
+    ("modk", ["3,5", "2,4"], 10),
+    ("pal", ["1,2", "3"], 10),
+    ("goldstine", ["1,2", "3,4"], 12),
+    ("o3", ["1,2", "3"], 6),
+    ("o4", ["1,2", "3"], 4),
+    ("suffix-ext:dyck:c", ["0,1,2", "3"], 6),
+    ("prefix-ext:dyck:c", ["1,2", "3"], 6),
+    ("infix-ext:dyck:c", ["1,2", "4"], 6),
+    ("suffix-ext:pal:c", ["1,3"], 5),
+]
+
+_CENSUS_CASES = [
+    ("dyck", 10),
+    ("counteq:a,b", 9),
+    ("pal", 9),
+    ("o3", 5),
+    ("o4", 4),
+    ("goldstine", 9),
+    ("kemp", 6),
+    ("majority:2", 9),
+    ("primitive", 9),
+    ("coprefix:a=ab,b=a", 9),
+    ("suffix-ext:dyck:c", 5),
+    ("diagonal", 7),
+]
+
+_OTHER_CASES = [
+    ["density", "--dfa", "evens"],
+    ["density", "--dfa", "modk:3"],
+    ["density", "--dfa", "starts:a"],
+    ["monoid", "--dfa", "evens"],
+    ["monoid", "--dfa", "modk:4"],
+    ["monoid", "--dfa", "starts:b"],
+    # over budget: exit 3, nothing on stdout
+    ["gap", "--family", "goldstine", "--k", "1,0", "--max", "30"],
+    ["gap", "--family", "pal", "--k", "2", "--max", "9", "--budget", "500"],
+    ["gap", "--family", "pal", "--k", "9", "--max", "4"],
+    ["census", "--oracle", "dyck", "--max", "30"],
+    ["census", "--oracle", "pal", "--max", "7", "--budget", "100"],
+    ["monoid", "--dfa", "modk:7", "--budget", "3"],
+    # bad k before an over-budget walk: exit 2
+    ["gap", "--family", "goldstine", "--k", "0,1", "--max", "30"],
+]
+
+
+def invocations():
+    cases = []
+    for name, ks_list, max_length in _GAP_CASES:
+        for ks in ks_list:
+            argv = ["gap", "--family", name, "--k", ks, "--max", str(max_length)]
+            cases.append(argv)
+            cases.append(argv + ["--format", "json"])
+    for name, max_length in _CENSUS_CASES:
+        argv = ["census", "--oracle", name, "--max", str(max_length)]
+        cases.append(argv)
+        cases.append(argv + ["--format", "json"])
+    for argv in _OTHER_CASES:
+        cases.append(argv)
+        if argv[0] in ("density", "monoid") and "--budget" not in argv:
+            cases.append(argv + ["--format", "json"])
+    return cases
+
+
+def digest(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return hashlib.sha256(("%d\n%s" % (code, out.getvalue())).encode()).hexdigest()
+
+
+def _load():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_set_matches_invocation_list():
+    assert [case["argv"] for case in _load()] == invocations()
+
+
+@pytest.mark.parametrize("case", _load(), ids=lambda case: " ".join(case["argv"]))
+def test_cli_output_matches_golden_digest(case):
+    assert digest(case["argv"]) == case["sha256"]
+
+
+if __name__ == "__main__":
+    records = [{"argv": argv, "sha256": digest(argv)} for argv in invocations()]
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print("recorded %d invocations in %s" % (len(records), GOLDEN.name))

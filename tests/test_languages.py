@@ -32,6 +32,7 @@ from regdensity import (
     semi_dyck,
     suffix_extension,
 )
+from regdensity.cli import load_family, load_oracle
 from regdensity.languages import (
     catalan,
     dyck_count,
@@ -286,3 +287,23 @@ def test_oracle_counter_interface():
     assert semi_dyck().counts(6) == 5
     negated = semi_dyck().complement()
     assert negated("ba") and not negated("ab")
+
+
+@pytest.mark.parametrize(
+    "kind, spec",
+    [("oracle", spec) for spec in (
+        "dyck", "counteq:a,b", "pal", "o3", "o4", "goldstine", "kemp", "majority:2",
+        "primitive", "coprefix:a=ab,b=a", "suffix-ext:dyck:c", "diagonal",
+    )]
+    + [("family", spec) for spec in (
+        "modk", "pal", "goldstine", "o3", "o4",
+        "suffix-ext:dyck:c", "prefix-ext:dyck:c", "infix-ext:dyck:c",
+    )],
+)
+def test_membership_answers_exact_bools(kind, spec):
+    # censuses sum membership answers and containment checks compare them
+    # with >, so every oracle must answer exactly True or False
+    oracle = load_oracle(spec) if kind == "oracle" else load_family(spec).target
+    max_length = 6 if len(oracle.alphabet) <= 3 else 4
+    for word in words_up_to(oracle.alphabet, max_length):
+        assert type(oracle.membership(word)) is bool, word
