@@ -21,6 +21,7 @@ from .core import (
     BudgetExceededError,
     LengthCensus,
     check_enumeration_budget,
+    count_by_states,
     count_members,
     enumerate_words,
     ratio_and_cesaro,
@@ -92,21 +93,30 @@ def empty_language_dfa(alphabet):
     return Dfa(alphabet, 1, [[0] * len(alphabet)], 0, frozenset())
 
 
+def _matcher_rows(pattern, symbols):
+    """Knuth-Morris-Pratt matcher: row j (j pattern letters matched) gives,
+    per letter, the length of the longest pattern prefix that ends the text
+    read so far.  Row len(pattern) continues past a full match."""
+    rank = {ch: a for a, ch in enumerate(symbols)}
+    rows = []
+    restart = 0  # the row of the longest proper border of pattern[:j]
+    for j in range(len(pattern) + 1):
+        row = list(rows[restart]) if j else [0] * len(symbols)
+        if j < len(pattern):
+            a = rank[pattern[j]]
+            row[a] = j + 1
+            if j:
+                restart = rows[restart][a]
+        rows.append(row)
+    return rows
+
+
 def contains_factor_dfa(pattern, alphabet):
-    """Words containing the pattern as a factor (textbook matcher automaton)."""
+    """Words containing the pattern as a factor (the Knuth-Morris-Pratt
+    matcher, absorbing once the pattern is found)."""
     m = len(pattern)
-    delta = []
-    for j in range(m + 1):
-        row = []
-        for ch in alphabet.symbols:
-            if j == m:
-                row.append(m)
-                continue
-            candidate = pattern[:j] + ch
-            while candidate and not pattern.startswith(candidate):
-                candidate = candidate[1:]
-            row.append(len(candidate))
-        delta.append(row)
+    delta = _matcher_rows(pattern, alphabet.symbols)
+    delta[m] = [m] * len(alphabet)
     return Dfa(alphabet, m + 1, delta, 0, {m})
 
 
@@ -148,9 +158,11 @@ def goldstine_inner_dfa(k):
 def nonpalindrome_window_dfa(k, alphabet=None, state_budget=DEFAULT_STATE_BUDGET):
     """Words of length >= 2k whose last k letters do not mirror the first k.
 
-    Realised as a k-letter prefix memory, a sliding window of the last k
-    letters, and a saturating counter of letters read beyond the prefix;
-    the result is minimized.
+    Realised as a k-letter prefix memory and then, for each prefix p, a
+    saturating counter of letters read beyond it and the Knuth-Morris-Pratt
+    matcher state of those letters against reverse(p); the result is
+    minimized.  The budget bounds the equivalent sliding-window machine
+    (prefix memory, window of the last k letters and counter).
     """
     if k < 1:
         raise ValueError("window length must be at least 1")
@@ -164,45 +176,23 @@ def nonpalindrome_window_dfa(k, alphabet=None, state_budget=DEFAULT_STATE_BUDGET
             "window automaton needs about %d states, budget is %d"
             % (estimated, state_budget)
         )
-    index = {}
-    delta = []
-    accepting = set()
-
-    def state_id(key):
-        if key not in index:
-            index[key] = len(delta)
-            delta.append([None] * s)
-        return index[key]
-
-    start = state_id(("p", ""))
-    pending = [("p", "")]
-    seen = {("p", "")}
-    while pending:
-        key = pending.pop()
-        sid = index[key]
-        if key[0] == "p":
-            prefix = key[1]
-            for a, ch in enumerate(alphabet.symbols):
-                grown = prefix + ch
-                nxt = (
-                    ("m", grown, grown, 0) if len(grown) == k else ("p", grown)
-                )
-                delta[sid][a] = state_id(nxt)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    pending.append(nxt)
-        else:
-            _, first, window, extra = key
-            if extra == k and window != first[::-1]:
-                accepting.add(sid)
-            for a, ch in enumerate(alphabet.symbols):
-                nxt = ("m", first, window[1:] + ch, min(extra + 1, k))
-                delta[sid][a] = state_id(nxt)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    pending.append(nxt)
-    raw = Dfa(alphabet, len(delta), delta, start, accepting)
-    return raw.minimized()
+    symbols = alphabet.symbols
+    index, words = _word_trie_states(alphabet, k)
+    # per prefix, a block of states (e, j): e letters read beyond the prefix
+    # (saturating at k) and matcher state j
+    width = (k + 1) * (k + 1)
+    prefixes = enumerate_words(alphabet, k)
+    index.update((p, len(words) + i * width) for i, p in enumerate(prefixes))
+    delta = [[index[w + ch] for ch in symbols] for w in words]
+    accepting = []
+    for p in prefixes:
+        block = index[p]
+        matcher = _matcher_rows(p[::-1], symbols)
+        for e in range(k + 1):
+            after = block + min(e + 1, k) * (k + 1)
+            delta.extend([after + j for j in row] for row in matcher)
+        accepting.extend(block + k * (k + 1) + j for j in range(k))
+    return Dfa(alphabet, len(delta), delta, 0, accepting).minimized()
 
 
 def _check_bound(n):
@@ -414,9 +404,9 @@ def family(name):
 # -- verification --------------------------------------------------------------
 
 class _Check:
-    """One containment claim walked over all words: its automaton's state
-    after each word of the current length, and its counterexample once
-    found (the states are then dropped)."""
+    """One containment claim and, once found, its counterexample.  The word
+    walk keeps the automaton's state after each word of the current length
+    (dropped once the counterexample is found)."""
 
     __slots__ = ("dfa", "inner", "states", "counterexample")
 
@@ -434,15 +424,22 @@ def _guard_walk(dfa, oracle, max_length, budget):
 
 
 def _walk(checks, oracle, max_length, census=False):
-    """Walk all words up to ``max_length`` in shortlex order once, asking the
-    oracle about each word at most once, and only when a census, a live outer
-    check, or a word accepted by an inner check live at the start of its
-    length needs the verdict.
+    """Fill each check's shortlex-least counterexample up to ``max_length``;
+    return the per-length member counts when ``census`` is set, else None.
 
-    Fills each check's shortlex-least counterexample; returns the per-length
-    member counts when ``census`` is set, else None.  Once every check has
-    its counterexample, the remaining lengths of the census are streamed.
+    A stepped oracle is read over its states: a pair search per check and a
+    census by states.  Otherwise all words up to ``max_length`` are walked in
+    shortlex order once, asking the oracle about each word at most once, and
+    only when a census, a live outer check, or a word accepted by an inner
+    check live at the start of its length needs the verdict.  Once every
+    check has its counterexample, the remaining lengths of the census are
+    streamed.
     """
+    stepper = oracle.stepper
+    if stepper is not None:
+        for c in checks:
+            c.counterexample = _pair_search(c, stepper, max_length)
+        return count_by_states(stepper, oracle.alphabet.symbols, max_length) if census else None
     membership = oracle.membership
     symbols = oracle.alphabet.symbols
     counts = [] if census else None
@@ -485,13 +482,51 @@ def _walk(checks, oracle, max_length, census=False):
     return counts
 
 
+def _pair_search(check, stepper, max_length):
+    """Shortlex-least counterexample of one check against a stepped oracle,
+    by a layered breadth-first search over (automaton state, oracle state)
+    pairs.
+
+    Each layer holds the pairs first reached at its length, with the word
+    that reached them, in shortlex order of those words; letters are tried
+    in alphabet order.  A pair's first word is the least word reaching it,
+    and a word's verdict depends only on its pair, so the first pair found
+    in violation carries the least counterexample.
+    """
+    start, step, accepting = stepper
+    dfa = check.dfa
+    delta, final = dfa.delta, dfa.accepting
+    letters = tuple(enumerate(dfa.alphabet.symbols))
+    seen = {(dfa.initial, start)}
+    layer = [(dfa.initial, start, "")]
+    for length in range(max_length + 1):
+        for q, s, word in layer:
+            inside, member = q in final, accepting(s)
+            if (inside > member) if check.inner else (member > inside):
+                return word
+        if length == max_length:
+            break
+        grown = []
+        for q, s, word in layer:
+            row = delta[q]
+            for a, ch in letters:
+                pair = (row[a], step(s, ch))
+                if pair not in seen:
+                    seen.add(pair)
+                    grown.append(pair + (word + ch,))
+        layer = grown
+    return None
+
+
 def verify_containment(dfa, oracle, direction, max_length, budget=None):
     """Check an inclusion claim on all words up to a length.
 
     ``inner`` checks L(dfa) ⊆ oracle, ``outer`` checks oracle ⊆ L(dfa).
     Returns None when the inclusion holds, else the shortlex-least
-    counterexample.  An ``inner`` check asks the oracle only about accepted
-    words.  The oracle's ``membership`` must return exactly True or False.
+    counterexample.  A stepped oracle is searched over (automaton state,
+    oracle state) pairs; otherwise the words are walked, and an ``inner``
+    check asks the oracle only about accepted words.  The oracle's
+    ``membership`` must return exactly True or False.
     """
     if direction not in ("inner", "outer"):
         raise ValueError("direction must be 'inner' or 'outer'")
@@ -506,8 +541,9 @@ def gap_report(fam, ks, max_length, budget=None):
 
     One walk over the words checks every k's containments and, when the
     target has no closed-form counter, takes its census: the oracle is asked
-    about each word at most once.  The target's ``membership`` must return
-    exactly True or False.
+    about each word at most once.  A stepped target is read over its states
+    instead (see ``verify_containment``).  The target's ``membership`` must
+    return exactly True or False.
     """
     built = []
     checks = []

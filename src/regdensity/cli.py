@@ -134,12 +134,9 @@ def load_oracle(spec):
         if spec.startswith("coprefix:"):
             morphism, seed = _parse_morphism(spec.split(":", 1)[1])
             return languages.coprefix(morphism, seed)
-        if spec.startswith("suffix-ext:"):
-            rest = spec.split(":", 1)[1]
-            base_spec, _, letter = rest.rpartition(":")
-            if not base_spec or len(letter) != 1:
-                raise UsageError("suffix-ext needs suffix-ext:<base>:<letter>")
-            return languages.suffix_extension(load_oracle(base_spec), letter)
+        extension = _load_extension(spec, {"suffix-ext": languages.suffix_extension})
+        if extension is not None:
+            return extension
     except UsageError:
         raise
     except ValueError as exc:
@@ -147,26 +144,30 @@ def load_oracle(spec):
     raise UsageError("unknown oracle %r" % spec)
 
 
+_EXTENSION_FAMILIES = {
+    "suffix-ext": approximations.suffix_extension_family,
+    "prefix-ext": approximations.prefix_extension_family,
+    "infix-ext": approximations.infix_extension_family,
+}
+
+
+def _load_extension(spec, builders):
+    """``builders[kind](base oracle, letter)`` for a spec
+    ``<kind>:<base>:<letter>``; None when the spec names no kind there."""
+    kind, colon, rest = spec.partition(":")
+    if not colon or kind not in builders:
+        return None
+    base_spec, _, letter = rest.rpartition(":")
+    if not base_spec or len(letter) != 1:
+        raise UsageError("%s needs %s:<base>:<letter>" % (kind, kind))
+    return builders[kind](load_oracle(base_spec), letter)
+
+
 def load_family(spec):
     try:
-        if spec.startswith("suffix-ext:"):
-            rest = spec.split(":", 1)[1]
-            base_spec, _, letter = rest.rpartition(":")
-            if not base_spec or len(letter) != 1:
-                raise UsageError("suffix-ext needs suffix-ext:<base>:<letter>")
-            return approximations.suffix_extension_family(load_oracle(base_spec), letter)
-        if spec.startswith("prefix-ext:"):
-            rest = spec.split(":", 1)[1]
-            base_spec, _, letter = rest.rpartition(":")
-            if not base_spec or len(letter) != 1:
-                raise UsageError("prefix-ext needs prefix-ext:<base>:<letter>")
-            return approximations.prefix_extension_family(load_oracle(base_spec), letter)
-        if spec.startswith("infix-ext:"):
-            rest = spec.split(":", 1)[1]
-            base_spec, _, letter = rest.rpartition(":")
-            if not base_spec or len(letter) != 1:
-                raise UsageError("infix-ext needs infix-ext:<base>:<letter>")
-            return approximations.infix_extension_family(load_oracle(base_spec), letter)
+        extension = _load_extension(spec, _EXTENSION_FAMILIES)
+        if extension is not None:
+            return extension
         return approximations.family(spec)
     except UsageError:
         raise

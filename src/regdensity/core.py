@@ -135,16 +135,44 @@ def check_enumeration_budget(alphabet_size, max_length, budget, what):
 
 
 def census_by_enumeration(oracle, max_length, budget=None):
-    """Census a language oracle by exhaustive membership tests.
+    """Census a language oracle up to a length.
 
     The oracle must expose ``alphabet`` and a ``membership`` predicate that
-    returns exactly True or False.  Words are asked in shortlex order, in
-    blocks of at most 1024 that share a head.  Guarded: ``|A| ** max_length``
-    may not exceed the enumeration budget.
+    returns exactly True or False.  When it also has a ``stepper``, the
+    census is read from the stepper's states (see ``count_by_states``);
+    otherwise words are asked in shortlex order, in blocks of at most 1024
+    that share a head.  Guarded either way: ``|A| ** max_length`` may not
+    exceed the enumeration budget, which also bounds the stepper's states
+    per length.
     """
     alphabet = oracle.alphabet
     check_enumeration_budget(len(alphabet), max_length, budget, "membership tests")
-    return LengthCensus(len(alphabet), list(count_members(oracle, range(max_length + 1))))
+    stepper = getattr(oracle, "stepper", None)
+    if stepper is not None:
+        counts = count_by_states(stepper, alphabet.symbols, max_length)
+    else:
+        counts = list(count_members(oracle, range(max_length + 1)))
+    return LengthCensus(len(alphabet), counts)
+
+
+def count_by_states(stepper, symbols, max_length):
+    """Members of each length 0..max_length, read from a stepper's states:
+    one map per length from state to the number of words that reach it.
+    Unguarded: callers check the budget."""
+    start, step, accepting = stepper
+    layer = {start: 1}
+    counts = []
+    for length in range(max_length + 1):
+        counts.append(sum(m for state, m in layer.items() if accepting(state)))
+        if length == max_length:
+            break
+        grown = {}
+        for state, m in layer.items():
+            for ch in symbols:
+                after = step(state, ch)
+                grown[after] = grown.get(after, 0) + m
+        layer = grown
+    return counts
 
 
 def count_members(oracle, lengths):

@@ -6,27 +6,54 @@ escapes every co-infinite machine of a pinned enumeration.
 """
 
 import itertools
+from functools import reduce
 from math import comb, factorial
+from operator import add
+from typing import Callable, Hashable, NamedTuple
 
 from .automata import Dfa, is_coinfinite, shortlex_least_member
 from .core import Alphabet, BudgetExceededError
 
 
+class Stepper(NamedTuple):
+    """A deterministic left-to-right reader of a language.
+
+    ``step(state, letter)`` moves from state to state, starting at
+    ``start``; a word is a member iff ``accepting`` holds of the state it
+    reaches.  States are hashable and equal states have equal futures, so
+    words that reach the same state can be counted and checked together.
+    ``accepting`` must return exactly True or False.
+    """
+
+    start: Hashable
+    step: Callable
+    accepting: Callable
+
+    def run(self, word):
+        return self.accepting(reduce(self.step, word, self.start))
+
+
 class LanguageOracle:
     """Named total membership predicate with an optional exact counter.
 
+    An oracle is given either by ``membership`` or by a ``stepper``, whose
+    run over a word is then the membership predicate; censuses and
+    containment checks read a stepped oracle's states, not its words.
     ``membership`` must return exactly True or False: censuses sum its
     results and containment checks compare them with ``>``, so a merely
     truthy value such as a count gives wrong answers.
     """
 
-    __slots__ = ("name", "alphabet", "membership", "counter")
+    __slots__ = ("name", "alphabet", "membership", "counter", "stepper")
 
-    def __init__(self, name, alphabet, membership, counter=None):
+    def __init__(self, name, alphabet, membership=None, counter=None, stepper=None):
+        if (membership is None) == (stepper is None):
+            raise ValueError("an oracle needs exactly one of membership and stepper")
         self.name = name
         self.alphabet = alphabet
-        self.membership = membership
+        self.membership = stepper.run if membership is None else membership
         self.counter = counter
+        self.stepper = stepper
 
     def __call__(self, word):
         return self.membership(word)
@@ -42,10 +69,14 @@ class LanguageOracle:
         return self.counter(length)
 
     def complement(self):
+        name = "not-" + self.name
+        if self.stepper is not None:
+            start, step, accepting = self.stepper
+            return LanguageOracle(
+                name, self.alphabet, stepper=Stepper(start, step, lambda s: not accepting(s))
+            )
         membership = self.membership
-        return LanguageOracle(
-            "not-" + self.name, self.alphabet, lambda w: not membership(w)
-        )
+        return LanguageOracle(name, self.alphabet, lambda w: not membership(w))
 
 
 class Morphism:
@@ -199,28 +230,42 @@ def o4_count(length):
 
 # -- concrete oracles --------------------------------------------------------
 
+def _difference_stepper(moves, accepting):
+    """Stepper whose state is a vector of letter-count differences: each
+    letter adds its increment vector ``moves[letter]``."""
+    def step(state, letter):
+        return tuple(map(add, state, moves[letter]))
+
+    width = len(next(iter(moves.values())))
+    return Stepper((0,) * width, step, accepting)
+
+
 def semi_dyck():
     """Balanced words over {a, b} whose every prefix has at least as many
     a's as b's; counted by the Catalan numbers."""
-    def member(word):
-        depth = 0
-        for ch in word:
-            depth += 1 if ch == "a" else -1
-            if depth < 0:
-                return False
-        return depth == 0
+    def step(depth, letter):
+        # depth -1 is dead: some prefix has more b's than a's
+        if depth < 0:
+            return depth
+        return depth + 1 if letter == "a" else depth - 1
 
-    return LanguageOracle("dyck", Alphabet("ab"), member, dyck_count)
+    return LanguageOracle(
+        "dyck",
+        Alphabet("ab"),
+        counter=dyck_count,
+        stepper=Stepper(0, step, lambda depth: depth == 0),
+    )
 
 
 def count_eq(a="a", b="b", alphabet=None):
     """Words with equally many a's and b's."""
     if alphabet is None:
         alphabet = Alphabet((a, b))
+    moves = {ch: ((ch == a) - (ch == b),) for ch in alphabet}
     return LanguageOracle(
         "counteq:%s,%s" % (a, b),
         alphabet,
-        lambda w: w.count(a) == w.count(b),
+        stepper=_difference_stepper(moves, lambda state: state == (0,)),
     )
 
 
@@ -231,40 +276,45 @@ def palindromes(alphabet=None):
 
 
 def o3():
+    """Words over {a, b, c} with as many a's as b's or as many a's as c's;
+    the state is (#a - #b, #a - #c)."""
+    moves = {"a": (1, 1), "b": (-1, 0), "c": (0, -1)}
     return LanguageOracle(
         "o3",
         Alphabet("abc"),
-        lambda w: w.count("a") == w.count("b") or w.count("a") == w.count("c"),
-        o3_count,
+        counter=o3_count,
+        stepper=_difference_stepper(moves, lambda state: 0 in state),
     )
 
 
 def o4():
+    """Words over {x, X, y, Y} with as many x's as X's or as many y's as
+    Y's; the state is (#x - #X, #y - #Y)."""
+    moves = {"x": (1, 0), "X": (-1, 0), "y": (0, 1), "Y": (0, -1)}
     return LanguageOracle(
         "o4",
         Alphabet("xXyY"),
-        lambda w: w.count("x") == w.count("X") or w.count("y") == w.count("Y"),
-        o4_count,
+        counter=o4_count,
+        stepper=_difference_stepper(moves, lambda state: 0 in state),
     )
 
 
 def goldstine():
     """Block words a^{n_1} b ... a^{n_p} b (p >= 1) where some block length
     n_i differs from its index i."""
-    def member(word):
-        if not word or word[-1] != "b":
-            return False
-        blocks = []
-        run = 0
-        for ch in word:
-            if ch == "a":
-                run += 1
-            else:
-                blocks.append(run)
-                run = 0
-        return any(n != i for i, n in enumerate(blocks, start=1))
+    # (i, r): in block i with r a's read, every earlier block j of length j;
+    # "a" / "b": some block has diverged, and the last letter read
+    def step(state, letter):
+        if type(state) is str:
+            return letter
+        i, r = state
+        if letter == "a":
+            return (i, r + 1) if r < i else "a"
+        return (i + 1, 0) if r == i else "b"
 
-    return LanguageOracle("goldstine", Alphabet("ab"), member)
+    return LanguageOracle(
+        "goldstine", Alphabet("ab"), stepper=Stepper((1, 0), step, lambda state: state == "b")
+    )
 
 
 def staircase_word_prefix(length):
@@ -343,8 +393,8 @@ def majority(m=1):
     return LanguageOracle(
         "majority:%d" % m,
         Alphabet("ab"),
-        lambda w: w.count("a") > m * w.count("b"),
-        lambda n: majority_count(n, m),
+        counter=lambda n: majority_count(n, m),
+        stepper=_difference_stepper({"a": (1,), "b": (-m,)}, lambda state: state[0] > 0),
     )
 
 
@@ -380,40 +430,83 @@ def coprefix(morphism, seed):
 
 def suffix_extension(base, letter):
     """Members of the base language followed by a fresh letter and any tail."""
-    _check_extension_letter(base, letter)
-    alphabet = Alphabet(base.alphabet.symbols + (letter,))
-
     def member(word):
         i = word.find(letter)
         return i >= 0 and base(word[:i])
 
-    return LanguageOracle("suffix-ext:%s:%s" % (base.name, letter), alphabet, member)
+    return _extension("suffix", base, letter, _suffix_reader, member)
 
 
 def prefix_extension(base, letter):
     """Any head, then a fresh letter, then a member of the base language."""
-    _check_extension_letter(base, letter)
-    alphabet = Alphabet(base.alphabet.symbols + (letter,))
-
     def member(word):
         i = word.rfind(letter)
         return i >= 0 and base(word[i + 1 :])
 
-    return LanguageOracle("prefix-ext:%s:%s" % (base.name, letter), alphabet, member)
+    return _extension("prefix", base, letter, _prefix_reader, member)
 
 
 def infix_extension(base, letter):
     """Words containing a fresh-letter pair that brackets a base member."""
-    _check_extension_letter(base, letter)
-    alphabet = Alphabet(base.alphabet.symbols + (letter,))
-
     def member(word):
         positions = [i for i, ch in enumerate(word) if ch == letter]
-        return any(
-            base(word[i + 1 : j]) for i, j in zip(positions, positions[1:])
-        )
+        return any(base(word[i + 1 : j]) for i, j in zip(positions, positions[1:]))
 
-    return LanguageOracle("infix-ext:%s:%s" % (base.name, letter), alphabet, member)
+    return _extension("infix", base, letter, _infix_reader, member)
+
+
+def _extension(kind, base, letter, reader, member):
+    """The extension oracle: stepped by ``reader`` over a stepped base, else
+    asked word by word through ``member``."""
+    _check_extension_letter(base, letter)
+    alphabet = Alphabet(base.alphabet.symbols + (letter,))
+    name = "%s-ext:%s:%s" % (kind, base.name, letter)
+    if base.stepper is None:
+        return LanguageOracle(name, alphabet, member)
+    return LanguageOracle(name, alphabet, stepper=reader(base.stepper, letter))
+
+
+def _suffix_reader(base, letter):
+    """(False, s): base state s before the first fresh letter; (True, v):
+    the base verdict v frozen there."""
+    start, step, accepting = base
+
+    def next_state(state, ch):
+        frozen, s = state
+        if frozen:
+            return state
+        if ch == letter:
+            return (True, accepting(s))
+        return (False, step(s, ch))
+
+    return Stepper((False, start), next_state, lambda state: state[0] and state[1])
+
+
+def _prefix_reader(base, letter):
+    """(): no fresh letter yet; (s,): base state s since the last one."""
+    start, step, accepting = base
+
+    def next_state(state, ch):
+        if ch == letter:
+            return (start,)
+        return state and (step(state[0], ch),)
+
+    return Stepper((), next_state, lambda state: bool(state) and accepting(state[0]))
+
+
+def _infix_reader(base, letter):
+    """(): no fresh letter yet; (s,): base state s since the last one;
+    True: two fresh letters have bracketed a base member."""
+    start, step, accepting = base
+
+    def next_state(state, ch):
+        if state is True:
+            return state
+        if ch == letter:
+            return True if state and accepting(state[0]) else (start,)
+        return state and (step(state[0], ch),)
+
+    return Stepper((), next_state, lambda state: state is True)
 
 
 def _check_extension_letter(base, letter):

@@ -1,0 +1,135 @@
+"""Word-at-a-time definitions of the stepped languages, kept as test oracles.
+
+The library defines dyck, counteq, majority, o3, o4, goldstine and the
+alphabet extensions of a stepped base by their steppers; the predicates
+below define the same languages directly on words, independently of those
+steppers.  ``raw_window_dfa`` is the sliding-window machine that the
+non-palindrome window family minimizes to.
+"""
+
+from regdensity import Alphabet, Dfa
+
+
+def dyck(word):
+    depth = 0
+    for ch in word:
+        depth += 1 if ch == "a" else -1
+        if depth < 0:
+            return False
+    return depth == 0
+
+
+def counteq(a="a", b="b"):
+    return lambda w: w.count(a) == w.count(b)
+
+
+def majority(m):
+    return lambda w: w.count("a") > m * w.count("b")
+
+
+def o3(w):
+    return w.count("a") == w.count("b") or w.count("a") == w.count("c")
+
+
+def o4(w):
+    return w.count("x") == w.count("X") or w.count("y") == w.count("Y")
+
+
+def goldstine(word):
+    if not word or word[-1] != "b":
+        return False
+    blocks = []
+    run = 0
+    for ch in word:
+        if ch == "a":
+            run += 1
+        else:
+            blocks.append(run)
+            run = 0
+    return any(n != i for i, n in enumerate(blocks, start=1))
+
+
+def suffix_ext(base, letter):
+    def member(word):
+        i = word.find(letter)
+        return i >= 0 and base(word[:i])
+
+    return member
+
+
+def prefix_ext(base, letter):
+    def member(word):
+        i = word.rfind(letter)
+        return i >= 0 and base(word[i + 1 :])
+
+    return member
+
+
+def infix_ext(base, letter):
+    def member(word):
+        positions = [i for i, ch in enumerate(word) if ch == letter]
+        return any(base(word[i + 1 : j]) for i, j in zip(positions, positions[1:]))
+
+    return member
+
+
+# command-line oracle name -> reference predicate
+BY_SPEC = {
+    "dyck": dyck,
+    "counteq:a,b": counteq(),
+    "majority:1": majority(1),
+    "majority:3": majority(3),
+    "o3": o3,
+    "o4": o4,
+    "goldstine": goldstine,
+    "suffix-ext:dyck:c": suffix_ext(dyck, "c"),
+    "prefix-ext:dyck:c": prefix_ext(dyck, "c"),
+    "infix-ext:dyck:c": infix_ext(dyck, "c"),
+    "suffix-ext:goldstine:c": suffix_ext(goldstine, "c"),
+    "infix-ext:majority:1:c": infix_ext(majority(1), "c"),
+    "prefix-ext:suffix-ext:dyck:c:d": prefix_ext(suffix_ext(dyck, "c"), "d"),
+}
+
+
+def raw_window_dfa(k, alphabet=Alphabet("ab")):
+    """Words of length >= 2k whose last k letters do not mirror the first
+    k, as a k-letter prefix memory, a sliding window of the last k letters
+    and a saturating counter of letters read beyond the prefix (not
+    minimized: (2^(2k+1) - 1) reachable states over two letters)."""
+    s = len(alphabet)
+    index = {}
+    delta = []
+    accepting = set()
+
+    def state_id(key):
+        if key not in index:
+            index[key] = len(delta)
+            delta.append([None] * s)
+        return index[key]
+
+    start = state_id(("p", ""))
+    pending = [("p", "")]
+    seen = {("p", "")}
+    while pending:
+        key = pending.pop()
+        sid = index[key]
+        if key[0] == "p":
+            prefix = key[1]
+            for a, ch in enumerate(alphabet.symbols):
+                grown = prefix + ch
+                nxt = ("m", grown, grown, 0) if len(grown) == k else ("p", grown)
+                delta[sid][a] = state_id(nxt)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    pending.append(nxt)
+        else:
+            _, first, window, extra = key
+            if extra == k and window != first[::-1]:
+                accepting.add(sid)
+            for a, ch in enumerate(alphabet.symbols):
+                nxt = ("m", first, window[1:] + ch, min(extra + 1, k))
+                delta[sid][a] = state_id(nxt)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    pending.append(nxt)
+    return Dfa(alphabet, len(delta), delta, start, accepting)

@@ -32,6 +32,7 @@ from regdensity import (
 )
 from regdensity import automata
 from regdensity.approximations import nonpalindrome_window_dfa
+from reference_languages import raw_window_dfa
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -176,19 +177,19 @@ def test_minimized_matches_moore_oracle(machine):
 
 
 def test_minimized_matches_moore_oracle_on_window_machines():
-    raw = []
-    original = Dfa.minimized
-
-    def capture(self):
-        raw.append(self)
-        return original(self)
-
-    with mock.patch.object(Dfa, "minimized", capture):
-        for k in range(1, 6):
-            nonpalindrome_window_dfa(k)
+    raw = [raw_window_dfa(k) for k in range(1, 6)]
     assert [machine.n_states for machine in raw] == [2 ** (2 * k + 1) - 1 for k in range(1, 6)]
     for machine in raw:
         assert_minimized_matches_moore(machine)
+
+
+@pytest.mark.parametrize(
+    "letters, ks", [("ab", range(1, 7)), ("abc", range(1, 4)), ("a", range(1, 4))]
+)
+def test_window_machine_built_directly_is_the_minimized_raw_machine(letters, ks):
+    alphabet = Alphabet(letters)
+    for k in ks:
+        assert nonpalindrome_window_dfa(k, alphabet) == raw_window_dfa(k, alphabet).minimized()
 
 
 @settings(max_examples=25, deadline=None)

@@ -401,3 +401,21 @@ def test_counteq_oracle_spec(capsys):
     assert [line.split(",")[1] for line in out.splitlines()[1:]] == [
         "1", "0", "2", "0", "6",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("census --oracle suffix-ext:dyck", "suffix-ext needs suffix-ext:<base>:<letter>"),
+        ("census --oracle prefix-ext:dyck:c", "unknown oracle 'prefix-ext:dyck:c'"),
+        ("census --oracle suffix-ext", "unknown oracle 'suffix-ext'"),
+        ("gap --k 1 --family suffix-ext::c", "suffix-ext needs suffix-ext:<base>:<letter>"),
+        ("gap --k 1 --family prefix-ext:dyck:cc", "prefix-ext needs prefix-ext:<base>:<letter>"),
+        ("gap --k 1 --family infix-ext:dyck", "infix-ext needs infix-ext:<base>:<letter>"),
+        ("gap --k 1 --family infix-ext:nope:c", "unknown oracle 'nope'"),
+        ("gap --k 1 --family suffix-ext", "unknown approximation family 'suffix-ext'"),
+    ],
+)
+def test_extension_spec_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split(), "--max", "2")
+    assert (code, out, err) == (2, "", "error: %s\n" % message)

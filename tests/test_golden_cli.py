@@ -28,6 +28,11 @@ _GAP_CASES = [
     ("prefix-ext:dyck:c", ["1,2", "3"], 6),
     ("infix-ext:dyck:c", ["1,2", "4"], 6),
     ("suffix-ext:pal:c", ["1,3"], 5),
+    # deeper and multi-k sweeps over stepped targets
+    ("goldstine", ["1,2,3,4,5,6,7,8,9,10"], 14),
+    ("modk", ["2,4"], 14),
+    ("prefix-ext:dyck:c", ["1,2,3,4"], 8),
+    ("infix-ext:dyck:c", ["0,3"], 8),
 ]
 
 _CENSUS_CASES = [
@@ -43,6 +48,8 @@ _CENSUS_CASES = [
     ("coprefix:a=ab,b=a", 9),
     ("suffix-ext:dyck:c", 5),
     ("diagonal", 7),
+    ("suffix-ext:dyck:c", 8),
+    ("o4", 7),
 ]
 
 _OTHER_CASES = [
