@@ -13,13 +13,10 @@ from .core import (
 from .automata import (
     Dfa,
     Nfa,
-    combine,
-    determinize,
     dfa_from_json,
     dfa_to_json,
     equivalent,
     find_difference_witness,
-    has_forbidden_prefix,
     has_forbidden_word,
     is_coinfinite,
     is_subset,
@@ -31,13 +28,10 @@ from .automata import (
 )
 from .density import (
     DensityReport,
-    RecurrentClass,
-    UniformChain,
     density,
     is_dense,
     is_null,
     natural_density,
-    recurrent_classes,
     solve_exact,
 )
 from .languages import (
@@ -45,19 +39,14 @@ from .languages import (
     LanguageOracle,
     Morphism,
     Stepper,
-    closed_counts,
     coprefix,
-    coprefix_prefixes,
     count_eq,
     diagonal,
-    diagonal_membership,
     goldstine,
     infix_extension,
     is_primitive,
     kemp,
     kemp_base,
-    kemp_s1,
-    kemp_s2,
     majority,
     o3,
     o4,
@@ -72,8 +61,6 @@ from .monoid import (
     GreenClasses,
     Monoid,
     green_classes,
-    idempotent_power,
-    jclass_language_density,
     nonprimitive_witness,
     transition_monoid,
 )

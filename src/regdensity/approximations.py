@@ -15,7 +15,7 @@ from itertools import chain, compress, filterfalse
 from operator import gt, or_
 from typing import Callable, Optional
 
-from .automata import Dfa, mod_counter_dfa, reverse
+from .automata import Dfa, least_word, mod_counter_dfa, reverse
 from .core import (
     Alphabet,
     BudgetExceededError,
@@ -41,7 +41,8 @@ from .languages import (
 )
 from .monoid import transition_monoid
 
-DEFAULT_STATE_BUDGET = 200_000
+STATE_BUDGET = 200_000  # states of a window or cylinder-trie machine
+MEMBER_SEARCH_LENGTH = 12  # longest base word the infix family looks for
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def goldstine_inner_dfa(k):
     return Dfa(alphabet, 2 * k + 3, delta, 0, {tail_b})
 
 
-def nonpalindrome_window_dfa(k, alphabet=None, state_budget=DEFAULT_STATE_BUDGET):
+def nonpalindrome_window_dfa(k, alphabet=None):
     """Words of length >= 2k whose last k letters do not mirror the first k.
 
     Realised as a k-letter prefix memory and then, for each prefix p, a
@@ -171,10 +172,10 @@ def nonpalindrome_window_dfa(k, alphabet=None, state_budget=DEFAULT_STATE_BUDGET
     s = len(alphabet)
     estimated = (s ** k - 1) // (s - 1) if s > 1 else k
     estimated += (s ** k) * (s ** k) * (k + 1)
-    if estimated > state_budget:
+    if estimated > STATE_BUDGET:
         raise BudgetExceededError(
             "window automaton needs about %d states, budget is %d"
-            % (estimated, state_budget)
+            % (estimated, STATE_BUDGET)
         )
     symbols = alphabet.symbols
     index, words = _word_trie_states(alphabet, k)
@@ -208,53 +209,42 @@ def _word_trie_states(alphabet, max_exclusive):
     return {w: i for i, w in enumerate(order)}, order
 
 
-def suffix_inner_dfa(base, letter, n, state_budget=DEFAULT_STATE_BUDGET):
-    """Union of the cylinders w·letter·B* over base members w shorter than n."""
+def _cylinder_trie_dfa(base, letter, n, outer):
+    """The machine behind both suffix sandwiches: a trie of the base words w
+    shorter than n, where w·letter leads to an absorbing ``free`` state if w
+    is a base member and to an absorbing dead state if not.  A word that
+    outgrows the trie is not decided by it: the outer machine sends it to
+    ``free`` and also accepts inside the trie, the inner one sends it to the
+    dead state and accepts only ``free``."""
     _check_bound(n)
     alphabet = Alphabet(base.alphabet.symbols + (letter,))
     s = len(base.alphabet)
     trie_size = sum(s ** i for i in range(n))
-    if trie_size + 2 > state_budget:
-        raise BudgetExceededError("cylinder trie needs %d states" % (trie_size + 2))
-    index, order = _word_trie_states(base.alphabet, n)
-    accept = len(order)
-    dead = len(order) + 1
-    delta = []
-    for word in order:
-        row = []
-        for ch in base.alphabet.symbols:
-            grown = word + ch
-            row.append(index.get(grown, dead))
-        row.append(accept if base(word) else dead)
-        delta.append(row)
-    delta.append([accept] * (s + 1))
-    delta.append([dead] * (s + 1))
-    return Dfa(alphabet, len(order) + 2, delta, index.get("", dead), {accept})
-
-
-def suffix_outer_dfa(base, letter, n, state_budget=DEFAULT_STATE_BUDGET):
-    """All words except the cylinders of base non-members shorter than n."""
-    _check_bound(n)
-    alphabet = Alphabet(base.alphabet.symbols + (letter,))
-    s = len(base.alphabet)
-    trie_size = sum(s ** i for i in range(n))
-    if trie_size + 2 > state_budget:
+    if trie_size + 2 > STATE_BUDGET:
         raise BudgetExceededError("cylinder trie needs %d states" % (trie_size + 2))
     index, order = _word_trie_states(base.alphabet, n)
     free = len(order)
     dead = len(order) + 1
-    delta = []
-    for word in order:
-        row = []
-        for ch in base.alphabet.symbols:
-            grown = word + ch
-            row.append(index.get(grown, free))
-        row.append(free if base(word) else dead)
-        delta.append(row)
+    beyond = free if outer else dead
+    delta = [
+        [index.get(word + ch, beyond) for ch in base.alphabet.symbols]
+        + [free if base(word) else dead]
+        for word in order
+    ]
     delta.append([free] * (s + 1))
     delta.append([dead] * (s + 1))
-    accepting = frozenset(range(len(order))) | {free}
-    return Dfa(alphabet, len(order) + 2, delta, index.get("", free), accepting)
+    accepting = {free, *range(len(order))} if outer else {free}
+    return Dfa(alphabet, len(order) + 2, delta, index.get("", beyond), accepting)
+
+
+def suffix_inner_dfa(base, letter, n):
+    """Union of the cylinders w·letter·B* over base members w shorter than n."""
+    return _cylinder_trie_dfa(base, letter, n, outer=False)
+
+
+def suffix_outer_dfa(base, letter, n):
+    """All words except the cylinders of base non-members shorter than n."""
+    return _cylinder_trie_dfa(base, letter, n, outer=True)
 
 
 def _cylinder_mass(base, letter, n, members):
@@ -269,53 +259,48 @@ def _cylinder_mass(base, letter, n, members):
     return total
 
 
-def suffix_extension_family(base, letter, state_budget=DEFAULT_STATE_BUDGET):
+def suffix_extension_family(base, letter):
     """Sandwich approximations of the suffix extension of a base language."""
     target = suffix_extension(base, letter)
     return ApproxFamily(
         name="suffix-ext:%s:%s" % (base.name, letter),
         target=target,
-        inner=lambda n: suffix_inner_dfa(base, letter, n, state_budget),
-        outer=lambda n: suffix_outer_dfa(base, letter, n, state_budget),
+        inner=lambda n: suffix_inner_dfa(base, letter, n),
+        outer=lambda n: suffix_outer_dfa(base, letter, n),
         inner_claim=lambda n: _cylinder_mass(base, letter, n, True),
         outer_claim=lambda n: 1 - _cylinder_mass(base, letter, n, False),
     )
 
 
-def prefix_extension_family(base, letter, state_budget=DEFAULT_STATE_BUDGET):
+def prefix_extension_family(base, letter):
     """Same sandwich for the prefix extension, obtained by reversal."""
     reversed_base = LanguageOracle(
         base.name + "-reversed", base.alphabet, lambda w: base(w[::-1])
     )
 
-    def inner(n):
-        dfa = suffix_inner_dfa(reversed_base, letter, n, state_budget)
-        return reverse(dfa).determinize().minimized()
-
-    def outer(n):
-        dfa = suffix_outer_dfa(reversed_base, letter, n, state_budget)
-        return reverse(dfa).determinize().minimized()
+    def reversed_machines(build):
+        return lambda n: reverse(build(reversed_base, letter, n)).determinize().minimized()
 
     target = prefix_extension(base, letter)
     return ApproxFamily(
         name="prefix-ext:%s:%s" % (base.name, letter),
         target=target,
-        inner=inner,
-        outer=outer,
+        inner=reversed_machines(suffix_inner_dfa),
+        outer=reversed_machines(suffix_outer_dfa),
         inner_claim=lambda n: _cylinder_mass(base, letter, n, True),
         outer_claim=lambda n: 1 - _cylinder_mass(base, letter, n, False),
     )
 
 
-def infix_extension_family(base, letter, member_search_length=12):
-    """Bracketed-infix approximations: empty if the base has no member within
-    the search bound, otherwise the words containing letter·w·letter for the
-    shortlex-least base member w.  The parameter is not used, but must be
-    non-negative."""
+def infix_extension_family(base, letter):
+    """Bracketed-infix approximations: empty if the base has no member of
+    length at most ``MEMBER_SEARCH_LENGTH``, otherwise the words containing
+    letter·w·letter for the shortlex-least base member w.  The parameter is
+    not used, but must be non-negative."""
     target = infix_extension(base, letter)
     alphabet = Alphabet(base.alphabet.symbols + (letter,))
     member = None
-    for length in range(member_search_length + 1):
+    for length in range(MEMBER_SEARCH_LENGTH + 1):
         for word in enumerate_words(base.alphabet, length):
             if base(word):
                 member = word
@@ -437,9 +422,22 @@ def _walk(checks, oracle, max_length, census=False):
     """
     stepper = oracle.stepper
     if stepper is not None:
+        # a pair search per check over (automaton state, oracle state): a
+        # word's verdict depends only on its pair
+        start, step, accepting = stepper
+        symbols = oracle.alphabet.symbols
         for c in checks:
-            c.counterexample = _pair_search(c, stepper, max_length)
-        return count_by_states(stepper, oracle.alphabet.symbols, max_length) if census else None
+            delta, final = c.dfa.delta, c.dfa.accepting
+            # (accepted by the automaton, member) of a counterexample
+            bad = (True, False) if c.inner else (False, True)
+            c.counterexample = least_word(
+                (c.dfa.initial, start),
+                lambda qs: [(t, step(qs[1], ch)) for t, ch in zip(delta[qs[0]], symbols)],
+                symbols,
+                lambda qs: (qs[0] in final, accepting(qs[1])) == bad,
+                max_length,
+            )
+        return count_by_states(stepper, symbols, max_length) if census else None
     membership = oracle.membership
     symbols = oracle.alphabet.symbols
     counts = [] if census else None
@@ -480,42 +478,6 @@ def _walk(checks, oracle, max_length, census=False):
             else:
                 c.states = None
     return counts
-
-
-def _pair_search(check, stepper, max_length):
-    """Shortlex-least counterexample of one check against a stepped oracle,
-    by a layered breadth-first search over (automaton state, oracle state)
-    pairs.
-
-    Each layer holds the pairs first reached at its length, with the word
-    that reached them, in shortlex order of those words; letters are tried
-    in alphabet order.  A pair's first word is the least word reaching it,
-    and a word's verdict depends only on its pair, so the first pair found
-    in violation carries the least counterexample.
-    """
-    start, step, accepting = stepper
-    dfa = check.dfa
-    delta, final = dfa.delta, dfa.accepting
-    letters = tuple(enumerate(dfa.alphabet.symbols))
-    seen = {(dfa.initial, start)}
-    layer = [(dfa.initial, start, "")]
-    for length in range(max_length + 1):
-        for q, s, word in layer:
-            inside, member = q in final, accepting(s)
-            if (inside > member) if check.inner else (member > inside):
-                return word
-        if length == max_length:
-            break
-        grown = []
-        for q, s, word in layer:
-            row = delta[q]
-            for a, ch in letters:
-                pair = (row[a], step(s, ch))
-                if pair not in seen:
-                    seen.add(pair)
-                    grown.append(pair + (word + ch,))
-        layer = grown
-    return None
 
 
 def verify_containment(dfa, oracle, direction, max_length, budget=None):

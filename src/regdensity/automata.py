@@ -1,5 +1,6 @@
 """Total DFAs and NFAs: Boolean algebra, minimization, exact word counting,
-and forbidden-word / forbidden-prefix detection.
+forbidden-word detection, and the two searches behind them: a breadth-first
+explorer and a shortlex-least word search.
 
 DFAs are always total (every state has a transition on every letter); input
 constructors add a rejecting sink when needed.  All operations are pure and
@@ -9,7 +10,6 @@ language-equal and vice versa after minimization.
 """
 
 import json
-from collections import deque
 
 from .core import Alphabet, LengthCensus
 
@@ -61,12 +61,9 @@ class Dfa:
             sorted(self.accepting),
         )
 
-    def step(self, state, symbol):
-        return self.delta[state][self.alphabet.rank(symbol)]
-
-    def run(self, word, state=None):
-        """State reached from ``state`` (default: initial) after reading ``word``."""
-        q = self.initial if state is None else state
+    def run(self, word):
+        """State reached from the initial state after reading ``word``."""
+        q = self.initial
         delta = self.delta
         rank = self.alphabet.rank
         for ch in word:
@@ -93,23 +90,7 @@ class Dfa:
     def _product(self, other, keep):
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch: %r vs %r" % (self.alphabet, other.alphabet))
-        n_letters = len(self.alphabet)
-        start = (self.initial, other.initial)
-        index = {start: 0}
-        order = [start]
-        delta = []
-        queue = deque([start])
-        while queue:
-            p, q = queue.popleft()
-            row = []
-            for a in range(n_letters):
-                t = (self.delta[p][a], other.delta[q][a])
-                if t not in index:
-                    index[t] = len(order)
-                    order.append(t)
-                    queue.append(t)
-                row.append(index[t])
-            delta.append(row)
+        order, delta = explore([(self.initial, other.initial)], _pair_successors(self, other))
         accepting = frozenset(
             i
             for i, (p, q) in enumerate(order)
@@ -129,15 +110,7 @@ class Dfa:
     # -- State-space structure ----------------------------------------------
 
     def reachable_states(self):
-        seen = {self.initial}
-        queue = deque([self.initial])
-        while queue:
-            q = queue.popleft()
-            for t in self.delta[q]:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return seen
+        return set(explore([self.initial], self.delta.__getitem__)[0])
 
     def coaccessible_states(self):
         """States from which some accepting state can be reached."""
@@ -145,15 +118,7 @@ class Dfa:
         for q, row in enumerate(self.delta):
             for t in row:
                 rev[t].append(q)
-        seen = set(self.accepting)
-        queue = deque(seen)
-        while queue:
-            q = queue.popleft()
-            for p in rev[q]:
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        return seen
+        return set(explore(self.accepting, rev.__getitem__)[0])
 
     def useful_states(self):
         return self.reachable_states() & self.coaccessible_states()
@@ -220,16 +185,6 @@ class Dfa:
         return LengthCensus(len(self.alphabet), counts)
 
 
-def combine(x, y, op):
-    """Boolean combination of two DFAs: ``union``, ``intersection`` or ``difference``."""
-    try:
-        method = {"union": Dfa.union, "intersection": Dfa.intersection,
-                  "difference": Dfa.difference}[op]
-    except KeyError:
-        raise ValueError("unknown combine op %r" % (op,)) from None
-    return method(x, y)
-
-
 class Nfa:
     """Nondeterministic automaton with optional epsilon edges.
 
@@ -260,46 +215,25 @@ class Nfa:
             raise ValueError("referenced state out of range")
 
     def _closure(self, states):
-        result = set(states)
-        queue = deque(result)
-        while queue:
-            q = queue.popleft()
-            for t in self.epsilon.get(q, ()):
-                if t not in result:
-                    result.add(t)
-                    queue.append(t)
-        return frozenset(result)
+        if not self.epsilon:
+            return frozenset(states)
+        return frozenset(explore(states, lambda q: self.epsilon.get(q, ()))[0])
 
     def determinize(self):
         """Equivalent total DFA via subset construction (canonical numbering)."""
-        n_letters = len(self.alphabet)
-        start = self._closure(self.initials)
-        index = {start: 0}
-        order = [start]
-        delta = []
-        queue = deque([start])
-        while queue:
-            subset = queue.popleft()
-            row = []
-            for a in range(n_letters):
-                nxt = set()
-                for q in subset:
-                    nxt.update(self.transitions.get((q, a), ()))
-                nxt = self._closure(nxt)
-                if nxt not in index:
-                    index[nxt] = len(order)
-                    order.append(nxt)
-                    queue.append(nxt)
-                row.append(index[nxt])
-            delta.append(row)
+        transitions = self.transitions
+
+        def successors(subset):
+            return [
+                self._closure([t for q in subset for t in transitions.get((q, a), ())])
+                for a in range(len(self.alphabet))
+            ]
+
+        order, delta = explore([self._closure(self.initials)], successors)
         accepting = frozenset(
             i for i, subset in enumerate(order) if subset & self.accepting
         )
         return Dfa(self.alphabet, len(order), delta, 0, accepting)
-
-
-def determinize(nfa):
-    return nfa.determinize()
 
 
 def reverse(dfa):
@@ -311,20 +245,66 @@ def reverse(dfa):
     return Nfa(dfa.alphabet, dfa.n_states, transitions, dfa.accepting, {dfa.initial})
 
 
+def explore(starts, successors):
+    """Breadth-first search from the start states.
+
+    Returns the states in discovery order and, for each of them, the
+    discovery indices of ``successors(state)`` in the order listed (letter
+    order for automata).  States must be hashable.
+    """
+    order = list(dict.fromkeys(starts))
+    index = {q: i for i, q in enumerate(order)}
+    rows = []
+    for q in order:
+        row = []
+        for t in successors(q):
+            i = index.get(t)
+            if i is None:
+                i = index[t] = len(order)
+                order.append(t)
+            row.append(i)
+        rows.append(row)
+    return order, rows
+
+
+def least_word(start, successors, symbols, goal, max_length):
+    """Shortlex-least word leading from ``start`` to a state that satisfies
+    ``goal``, or None; only words up to ``max_length`` count unless it is None.
+
+    ``successors(state)`` lists one successor per letter of ``symbols``, in
+    order.  The search is layered by length, and a state's first word is its
+    least one, so each state is expanded at most once.
+    """
+    seen = {start}
+    layer = [(start, "")]
+    length = 0
+    while layer:
+        for state, word in layer:
+            if goal(state):
+                return word
+        if length == max_length:
+            break
+        grown = []
+        for state, word in layer:
+            for ch, t in zip(symbols, successors(state)):
+                if t not in seen:
+                    seen.add(t)
+                    grown.append((t, word + ch))
+        layer = grown
+        length += 1
+    return None
+
+
+def _pair_successors(x, y):
+    """Successors, letter by letter, of a state pair of two DFAs."""
+    dx, dy = x.delta, y.delta
+    return lambda pq: zip(dx[pq[0]], dy[pq[1]])
+
+
 def _renumber_bfs(dfa):
     """Renumber reachable states in BFS discovery order (letters in order)."""
-    order = [dfa.initial]
-    index = {dfa.initial: 0}
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for t in dfa.delta[q]:
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-                queue.append(t)
-    delta = [[index[dfa.delta[q][a]] for a in range(len(dfa.alphabet))] for q in order]
-    accepting = frozenset(index[q] for q in dfa.accepting if q in index)
+    order, delta = explore([dfa.initial], dfa.delta.__getitem__)
+    accepting = frozenset(i for i, q in enumerate(order) if q in dfa.accepting)
     return Dfa(dfa.alphabet, len(order), delta, 0, accepting)
 
 
@@ -337,61 +317,42 @@ def find_difference_witness(x, y):
     """Shortlex-least word accepted by exactly one of the two DFAs, if any."""
     if x.alphabet != y.alphabet:
         raise ValueError("alphabet mismatch")
-    start = (x.initial, y.initial)
-    seen = {start}
-    queue = deque([(start, "")])
-    while queue:
-        (p, q), word = queue.popleft()
-        if (p in x.accepting) != (q in y.accepting):
-            return word
-        for a, ch in enumerate(x.alphabet.symbols):
-            t = (x.delta[p][a], y.delta[q][a])
-            if t not in seen:
-                seen.add(t)
-                queue.append((t, word + ch))
-    return None
+    return least_word(
+        (x.initial, y.initial),
+        _pair_successors(x, y),
+        x.alphabet.symbols,
+        lambda pq: (pq[0] in x.accepting) != (pq[1] in y.accepting),
+        None,
+    )
 
 
 def is_subset(x, y):
     """Does L(x) ⊆ L(y) hold?  Decided on the reachable product only."""
     if x.alphabet != y.alphabet:
         raise ValueError("alphabet mismatch")
-    start = (x.initial, y.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        p, q = queue.popleft()
-        if p in x.accepting and q not in y.accepting:
-            return False
-        for a in range(len(x.alphabet)):
-            t = (x.delta[p][a], y.delta[q][a])
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return True
+    return least_word(
+        (x.initial, y.initial),
+        _pair_successors(x, y),
+        x.alphabet.symbols,
+        lambda pq: pq[0] in x.accepting and pq[1] not in y.accepting,
+        None,
+    ) is None
 
 
 def shortlex_least_member(dfa, min_length=-1):
     """Shortlex-least accepted word of length > ``min_length``, or None.
 
-    BFS layered by length with letters taken in alphabet order; states are
-    paired with the number of letters still required, so each (state, need)
-    pair is expanded at most once.
+    States are paired with the number of letters still required, so each
+    (state, need) pair is expanded at most once.
     """
-    need = max(0, min_length + 1)
-    start = (dfa.initial, need)
-    seen = {start}
-    queue = deque([(start, "")])
-    while queue:
-        (q, need), word = queue.popleft()
-        if need == 0 and q in dfa.accepting:
-            return word
-        for a, ch in enumerate(dfa.alphabet.symbols):
-            t = (dfa.delta[q][a], max(0, need - 1))
-            if t not in seen:
-                seen.add(t)
-                queue.append((t, word + ch))
-    return None
+    delta = dfa.delta
+    return least_word(
+        (dfa.initial, max(0, min_length + 1)),
+        lambda qn: [(t, max(0, qn[1] - 1)) for t in delta[qn[0]]],
+        dfa.alphabet.symbols,
+        lambda qn: qn[1] == 0 and qn[0] in dfa.accepting,
+        None,
+    )
 
 
 def _factor_language_dfa(dfa):
@@ -406,27 +367,6 @@ def _factor_language_dfa(dfa):
     return nfa.determinize()
 
 
-def _prefix_language_dfa(dfa):
-    """DFA of the prefix language: all prefixes of all accepted words."""
-    useful = dfa.useful_states()
-    n = dfa.n_states
-    sink = n
-    delta = []
-    for q in range(n):
-        row = []
-        for a in range(len(dfa.alphabet)):
-            t = dfa.delta[q][a]
-            row.append(t if (q in useful and t in useful) else sink)
-        delta.append(row)
-    delta.append([sink] * len(dfa.alphabet))
-    initial = dfa.initial
-    accepting = frozenset(useful)
-    if initial not in useful:
-        # language is empty; no word (not even epsilon) is a prefix
-        accepting = frozenset()
-    return Dfa(dfa.alphabet, n + 1, delta, initial, accepting)
-
-
 def has_forbidden_word(dfa):
     """Shortest (then shortlex-least) word w with L ∩ A*wA* = ∅, or None.
 
@@ -437,26 +377,12 @@ def has_forbidden_word(dfa):
     return shortlex_least_member(factors.complement())
 
 
-def has_forbidden_prefix(dfa):
-    """Shortest (then shortlex-least) word w with L ∩ wA* = ∅, or None."""
-    prefixes = _prefix_language_dfa(dfa)
-    return shortlex_least_member(prefixes.complement())
-
-
 def language_infinite(dfa):
     """True iff the language is infinite (a useful state lies on a cycle)."""
     useful = dfa.useful_states()
-    sccs = strongly_connected_components(
-        [[t for t in dfa.delta[q]] for q in range(dfa.n_states)]
-    )
-    for comp in sccs:
-        comp_useful = [q for q in comp if q in useful]
-        if not comp_useful:
-            continue
-        if len(comp) > 1:
-            return True
+    for comp in strongly_connected_components(dfa.delta):
         q = comp[0]
-        if q in dfa.delta[q] and q in useful:
+        if any(p in useful for p in comp) and (len(comp) > 1 or q in dfa.delta[q]):
             return True
     return False
 
@@ -554,13 +480,28 @@ def mod_counter_dfa(k, a="a", b="b", loops=(), alphabet=None):
     return Dfa(alphabet, k, delta, 0, frozenset(range(1, k)))
 
 
-def random_dfa(rng, n_states, alphabet, accept_prob=0.5):
-    """Uniformly random total DFA; deterministic given the rng state."""
+def even_length_dfa(alphabet):
+    """Words of even length."""
+    size = len(alphabet)
+    return Dfa(alphabet, 2, [[1] * size, [0] * size], 0, {0})
+
+
+def starts_with_dfa(letter, alphabet):
+    """Words whose first letter is the given one."""
+    rank = alphabet.rank(letter)
+    size = len(alphabet)
+    delta = [[1 if a == rank else 2 for a in range(size)], [1] * size, [2] * size]
+    return Dfa(alphabet, 3, delta, 0, {1})
+
+
+def random_dfa(rng, n_states, alphabet):
+    """Uniformly random total DFA, each state accepting with probability
+    1/2; deterministic given the rng state."""
     delta = [
         [rng.randrange(n_states) for _ in range(len(alphabet))]
         for _ in range(n_states)
     ]
-    accepting = frozenset(q for q in range(n_states) if rng.random() < accept_prob)
+    accepting = frozenset(q for q in range(n_states) if rng.random() < 0.5)
     return Dfa(alphabet, n_states, delta, 0, accepting)
 
 

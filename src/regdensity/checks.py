@@ -8,6 +8,7 @@ Random inputs are drawn from fixed seeds, so every run is identical.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .approximations import (
@@ -20,8 +21,14 @@ from .approximations import (
     suffix_inner_dfa,
     verify_containment,
 )
-from .automata import Dfa, is_subset, mod_counter_dfa, random_dfa
-from .core import Alphabet, census_by_enumeration, enumerate_words, ratio_and_cesaro
+from .automata import even_length_dfa, is_subset, mod_counter_dfa, random_dfa, starts_with_dfa
+from .core import (
+    Alphabet,
+    census_by_enumeration,
+    enumerate_words,
+    format_fraction,
+    ratio_and_cesaro,
+)
 from .density import density, is_dense, is_null, natural_density
 from .languages import (
     DiagonalLanguage,
@@ -58,66 +65,27 @@ def _item(label, passed, detail=""):
     return CheckItem(label, bool(passed), detail)
 
 
-def _frac(value):
-    if value is None:
-        return "BOT"
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
-
-
-def _cached(oracle):
-    # for unstepped oracles asked about the same words again across ks and trie builds
-    memo = {}
-    membership = oracle.membership
-
-    def member(word):
-        hit = memo.get(word)
-        if hit is None:
-            hit = membership(word)
-            memo[word] = hit
-        return hit
-
-    return LanguageOracle(oracle.name, oracle.alphabet, member, oracle.counter)
-
-
-def _starts_with_dfa(letter, alphabet):
-    rank = alphabet.rank(letter)
-    size = len(alphabet)
-    delta = [
-        [1 if a == rank else 2 for a in range(size)],
-        [1] * size,
-        [2] * size,
-    ]
-    return Dfa(alphabet, 3, delta, 0, {1})
-
-
-def _evens_dfa(alphabet=AB):
-    size = len(alphabet)
-    return Dfa(alphabet, 2, [[1] * size, [0] * size], 0, {0})
-
-
 # -- criteria -----------------------------------------------------------------
 
 def check_textbook():
     items = []
-    d2 = density(_starts_with_dfa("a", AB))
-    items.append(_item("first-letter-density-binary", d2 == Fraction(1, 2), _frac(d2)))
-    d3 = density(_starts_with_dfa("a", Alphabet("abc")))
-    items.append(_item("first-letter-density-ternary", d3 == Fraction(1, 3), _frac(d3)))
-    report = natural_density(_evens_dfa())
+    d2 = density(starts_with_dfa("a", AB))
+    items.append(_item("first-letter-density-binary", d2 == Fraction(1, 2), format_fraction(d2)))
+    d3 = density(starts_with_dfa("a", Alphabet("abc")))
+    items.append(_item("first-letter-density-ternary", d3 == Fraction(1, 3), format_fraction(d3)))
+    report = natural_density(even_length_dfa(AB))
     items.append(
         _item(
             "even-lengths-density",
             report.density == Fraction(1, 2),
-            _frac(report.density),
+            format_fraction(report.density),
         )
     )
     items.append(
         _item(
             "even-lengths-natural-bot",
             report.natural_density is None,
-            _frac(report.natural_density),
+            format_fraction(report.natural_density),
         )
     )
     items.append(
@@ -125,7 +93,8 @@ def check_textbook():
             "even-lengths-accumulation",
             report.modulus == 2
             and report.accumulation_points == (Fraction(1), Fraction(0)),
-            "c=%d acc=%s" % (report.modulus, [_frac(v) for v in report.accumulation_points]),
+            "c=%d acc=%s"
+            % (report.modulus, [format_fraction(v) for v in report.accumulation_points]),
         )
     )
     return items
@@ -141,7 +110,7 @@ def check_modk():
             _item(
                 "modk-density-k%d" % k,
                 d == Fraction(k - 1, k),
-                "%s expected %s" % (_frac(d), _frac(Fraction(k - 1, k))),
+                "%s expected %s" % (format_fraction(d), format_fraction(Fraction(k - 1, k))),
             )
         )
         cex = verify_containment(machine, target, "inner", 12)
@@ -168,7 +137,7 @@ def check_dyck():
         _item(
             "dyck-cesaro-20",
             cesaro[20] <= Fraction(1, 10),
-            "%s <= 1/10" % _frac(cesaro[20]),
+            "%s <= 1/10" % format_fraction(cesaro[20]),
         )
     )
     return items
@@ -177,7 +146,6 @@ def check_dyck():
 def check_palindromes():
     items = []
     target = palindromes().complement()
-    target = _cached(target)
     for k in range(1, 7):
         machine = nonpalindrome_window_dfa(k)
         d = density(machine)
@@ -186,7 +154,7 @@ def check_palindromes():
             _item(
                 "pal-inner-density-k%d" % k,
                 d == claim,
-                "%s expected %s" % (_frac(d), _frac(claim)),
+                "%s expected %s" % (format_fraction(d), format_fraction(claim)),
             )
         )
         cex = verify_containment(machine, target, "inner", 14)
@@ -205,7 +173,7 @@ def check_goldstine():
             _item(
                 "goldstine-inner-density-k%d" % k,
                 d == claim,
-                "%s expected %s" % (_frac(d), _frac(claim)),
+                "%s expected %s" % (format_fraction(d), format_fraction(claim)),
             )
         )
         cex = verify_containment(machine, target, "inner", 16)
@@ -246,7 +214,7 @@ def check_o3o4():
                 _item(
                     "%s-outer-density-k%d" % (name, k),
                     d == exact and d <= Fraction(2, k),
-                    "%s (= (2k-1)/k^2, <= 2/k)" % _frac(d),
+                    "%s (= (2k-1)/k^2, <= 2/k)" % format_fraction(d),
                 )
             )
     brute = census_by_enumeration(o3(), 12)
@@ -265,7 +233,7 @@ def check_o3o4():
         _item(
             "o3-null-spotcheck-n18",
             ratio18 < Fraction(1, 10),
-            "ratio(18)=%s ~ %.4f, required < 1/10" % (_frac(ratio18), float(ratio18)),
+            "ratio(18)=%s ~ %.4f, required < 1/10" % (format_fraction(ratio18), float(ratio18)),
         )
     )
     return items
@@ -281,10 +249,13 @@ def check_suffix_extension():
             _item(
                 "suffix-unary-inner-n%d" % n,
                 d == claim,
-                "%s expected %s" % (_frac(d), _frac(claim)),
+                "%s expected %s" % (format_fraction(d), format_fraction(claim)),
             )
         )
-    fam = suffix_extension_family(_cached(kemp_base()), "c")
+    # the inner and outer tries of each n ask the base about the same words
+    base = kemp_base()
+    base = LanguageOracle(base.name, base.alphabet, cache(base.membership))
+    fam = suffix_extension_family(base, "c")
     inners = []
     outers = []
     gaps_ok = True
@@ -315,7 +286,7 @@ def check_suffix_extension():
         _item(
             "suffix-kemp-gap-12",
             gap12 < Fraction(1, 100),
-            "%s < 1/100" % _frac(gap12),
+            "%s < 1/100" % format_fraction(gap12),
         )
     )
     return items
@@ -338,7 +309,7 @@ def check_majority():
         _item(
             "majority1-ratio-20",
             ratio20 == formula and Fraction(2, 5) < ratio20 < Fraction(1, 2),
-            "%s in (2/5, 1/2)" % _frac(ratio20),
+            "%s in (2/5, 1/2)" % format_fraction(ratio20),
         )
     )
     ratio24 = Fraction(majority_count(24, 2), 2 ** 24)
@@ -348,7 +319,7 @@ def check_majority():
         _item(
             "majority2-ratio-24",
             ratio24 <= Fraction(1, 50),
-            "ratio(24)=%s ~ %.4f, required <= 1/50" % (_frac(ratio24), float(ratio24)),
+            "ratio(24)=%s ~ %.4f, required <= 1/50" % (format_fraction(ratio24), float(ratio24)),
         )
     )
     rng = random.Random(0x5EED)

@@ -13,9 +13,15 @@ import os
 import sys
 
 from . import approximations, languages
-from .automata import Dfa, dfa_from_json, mod_counter_dfa
+from .automata import dfa_from_json, even_length_dfa, mod_counter_dfa, starts_with_dfa
 from .checks import run_criteria
-from .core import Alphabet, BudgetExceededError, census_by_enumeration, ratio_and_cesaro
+from .core import (
+    Alphabet,
+    BudgetExceededError,
+    census_by_enumeration,
+    format_fraction,
+    ratio_and_cesaro,
+)
 from .density import density, natural_density
 from .languages import Morphism
 from .monoid import DEFAULT_MONOID_BUDGET, green_classes, transition_monoid, witness_in_monoid
@@ -23,14 +29,6 @@ from .monoid import DEFAULT_MONOID_BUDGET, green_classes, transition_monoid, wit
 
 class UsageError(ValueError):
     pass
-
-
-def format_fraction(value):
-    if value is None:
-        return "BOT"
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
 
 
 def fraction_json(value):
@@ -61,11 +59,13 @@ def load_dfa(source):
                 "malformed DFA JSON in %s: %s (line %d column %d)"
                 % (source, exc.msg, exc.lineno, exc.colno)
             ) from None
+        except RecursionError:
+            raise UsageError("DFA JSON in %s is nested too deeply" % source) from None
         except ValueError as exc:
             raise UsageError("invalid DFA document in %s: %s" % (source, exc)) from None
     ab = Alphabet("ab")
     if source == "evens":
-        return Dfa(ab, 2, [[1, 1], [0, 0]], 0, {0})
+        return even_length_dfa(ab)
     if source.startswith("modk:"):
         try:
             k = int(source.split(":", 1)[1])
@@ -79,9 +79,7 @@ def load_dfa(source):
         letter = source.split(":", 1)[1]
         if letter not in ("a", "b"):
             raise UsageError("starts builtin needs letter a or b, got %r" % source)
-        rank = ab.rank(letter)
-        delta = [[1 if a == rank else 2 for a in range(2)], [1, 1], [2, 2]]
-        return Dfa(ab, 3, delta, 0, {1})
+        return starts_with_dfa(letter, ab)
     raise UsageError("no such file or builtin DFA: %r" % source)
 
 
@@ -445,10 +443,14 @@ def main(argv=None):
             raise UsageError("--budget must be at least 1, got %d" % args.budget)
         if getattr(args, "max", 0) < 0:
             raise UsageError("--max must be non-negative, got %d" % args.max)
-        if args.output is not None:
-            with open(args.output, "w", encoding="utf-8", newline="") as out:
-                return handler(args, out)
-        return handler(args, sys.stdout)
+        if args.output is None:
+            return handler(args, sys.stdout)
+        try:
+            out = open(args.output, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (args.output, exc.strerror)) from None
+        with out:
+            return handler(args, out)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -123,6 +123,15 @@ def ratio_and_cesaro(census):
     return ratios, cesaro
 
 
+def format_fraction(value):
+    """``p/q``, an integer plainly, and ``BOT`` for None (no value)."""
+    if value is None:
+        return "BOT"
+    if value.denominator == 1:
+        return str(value.numerator)
+    return "%d/%d" % (value.numerator, value.denominator)
+
+
 def check_enumeration_budget(alphabet_size, max_length, budget, what):
     """Refuse to enumerate ``alphabet_size ** max_length`` words past the
     budget (default: the enumeration budget)."""

@@ -2,20 +2,23 @@
 
 Reading uniformly random letters turns a total DFA into a finite Markov
 chain on its states.  The density of the language is the Cesàro limit of
-the probability of sitting in an accepting state; it is computed exactly by
-decomposing the chain into bottom strongly-connected classes, solving for
-their stationary distributions, and propagating absorption values through
-the transient part.  The chain is kept as integer letter counts (each row
-sums to the alphabet size s), and every linear system is solved exactly by
-sparse integer elimination in Markowitz pivot order, with Fractions only in
-the back-substitution.
+the probability of sitting in an accepting state.  One analysis per chain
+computes it exactly: a single strongly-connected decomposition gives the
+bottom (recurrent) classes, whose stationary distributions are solved once,
+and the same decomposition orders the transient solve that propagates their
+values.  ``density`` reads the Cesàro value from that analysis;
+``natural_density`` adds the class periods and, only when their lcm c
+exceeds 1, the c-step chain for the per-residue limits.  The chain is kept
+as integer letter counts (each row sums to the alphabet size s), and every
+linear system is solved exactly by sparse integer elimination in Markowitz
+pivot order, with Fractions only in the back-substitution.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .automata import has_forbidden_word, strongly_connected_components
+from .automata import explore, has_forbidden_word, strongly_connected_components
 from .core import BudgetExceededError
 
 _POWER_STATE_LIMIT = 512
@@ -56,24 +59,17 @@ class UniformChain:
     )
 
     def __init__(self, dfa):
-        order = [dfa.initial]
-        index = {dfa.initial: 0}
-        for q in order:
-            for t in dfa.delta[q]:
-                if t not in index:
-                    index[t] = len(order)
-                    order.append(t)
+        order, rows = explore([dfa.initial], dfa.delta.__getitem__)
         s = len(dfa.alphabet)
         count_rows = []
-        for q in order:
+        for targets in rows:
             row = {}
-            for t in dfa.delta[q]:
-                j = index[t]
+            for j in targets:
                 row[j] = row.get(j, 0) + 1
             count_rows.append(row)
         self.n = len(order)
         self.initial = 0
-        self.accepting = frozenset(index[q] for q in dfa.accepting if q in index)
+        self.accepting = frozenset(i for i, q in enumerate(order) if q in dfa.accepting)
         self.count_rows = count_rows
         self.alphabet_size = s
         self.original = order
@@ -83,19 +79,6 @@ class UniformChain:
 
     def successors(self):
         return [list(row.keys()) for row in self.count_rows]
-
-
-@dataclass(frozen=True)
-class RecurrentClass:
-    """A bottom strongly-connected class with its period and stationary law."""
-
-    states: tuple[int, ...]
-    period: int
-    stationary: dict
-
-    def __post_init__(self):
-        if sum(self.stationary.values()) != 1:
-            raise AssertionError("stationary distribution does not sum to 1")
 
 
 def _integer_rows(rows, rhs):
@@ -258,18 +241,6 @@ def solve_exact(rows, rhs):
     return x
 
 
-def _recurrent_components(chain):
-    """SCCs with no outgoing edges, in the chain's state numbering."""
-    succ = chain.successors()
-    sccs = strongly_connected_components(succ)
-    recurrent = []
-    for comp in sccs:
-        comp_set = set(comp)
-        if all(t in comp_set for q in comp for t in succ[q]):
-            recurrent.append(comp)
-    return sccs, recurrent
-
-
 def _class_period_and_levels(comp, count_rows):
     """Period (gcd of BFS-level differences over internal edges) and levels."""
     comp_set = set(comp)
@@ -326,18 +297,18 @@ def _stationary(comp, count_rows, s):
     return pi
 
 
-def _limit_vector(step_rows, scale, fixed):
+def _limit_vector(step_rows, scale, fixed, sccs):
     """Harmonic extension of ``fixed``: scale·f_p = Σ_q c_pq·f_q on non-fixed
     states, where ``step_rows[p]`` maps q to the integer count c_pq and each
     such row sums to ``scale``.
 
-    ``fixed`` must cover every recurrent state of the row graph; transient
-    strongly-connected components are solved exactly in reverse topological
+    ``fixed`` must cover every recurrent state of the row graph; the
+    transient ones among ``sccs``, the row graph's strongly-connected
+    components in reverse topological order, are solved exactly in that
     order, so each system only involves one component.
     """
-    succ = [list(row.keys()) for row in step_rows]
     f = dict(fixed)
-    for comp in strongly_connected_components(succ):
+    for comp in sccs:
         if comp[0] in f:
             continue
         if len(comp) == 1:
@@ -364,42 +335,31 @@ def _limit_vector(step_rows, scale, fixed):
     return f
 
 
-def _cesaro_value_vector(chain):
-    """Per-state Cesàro limit of acceptance probability."""
-    _, recurrent = _recurrent_components(chain)
+def _analyse(dfa):
+    """The uniform chain of a DFA, its recurrent classes as (states,
+    stationary law) pairs in chain numbering, and the per-state Cesàro limit
+    of acceptance probability: one strongly-connected decomposition and one
+    transient solve."""
+    chain = UniformChain(dfa)
+    rows = chain.count_rows
+    sccs = strongly_connected_components(chain.successors())
+    classes = []
     fixed = {}
-    for comp in recurrent:
-        pi = _stationary(comp, chain.count_rows, chain.alphabet_size)
-        value = sum((pi[q] for q in comp if q in chain.accepting), Fraction(0))
-        for q in comp:
-            fixed[q] = value
-    return _limit_vector(chain.count_rows, chain.alphabet_size, fixed)
+    for comp in sccs:
+        comp_set = set(comp)
+        if all(t in comp_set for q in comp for t in rows[q]):
+            pi = _stationary(comp, rows, chain.alphabet_size)
+            classes.append((comp, pi))
+            value = sum((pi[q] for q in comp if q in chain.accepting), Fraction(0))
+            fixed.update(dict.fromkeys(comp, value))
+    cesaro = _limit_vector(rows, chain.alphabet_size, fixed, sccs)
+    return chain, classes, cesaro
 
 
 def density(dfa):
     """Exact Cesàro density of the language of a total DFA."""
-    chain = UniformChain(dfa)
-    return _cesaro_value_vector(chain)[chain.initial]
-
-
-def recurrent_classes(dfa):
-    """Bottom strongly-connected classes of the uniform chain, with their
-    periods and stationary distributions, in the DFA's own state numbering."""
-    chain = UniformChain(dfa)
-    _, recurrent = _recurrent_components(chain)
-    classes = []
-    for comp in recurrent:
-        pi = _stationary(comp, chain.count_rows, chain.alphabet_size)
-        period, _ = _class_period_and_levels(comp, chain.count_rows)
-        classes.append(
-            RecurrentClass(
-                states=tuple(sorted(chain.original[q] for q in comp)),
-                period=period,
-                stationary={chain.original[q]: v for q, v in pi.items()},
-            )
-        )
-    classes.sort(key=lambda c: c.states)
-    return classes
+    _, _, cesaro = _analyse(dfa)
+    return cesaro[0]
 
 
 def _step_counts(count_rows, vec):
@@ -434,43 +394,37 @@ def natural_density(dfa):
     reachable recurrent classes; the natural density exists if and only if
     the c residue limits coincide.
     """
-    chain = UniformChain(dfa)
-    _, recurrent = _recurrent_components(chain)
+    chain, classes, f_cesaro = _analyse(dfa)
     s = chain.alphabet_size
+    dens = f_cesaro[chain.initial]
 
-    cesaro_fixed = {}
     phase_fixed = {}
     periods = []
-    for comp in recurrent:
-        pi = _stationary(comp, chain.count_rows, s)
+    for comp, pi in classes:
         period, level = _class_period_and_levels(comp, chain.count_rows)
         periods.append(period)
-        value = sum((pi[q] for q in comp if q in chain.accepting), Fraction(0))
         mass_by_phase = [Fraction(0)] * period
         for q in comp:
             if q in chain.accepting:
                 mass_by_phase[level[q] % period] += pi[q]
         for q in comp:
-            cesaro_fixed[q] = value
             phase_fixed[q] = period * mass_by_phase[level[q] % period]
     c = lcm(*periods)
 
-    f_cesaro = _limit_vector(chain.count_rows, s, cesaro_fixed)
-    dens = f_cesaro[chain.initial]
-
-    recurrent_states = set(phase_fixed)
-    transients = [q for q in range(chain.n) if q not in recurrent_states]
-    if c > 1 and c * chain.n * (len(transients) + 1) > _PHASE_WORK_LIMIT:
-        raise BudgetExceededError(
-            "residue-limit computation with modulus %d on %d states exceeds "
-            "the supported work bound" % (c, chain.n)
-        )
     if c == 1:
-        f_phase = _limit_vector(chain.count_rows, s, phase_fixed)
+        # one phase: the phase values are the Cesàro values
+        f_phase = f_cesaro
     else:
+        transients = [q for q in range(chain.n) if q not in phase_fixed]
+        if c * chain.n * (len(transients) + 1) > _PHASE_WORK_LIMIT:
+            raise BudgetExceededError(
+                "residue-limit computation with modulus %d on %d states exceeds "
+                "the supported work bound" % (c, chain.n)
+            )
         power = dict(zip(transients, _transient_power_rows(chain, transients, c)))
         step_rows = [power.get(q, {}) for q in range(chain.n)]
-        f_phase = _limit_vector(step_rows, s ** c, phase_fixed)
+        sccs = strongly_connected_components([list(row.keys()) for row in step_rows])
+        f_phase = _limit_vector(step_rows, s ** c, phase_fixed, sccs)
 
     vec = {chain.initial: 1}
     limits = []

@@ -14,6 +14,11 @@ from typing import Callable, Hashable, NamedTuple
 from .automata import Dfa, is_coinfinite, shortlex_least_member
 from .core import Alphabet, BudgetExceededError
 
+# how far the diagonal language may go: machines enumerated, and the length
+# of the longest picked word
+DIAGONAL_MAX_MACHINES = 200_000
+DIAGONAL_MAX_WORD_LENGTH = 256
+
 
 class Stepper(NamedTuple):
     """A deterministic left-to-right reader of a language.
@@ -102,29 +107,6 @@ class Morphism:
     def is_prolongable_on(self, seed):
         image = self.images.get(seed, "")
         return image.startswith(seed) and len(image) >= 2
-
-
-def fixed_point_prefix(morphism, seed, length):
-    """Prefix (of the given length) of the infinite word obtained by
-    iterating the morphism on its seed letter."""
-    if not morphism.is_prolongable_on(seed):
-        raise ValueError(
-            "morphism is not prolongable on %r: image must start with the "
-            "seed and have length at least 2" % seed
-        )
-    word = seed
-    while len(word) < length:
-        grown = morphism(word)
-        if len(grown) <= len(word):
-            raise ValueError("morphism iteration stalled; fixed point is finite")
-        word = grown
-    return word[:length]
-
-
-def coprefix_prefixes(morphism, seed, max_length):
-    """All prefixes, up to the given length, of the morphic fixed point."""
-    word = fixed_point_prefix(morphism, seed, max_length)
-    return {word[:i] for i in range(len(word) + 1)}
 
 
 # -- word combinatorics ------------------------------------------------------
@@ -367,14 +349,6 @@ def _s2_member(word):
     return True
 
 
-def kemp_s1():
-    return LanguageOracle("kemp-s1", Alphabet("ab"), _s1_member)
-
-
-def kemp_s2():
-    return LanguageOracle("kemp-s2", Alphabet("ab"), _s2_member)
-
-
 def kemp_base():
     """Union of the two run-length block languages behind the kemp oracle."""
     return LanguageOracle(
@@ -534,12 +508,10 @@ class DiagonalLanguage:
     non-containment in the machine it escaped.
     """
 
-    def __init__(self, alphabet=None, max_machines=200_000, max_word_length=256):
+    def __init__(self, alphabet=None):
         self.alphabet = alphabet if alphabet is not None else Alphabet("ab")
         if len(self.alphabet) < 2:
             raise ValueError("diagonal language needs at least two letters")
-        self.max_machines = max_machines
-        self.max_word_length = max_word_length
         self._stream = self._machine_stream()
         self._machines_examined = 0
         self._picks = []
@@ -560,16 +532,16 @@ class DiagonalLanguage:
 
     def _extend_picks(self):
         floor = len(self._picks[-1]) if self._picks else 0
-        if floor >= self.max_word_length:
+        if floor >= DIAGONAL_MAX_WORD_LENGTH:
             raise BudgetExceededError(
                 "diagonal-language words beyond length %d exceed the budget"
-                % self.max_word_length
+                % DIAGONAL_MAX_WORD_LENGTH
             )
         while True:
-            if self._machines_examined >= self.max_machines:
+            if self._machines_examined >= DIAGONAL_MAX_MACHINES:
                 raise BudgetExceededError(
                     "diagonal-language enumeration exceeded %d machines"
-                    % self.max_machines
+                    % DIAGONAL_MAX_MACHINES
                 )
             machine = next(self._stream)
             self._machines_examined += 1
@@ -608,28 +580,6 @@ class DiagonalLanguage:
             i += 1
 
 
-def diagonal(alphabet=None, max_machines=200_000, max_word_length=256):
-    program = DiagonalLanguage(alphabet, max_machines, max_word_length)
+def diagonal(alphabet=None):
+    program = DiagonalLanguage(alphabet)
     return LanguageOracle("diagonal", program.alphabet, program.membership)
-
-
-def diagonal_membership(word, alphabet=None):
-    """One-shot membership in the diagonal language (fresh program state)."""
-    return DiagonalLanguage(alphabet).membership(word)
-
-
-# -- closed-count dispatch ----------------------------------------------------
-
-def closed_counts(name, length):
-    """Closed-form member count at a given length for the named language."""
-    if name == "dyck":
-        return dyck_count(length)
-    if name == "primitive":
-        return primitive_count(length, 2)
-    if name == "o3":
-        return o3_count(length)
-    if name == "o4":
-        return o4_count(length)
-    if name.startswith("majority:"):
-        return majority_count(length, int(name.split(":", 1)[1]))
-    raise ValueError("no closed-form counter for %r" % name)

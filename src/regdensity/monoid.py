@@ -13,7 +13,7 @@ the number of monoid elements.
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .automata import Dfa, strongly_connected_components
+from .automata import explore, strongly_connected_components
 from .core import BudgetExceededError
 from .density import density
 from .languages import is_primitive
@@ -225,17 +225,7 @@ def green_classes(monoid):
             below.add(j_class[t])
         for t in left_row:
             below.add(j_class[t])
-    j_below = []
-    for c in range(n_j):
-        seen = {c}
-        stack = [c]
-        while stack:
-            x = stack.pop()
-            for y in edges[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        j_below.append(frozenset(seen))
+    j_below = [frozenset(explore([c], edges.__getitem__)[0]) for c in range(n_j)]
     j_minimal = tuple(c for c in range(n_j) if j_below[c] == frozenset([c]))
 
     return GreenClasses(
@@ -260,24 +250,6 @@ def idempotent_power(monoid, element):
             return n
         power = monoid.compose(power, element)
     raise AssertionError("finite monoid must reach an idempotent power")
-
-
-def element_language_dfa(monoid, element):
-    """DFA of the words evaluating to the given monoid element."""
-    return Dfa(
-        monoid.alphabet,
-        len(monoid.elements),
-        monoid.right_cayley(),
-        monoid.identity,
-        frozenset([element]),
-    )
-
-
-def jclass_language_density(monoid, element):
-    """Exact density of the set of words evaluating to the element."""
-    if not 0 <= element < len(monoid.elements):
-        raise ValueError("element index out of range")
-    return density(element_language_dfa(monoid, element))
 
 
 def nonprimitive_witness(dfa, budget=DEFAULT_MONOID_BUDGET):

@@ -40,6 +40,7 @@ from regdensity import (
     suffix_extension_family,
     verify_containment,
 )
+from regdensity import approximations
 from regdensity.approximations import (
     contains_factor_dfa,
     ends_with_letter_dfa,
@@ -189,7 +190,7 @@ def test_infix_family():
     assert fam.outer is None
     assert verify_containment(fam.inner(1), fam.target, "inner", 8) is None
     empty = LanguageOracle("nothing", AB, lambda w: False)
-    fam = infix_extension_family(empty, "c", member_search_length=5)
+    fam = infix_extension_family(empty, "c")
     assert density(fam.inner(1)) == 0 and density(fam.outer(1)) == 0
 
 
@@ -245,11 +246,12 @@ def test_gap_report_detects_broken_inner():
     assert not report.rows[0].containment_ok
 
 
-def test_suffix_trie_budget():
+def test_suffix_trie_budget(monkeypatch):
+    monkeypatch.setattr(approximations, "STATE_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
-        suffix_inner_dfa(semi_dyck(), "c", 10, state_budget=100)
+        suffix_inner_dfa(semi_dyck(), "c", 10)
     with pytest.raises(BudgetExceededError):
-        suffix_outer_dfa(semi_dyck(), "c", 10, state_budget=100)
+        suffix_outer_dfa(semi_dyck(), "c", 10)
 
 
 def test_majority_escape_examples():
@@ -524,9 +526,10 @@ def test_extension_families_reject_negative_bounds(build):
             generator(-1)
 
 
-def test_infix_family_rejects_negative_parameter():
+def test_infix_family_rejects_negative_parameter(monkeypatch):
+    monkeypatch.setattr(approximations, "MEMBER_SEARCH_LENGTH", 4)
     for base in (semi_dyck(), LanguageOracle("nothing", AB, lambda w: False)):
-        fam = infix_extension_family(base, "c", member_search_length=4)
+        fam = infix_extension_family(base, "c")
         for generator in (fam.inner, fam.outer):
             if generator is not None:
                 with pytest.raises(ValueError):

@@ -14,13 +14,11 @@ from regdensity import (
     Dfa,
     LanguageOracle,
     Nfa,
-    UniformChain,
     census_by_enumeration,
-    combine,
     dfa_from_json,
     dfa_to_json,
     equivalent,
-    has_forbidden_prefix,
+    find_difference_witness,
     has_forbidden_word,
     is_coinfinite,
     is_subset,
@@ -32,6 +30,7 @@ from regdensity import (
 )
 from regdensity import automata
 from regdensity.approximations import nonpalindrome_window_dfa
+from regdensity.density import UniformChain
 from reference_languages import raw_window_dfa
 
 AB = Alphabet("ab")
@@ -88,10 +87,6 @@ def test_accepts():
 def test_alphabet_mismatch_errors():
     with pytest.raises(ValueError):
         starts_with_a().union(Dfa(ABC, 1, [[0, 0, 0]], 0, {0}))
-    with pytest.raises(ValueError):
-        combine(starts_with_a(), Dfa(ABC, 1, [[0, 0, 0]], 0, {0}), "union")
-    with pytest.raises(ValueError):
-        combine(starts_with_a(), evens(), "xor")
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,12 +254,6 @@ def test_forbidden_word_brute_cross_check():
 def test_forbidden_word_empty_language_is_epsilon():
     nothing = Dfa(AB, 1, [[0, 0]], 0, frozenset())
     assert has_forbidden_word(nothing) == ""
-    assert has_forbidden_prefix(nothing) == ""
-
-
-def test_forbidden_prefix_examples():
-    assert has_forbidden_prefix(starts_with_a()) == "b"
-    assert has_forbidden_prefix(mod_counter_dfa(3)) is None
 
 
 def test_dense_means_every_short_word_is_a_factor():
@@ -324,6 +313,44 @@ def test_shortlex_least_member_examples():
     nothing = Dfa(AB, 1, [[0, 0]], 0, frozenset())
     assert shortlex_least_member(nothing, 0) is None
     assert shortlex_least_member(all_words) == ""
+
+
+BRUTE_LENGTH = 8
+
+
+def shortlex_words(alphabet, max_length=BRUTE_LENGTH):
+    for n in range(max_length + 1):
+        for tup in itertools.product(alphabet.symbols, repeat=n):
+            yield "".join(tup)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ab", "abc"]).flatmap(
+    lambda letters: st.tuples(
+        dfas(5, (letters,)), dfas(5, (letters,)), st.integers(-1, 3)
+    )
+))
+def test_least_word_searches_match_shortlex_enumeration(case):
+    x, y, min_length = case
+    words = list(shortlex_words(x.alphabet))
+    # a pair of machines may first differ past BRUTE_LENGTH (up to 25 states
+    # in the product): then the search finds a longer word or none
+    differ = next((w for w in words if x.accepts(w) != y.accepts(w)), None)
+    found = find_difference_witness(x, y)
+    if differ is not None:
+        assert found == differ
+    elif found is not None:
+        assert len(found) > BRUTE_LENGTH and x.accepts(found) != y.accepts(found)
+    assert equivalent(x, y) == (found is None)
+    escape = next((w for w in words if x.accepts(w) and not y.accepts(w)), None)
+    if escape is not None:
+        assert not is_subset(x, y)
+    else:
+        assert is_subset(x, y) == x.difference(y).is_empty()
+    # exact: a least member longer than min_length visits no state twice after
+    # its first min_length + 1 letters, so it has at most min_length + 5
+    member = next((w for w in words if len(w) > min_length and x.accepts(w)), None)
+    assert shortlex_least_member(x, min_length) == member
 
 
 def test_reverse_language():

@@ -110,6 +110,24 @@ def test_density_unreadable_file_is_usage_error(tmp_path, capsys):
     assert out == "" and "cannot read DFA file" in err
 
 
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "density", "--dfa", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "no" / "such" / "x" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, "density", "--dfa", "evens", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+
+
 def test_density_work_budget_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "random.json"
     path.write_text(json.dumps(dfa_to_json(random_dfa(random.Random(3), 12, Alphabet("ab")))))

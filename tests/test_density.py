@@ -22,7 +22,6 @@ from regdensity import (
     natural_density,
     random_dfa,
     ratio_and_cesaro,
-    recurrent_classes,
     solve_exact,
 )
 
@@ -82,13 +81,25 @@ def test_is_null_is_dense_examples():
     assert not is_null(all_words) and is_dense(all_words)
 
 
+def recurrent_classes(machine):
+    """(states, period, stationary law) of each recurrent class of the chain
+    analysis, in the machine's own state numbering, ordered by states."""
+    chain, classes, _ = density_module._analyse(machine)
+    out = []
+    for comp, pi in classes:
+        period, _ = density_module._class_period_and_levels(comp, chain.count_rows)
+        states = tuple(sorted(chain.original[q] for q in comp))
+        out.append((states, period, {chain.original[q]: v for q, v in pi.items()}))
+    return sorted(out, key=lambda cls: cls[0])
+
+
 def test_recurrent_classes_even_lengths():
     classes = recurrent_classes(evens())
     assert len(classes) == 1
-    cls = classes[0]
-    assert cls.states == (0, 1)
-    assert cls.period == 2
-    assert cls.stationary == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    states, period, stationary = classes[0]
+    assert states == (0, 1)
+    assert period == 2
+    assert stationary == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
 @settings(max_examples=30, deadline=None)
@@ -96,15 +107,50 @@ def test_recurrent_classes_even_lengths():
 def test_recurrent_classes_are_stationary(machine):
     counts = [Counter(row) for row in machine.delta]
     size = len(machine.alphabet)
-    for cls in recurrent_classes(machine):
-        assert sum(cls.stationary.values()) == 1
-        states = set(cls.states)
-        for q in cls.states:
-            inflow = sum(
-                cls.stationary[p] * Fraction(counts[p][q], size) for p in cls.states
-            )
-            assert inflow == cls.stationary[q]
+    for states, _, stationary in recurrent_classes(machine):
+        assert sum(stationary.values()) == 1
+        for q in states:
+            inflow = sum(stationary[p] * Fraction(counts[p][q], size) for p in states)
+            assert inflow == stationary[q]
             assert all(t in states for t in machine.delta[q])
+
+
+def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(density_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(density_module, name, wrapper)
+
+    for name in (
+        "strongly_connected_components",
+        "_limit_vector",
+        "_class_period_and_levels",
+        "_transient_power_rows",
+    ):
+        counted(name)
+    rng = random.Random(7)
+    machines = [starts_with_a(), evens(), mod_counter_dfa(3)]
+    machines += [random_dfa(rng, n, AB) for n in (3, 5, 8, 20, 60)]
+    aperiodic = 0
+    for machine in machines:
+        calls.clear()
+        density(machine)
+        # no residue work: no periods and no c-step rows
+        assert calls == {"strongly_connected_components": 1, "_limit_vector": 1}
+        calls.clear()
+        report = natural_density(machine)
+        once = 1 if report.modulus == 1 else 2
+        aperiodic += report.modulus == 1
+        assert calls["strongly_connected_components"] == once
+        assert calls["_limit_vector"] == once
+        assert calls["_transient_power_rows"] == once - 1
+    assert 0 < aperiodic < len(machines)
 
 
 @settings(max_examples=40, deadline=None)
@@ -305,9 +351,8 @@ def test_stationarity_of_large_recurrent_class():
     delta = [[(q + 1) % n, rng.randrange(n)] for q in range(n)]
     accepting = {q for q in range(n) if rng.random() < 0.5}
     machine = Dfa(AB, n, delta, 0, accepting)
-    (cls,) = recurrent_classes(machine)
-    assert cls.states == tuple(range(n))
-    pi = cls.stationary
+    ((states, _, pi),) = recurrent_classes(machine)
+    assert states == tuple(range(n))
     assert len(set(pi.values())) > 1  # not the doubly-stochastic shortcut
     assert all(v > 0 for v in pi.values())
     assert sum(pi.values()) == 1

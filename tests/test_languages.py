@@ -12,17 +12,13 @@ from regdensity import (
     DiagonalLanguage,
     Morphism,
     census_by_enumeration,
-    closed_counts,
     coprefix,
-    coprefix_prefixes,
     count_eq,
     goldstine,
     infix_extension,
     is_primitive,
     kemp,
     kemp_base,
-    kemp_s1,
-    kemp_s2,
     majority,
     o3,
     o4,
@@ -32,9 +28,11 @@ from regdensity import (
     semi_dyck,
     suffix_extension,
 )
+from regdensity import languages
 from regdensity.cli import load_family, load_oracle
 from regdensity.languages import (
-    catalan,
+    _s1_member,
+    _s2_member,
     dyck_count,
     majority_count,
     o3_count,
@@ -107,7 +105,7 @@ def test_kemp_membership():
 
 
 def test_kemp_sub_oracles():
-    s1, s2 = kemp_s1(), kemp_s2()
+    s1, s2 = _s1_member, _s2_member
     assert s1("a") and s2("a")
     assert s1("aba") and not s2("aba")
     assert s2("abba") and not s1("abba")
@@ -158,14 +156,6 @@ def test_counters_match_brute_force_bigger_alphabets():
     assert census.counts == [o4_count(n) for n in range(8)]
 
 
-def test_closed_count_examples():
-    assert closed_counts("dyck", 6) == 5 and catalan(3) == 5
-    assert closed_counts("primitive", 6) == 54
-    assert closed_counts("majority:1", 3) == 4
-    with pytest.raises(ValueError):
-        closed_counts("goldstine", 3)
-
-
 def test_majority_monotone():
     m1, m2 = majority(1), majority(2)
     for word in words_up_to(AB, 12):
@@ -196,17 +186,13 @@ def test_morphism_validation():
         Morphism(AB, {"a": "ax", "b": "a"})
 
 
-def test_coprefix_prefixes_fibonacci():
-    fib = Morphism(AB, {"a": "ab", "b": "a"})
-    assert coprefix_prefixes(fib, "a", 5) == {"", "a", "ab", "aba", "abaa", "abaab"}
-    assert coprefix_prefixes(fib, "a", 0) == {""}
-
-
 def test_coprefix_oracle():
     fib = Morphism(AB, {"a": "ab", "b": "a"})
     oracle = coprefix(fib, "a")
     assert not oracle("") and not oracle("abaab")
     assert oracle("b") and oracle("aa")
+    rejected = {w for w in words_up_to(AB, 5) if not oracle(w)}
+    assert rejected == {"", "a", "ab", "aba", "abaa", "abaab"}
 
 
 def test_coprefix_rejects_bad_morphisms():
@@ -274,11 +260,15 @@ def test_diagonal_language_properties():
     assert not machine.accepts(first)
 
 
-def test_diagonal_budget_errors():
-    with pytest.raises(BudgetExceededError):
-        DiagonalLanguage(max_machines=0).membership("a")
-    with pytest.raises(BudgetExceededError):
-        DiagonalLanguage(max_word_length=0).membership("a")
+def test_diagonal_budget_errors(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(languages, "DIAGONAL_MAX_MACHINES", 0)
+        with pytest.raises(BudgetExceededError):
+            DiagonalLanguage().membership("a")
+    with monkeypatch.context() as patch:
+        patch.setattr(languages, "DIAGONAL_MAX_WORD_LENGTH", 0)
+        with pytest.raises(BudgetExceededError):
+            DiagonalLanguage().membership("a")
 
 
 def test_oracle_counter_interface():

