@@ -8,6 +8,7 @@ plain); output is byte-deterministic for a fixed invocation.
 
 import argparse
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -445,12 +446,16 @@ def main(argv=None):
             raise UsageError("--max must be non-negative, got %d" % args.max)
         if args.output is None:
             return handler(args, sys.stdout)
+        # the file is opened only after the command has returned (exit 0 or
+        # 1), so a run that exits 2 or 3 leaves any previous output in place
+        buffer = io.StringIO()
+        code = handler(args, buffer)
         try:
-            out = open(args.output, "w", encoding="utf-8", newline="")
+            with open(args.output, "w", encoding="utf-8", newline="") as out:
+                out.write(buffer.getvalue())
         except OSError as exc:
             raise UsageError("cannot write %s: %s" % (args.output, exc.strerror)) from None
-        with out:
-            return handler(args, out)
+        return code
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -11,7 +11,11 @@ values.  ``density`` reads the Cesàro value from that analysis;
 exceeds 1, the c-step chain for the per-residue limits.  The chain is kept
 as integer letter counts (each row sums to the alphabet size s), and every
 linear system is solved exactly by sparse integer elimination in Markowitz
-pivot order, with Fractions only in the back-substitution.
+pivot order.  Arithmetic stays on Python ints until a value is reported:
+the back-substitution carries integer numerator/denominator pairs, and each
+weighted sum of Fractions (a transient state's value, a class's accepting
+mass, a residue limit) is accumulated over a running common denominator and
+normalised once, by ``_weighted_sum``.
 """
 
 from dataclasses import dataclass
@@ -79,6 +83,26 @@ class UniformChain:
 
     def successors(self):
         return [list(row.keys()) for row in self.count_rows]
+
+
+def _weighted_sum(terms, divisor=1):
+    """Σ weight·value / divisor over (int weight, rational value) pairs, as
+    one Fraction.
+
+    The numerator accumulates over the lcm of the denominators seen so far;
+    a term whose denominator already divides it adds without rescaling, and
+    the result is normalised once, when the Fraction is built.
+    """
+    num, den = 0, 1
+    for w, v in terms:
+        d = v.denominator
+        if d != den:
+            m = d // gcd(den, d)
+            if m != 1:
+                num *= m
+                den *= m
+        num += w * v.numerator * (den // d)
+    return Fraction(num, den * divisor)
 
 
 def _integer_rows(rows, rhs):
@@ -154,9 +178,10 @@ def solve_exact(rows, rhs):
     holding its nonzero entries.  Rows are scaled once to integers and
     reduced by sparse elimination: the pivot minimises the Markowitz cost
     (row nonzeros − 1)·(column nonzeros − 1), and each updated row is
-    divided by the gcd of its entries.  Back-substitution runs in
-    Fractions.  Raises ArithmeticError on a singular system and
-    BudgetExceededError past ``_SOLVE_WORK_LIMIT`` entry updates.
+    divided by the gcd of its entries.  Back-substitution runs on integer
+    numerator/denominator pairs with one gcd per unknown, and the solution
+    is returned as reduced Fractions.  Raises ArithmeticError on a singular
+    system and BudgetExceededError past ``_SOLVE_WORK_LIMIT`` entry updates.
     """
     n = len(rows)
     if len(rhs) != n:
@@ -231,14 +256,29 @@ def solve_exact(rows, rhs):
                 % (n, _SOLVE_WORK_LIMIT)
             )
         pivots.append((c, pivot_row, pb))
-    x = [None] * n
+    # x_c = (pb − Σ_j v_j·x_j) / pivot, each x_j held as a reduced pair
+    # xn[j]/xd[j] with xd[j] > 0; the numerator accumulates over the lcm of
+    # the denominators met in the row.
+    xn = [0] * n
+    xd = [1] * n
     for c, pivot_row, pb in reversed(pivots):
-        acc = Fraction(pb)
+        num, den = pb, 1
         for j, v in pivot_row.items():
             if j != c:
-                acc -= v * x[j]
-        x[c] = acc / pivot_row[c]
-    return x
+                d = xd[j]
+                if d != den:
+                    m = d // gcd(den, d)
+                    if m != 1:
+                        num *= m
+                        den *= m
+                num -= v * xn[j] * (den // d)
+        den *= pivot_row[c]
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        xn[c] = num // g
+        xd[c] = den // g
+    return [Fraction(a, b) for a, b in zip(xn, xd)]
 
 
 def _class_period_and_levels(comp, count_rows):
@@ -290,7 +330,7 @@ def _stationary(comp, count_rows, s):
     rows[0] = {0: 1}
     rhs = [1] + [0] * (len(comp) - 1)
     solution = solve_exact(rows, rhs)
-    total = sum(solution)
+    total = _weighted_sum((1, v) for v in solution)
     pi = {q: v / total for q, v in zip(comp, solution)}
     if any(v < 0 for v in pi.values()) or sum(pi.values()) != 1:
         raise ArithmeticError("stationary solve produced an invalid distribution")
@@ -305,7 +345,11 @@ def _limit_vector(step_rows, scale, fixed, sccs):
     ``fixed`` must cover every recurrent state of the row graph; the
     transient ones among ``sccs``, the row graph's strongly-connected
     components in reverse topological order, are solved exactly in that
-    order, so each system only involves one component.
+    order, so each system only involves one component.  A one-state
+    component is the common case (every state of a trie): its value
+    Σ_{q≠p} c_pq·f_q / (scale − c_pp) is built by ``_weighted_sum`` with a
+    single normalisation.  A larger component goes to ``solve_exact`` with
+    each right-hand side, the mass flowing out of it, built the same way.
     """
     f = dict(fixed)
     for comp in sccs:
@@ -313,22 +357,24 @@ def _limit_vector(step_rows, scale, fixed, sccs):
             continue
         if len(comp) == 1:
             p = comp[0]
-            acc = sum((c * f[q] for q, c in step_rows[p].items() if q != p), Fraction(0))
-            f[p] = acc / (scale - step_rows[p].get(p, 0))
+            row = step_rows[p]
+            f[p] = _weighted_sum(
+                ((c, f[q]) for q, c in row.items() if q != p), scale - row.get(p, 0)
+            )
             continue
         pos = {q: i for i, q in enumerate(comp)}
         rows = []
         rhs = []
         for p in comp:
             row = {pos[p]: scale}
-            acc = Fraction(0)
+            outside = []
             for q, c in step_rows[p].items():
                 if q in pos:
                     row[pos[q]] = row.get(pos[q], 0) - c
                 else:
-                    acc += c * f[q]
+                    outside.append((c, f[q]))
             rows.append(row)
-            rhs.append(acc)
+            rhs.append(_weighted_sum(outside))
         solution = solve_exact(rows, rhs)
         for q, v in zip(comp, solution):
             f[q] = v
@@ -350,7 +396,7 @@ def _analyse(dfa):
         if all(t in comp_set for q in comp for t in rows[q]):
             pi = _stationary(comp, rows, chain.alphabet_size)
             classes.append((comp, pi))
-            value = sum((pi[q] for q in comp if q in chain.accepting), Fraction(0))
+            value = _weighted_sum((1, pi[q]) for q in comp if q in chain.accepting)
             fixed.update(dict.fromkeys(comp, value))
     cesaro = _limit_vector(rows, chain.alphabet_size, fixed, sccs)
     return chain, classes, cesaro
@@ -403,12 +449,13 @@ def natural_density(dfa):
     for comp, pi in classes:
         period, level = _class_period_and_levels(comp, chain.count_rows)
         periods.append(period)
-        mass_by_phase = [Fraction(0)] * period
+        accepting_by_phase = [[] for _ in range(period)]
         for q in comp:
             if q in chain.accepting:
-                mass_by_phase[level[q] % period] += pi[q]
+                accepting_by_phase[level[q] % period].append((period, pi[q]))
+        mass_by_phase = [_weighted_sum(terms) for terms in accepting_by_phase]
         for q in comp:
-            phase_fixed[q] = period * mass_by_phase[level[q] % period]
+            phase_fixed[q] = mass_by_phase[level[q] % period]
     c = lcm(*periods)
 
     if c == 1:
@@ -429,11 +476,10 @@ def natural_density(dfa):
     vec = {chain.initial: 1}
     limits = []
     for k in range(c):
-        mass = sum((w * f_phase[q] for q, w in vec.items()), Fraction(0))
-        limits.append(mass / s ** k)
+        limits.append(_weighted_sum(((w, f_phase[q]) for q, w in vec.items()), s ** k))
         vec = _step_counts(chain.count_rows, vec)
 
-    if sum(limits, Fraction(0)) != c * dens:
+    if sum(limits) != c * dens:
         raise ArithmeticError("residue limits inconsistent with Cesàro density")
     natural = limits[0] if all(v == limits[0] for v in limits) else None
     return DensityReport(

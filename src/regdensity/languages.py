@@ -112,29 +112,12 @@ class Morphism:
 # -- word combinatorics ------------------------------------------------------
 
 def is_primitive(word):
-    """True iff the word is non-empty and not a proper power u**k, k >= 2."""
-    n = len(word)
-    if n == 0:
-        return False
-    for p in _prime_divisors(n):
-        d = n // p
-        if word == word[:d] * p:
-            return False
-    return True
+    """True iff the word is non-empty and not a proper power u**k, k >= 2.
 
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    A word w is a proper power iff it occurs in ww at some position strictly
+    between 0 and |w|, so one substring search decides it.
+    """
+    return word != "" and (word + word).find(word, 1) == len(word)
 
 
 def _mobius(n):

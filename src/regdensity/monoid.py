@@ -13,7 +13,7 @@ the number of monoid elements.
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .automata import explore, strongly_connected_components
+from .automata import strongly_connected_components
 from .core import BudgetExceededError
 from .density import density
 from .languages import is_primitive
@@ -157,11 +157,11 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
 
 @dataclass(frozen=True)
 class GreenClasses:
-    """Partitions of a monoid into R, L, J and H classes plus the J-order.
+    """Partitions of a monoid into R, L, J and H classes plus the minimal
+    J-class.
 
-    Class ids are noncanonical ints; ``j_below[c]`` lists every J-class id
-    reachable from c downwards (including c itself), so ``c1 in j_below[c2]``
-    decides c1 <=_J c2.
+    Class ids are noncanonical ints; ``j_minimal`` holds the one J-class id
+    that is J-below every other, the monoid's minimal ideal.
     """
 
     r_class: tuple
@@ -172,11 +172,7 @@ class GreenClasses:
     l_classes: tuple
     j_classes: tuple
     h_classes: tuple
-    j_below: tuple
     j_minimal: tuple
-
-    def j_leq(self, c1, c2):
-        return c1 in self.j_below[c2]
 
 
 def _partition_from_sccs(n, successors):
@@ -217,16 +213,12 @@ def green_classes(monoid):
     for i, h in enumerate(h_class):
         h_members[h].add(i)
 
-    n_j = len(j_members)
-    edges = [set() for _ in range(n_j)]  # self-loops are harmless below
-    for ci, right_row, left_row in zip(j_class, right, left):
-        below = edges[ci]
-        for t in right_row:
-            below.add(j_class[t])
-        for t in left_row:
-            below.add(j_class[t])
-    j_below = [frozenset(explore([c], edges.__getitem__)[0]) for c in range(n_j)]
-    j_minimal = tuple(c for c in range(n_j) if j_below[c] == frozenset([c]))
+    # A finite monoid has exactly one minimal J-class, its minimal ideal K.
+    # No generator leads out of K, as K is an ideal.  From x outside K,
+    # x·k lies in K for every k in K, so the right Cayley graph leads out of
+    # the class of x: K is the one class that no right edge leaves.
+    exits = {c for c, row in zip(j_class, right) for t in row if j_class[t] != c}
+    j_minimal = tuple(c for c in range(len(j_members)) if c not in exits)
 
     return GreenClasses(
         r_class=tuple(r_class),
@@ -237,7 +229,6 @@ def green_classes(monoid):
         l_classes=l_classes,
         j_classes=tuple(j_members),
         h_classes=tuple(frozenset(s) for s in h_members),
-        j_below=tuple(j_below),
         j_minimal=j_minimal,
     )
 

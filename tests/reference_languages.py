@@ -3,8 +3,10 @@
 The library defines dyck, counteq, majority, o3, o4, goldstine and the
 alphabet extensions of a stepped base by their steppers; the predicates
 below define the same languages directly on words, independently of those
-steppers.  ``raw_window_dfa`` is the sliding-window machine that the
-non-palindrome window family minimizes to.
+steppers.  ``is_primitive`` decides primitivity from the prime divisors
+of the length, independently of the library's substring search.
+``raw_window_dfa`` is the sliding-window machine that the non-palindrome
+window family minimizes to.
 """
 
 from regdensity import Alphabet, Dfa
@@ -89,6 +91,32 @@ BY_SPEC = {
     "infix-ext:majority:1:c": infix_ext(majority(1), "c"),
     "prefix-ext:suffix-ext:dyck:c:d": prefix_ext(suffix_ext(dyck, "c"), "d"),
 }
+
+
+def is_primitive(word):
+    """Non-empty and not u**p for any prime p dividing |w|: a proper power
+    u**k is also (u**(k/p))**p for each prime p dividing k."""
+    n = len(word)
+    if n == 0:
+        return False
+    for p in _prime_divisors(n):
+        if word == word[: n // p] * p:
+            return False
+    return True
+
+
+def _prime_divisors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def raw_window_dfa(k, alphabet=Alphabet("ab")):

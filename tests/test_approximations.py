@@ -30,6 +30,7 @@ from regdensity import (
     is_subset,
     majority_escape_witness,
     mod_counter_dfa,
+    natural_density,
     o3,
     o4,
     palindromes,
@@ -164,6 +165,30 @@ def test_extension_family_claims_from_zero(build):
         assert density(outer) == fam.outer_claim(n)
         assert is_subset(inner, outer)
     assert density(fam.inner(0)) == 0 and density(fam.outer(0)) == 1
+
+
+@st.composite
+def frozen_bases(draw):
+    """A bound n <= 6 and a base language: a random set of words over ab,
+    each shorter than n."""
+    n = draw(st.integers(0, 6))
+    words = [w for length in range(n) for w in enumerate_words(AB, length)]
+    members = frozenset(draw(st.lists(st.sampled_from(words), unique=True)) if words else ())
+    return n, LanguageOracle("frozen", AB, members.__contains__)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frozen_bases())
+def test_extension_machines_match_cylinder_mass_on_random_bases(case):
+    # the suffix machines are deep transient tries; the prefix ones are their
+    # reversals, determinized and minimized
+    n, base = case
+    for build in (suffix_extension_family, prefix_extension_family):
+        fam = build(base, "c")
+        for machine, claim in ((fam.inner(n), fam.inner_claim(n)),
+                               (fam.outer(n), fam.outer_claim(n))):
+            assert density(machine) == claim
+            assert natural_density(machine).natural_density == claim
 
 
 def test_suffix_family_respects_target():

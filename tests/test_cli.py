@@ -128,6 +128,23 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, where):
     assert err.startswith("error: cannot write ") and "Traceback" not in err
 
 
+def test_failed_run_keeps_previous_output(tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    target.write_text("hello")
+    code, out, err = run_cli(
+        capsys, "census", "--oracle", "dyck", "--max", "40", "--output", str(target)
+    )
+    assert code == 3 and out == "" and err.startswith("resource budget exceeded")
+    assert target.read_text() == "hello"
+
+
+def test_bad_input_creates_no_output_file(tmp_path, capsys):
+    target = tmp_path / "x"
+    code, out, err = run_cli(capsys, "density", "--dfa", "nosuch", "--output", str(target))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_density_work_budget_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "random.json"
     path.write_text(json.dumps(dfa_to_json(random_dfa(random.Random(3), 12, Alphabet("ab")))))

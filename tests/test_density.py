@@ -288,7 +288,22 @@ def test_solve_exact_matches_bareiss_oracle(system):
                 solve_exact(given_rows, rhs)
         return
     assert solve_exact(rows, rhs) == expected
-    assert solve_exact(dict_rows, rhs) == expected
+    solution = solve_exact(dict_rows, rhs)
+    assert solution == expected
+    assert all(type(v) is Fraction for v in solution)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-50, 50), st.fractions(max_denominator=60) | st.integers(-9, 9))
+    ),
+    st.integers(1, 50),
+)
+def test_weighted_sum_matches_fraction_arithmetic(terms, divisor):
+    total = density_module._weighted_sum(terms, divisor)
+    assert type(total) is Fraction
+    assert total == sum(w * v for w, v in terms) / Fraction(divisor)
 
 
 def test_solve_exact_work_budget(monkeypatch):

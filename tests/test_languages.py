@@ -29,6 +29,7 @@ from regdensity import (
     suffix_extension,
 )
 from regdensity import languages
+from reference_languages import is_primitive as is_primitive_by_divisors
 from regdensity.cli import load_family, load_oracle
 from regdensity.languages import (
     _s1_member,
@@ -136,6 +137,12 @@ def test_primitivity():
     assert not is_primitive("aa") and is_primitive("ab")
     assert not is_primitive("abab") and is_primitive("aab")
     assert is_primitive("aabab")
+
+
+@pytest.mark.parametrize("letters, bound", [("ab", 14), ("abc", 9)])
+def test_primitivity_matches_prime_divisor_oracle(letters, bound):
+    for word in words_up_to(Alphabet(letters), bound):
+        assert is_primitive(word) == is_primitive_by_divisors(word), word
 
 
 def test_counters_match_brute_force_binary():

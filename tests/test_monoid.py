@@ -98,17 +98,23 @@ def test_j_order_is_a_partial_order():
     machines = [starts_with_a()] + [random_dfa(rng, 4, AB) for _ in range(4)]
     for machine in machines:
         monoid, _ = transition_monoid(machine)
-        greens = green_classes(monoid)
-        ids = range(len(greens.j_classes))
+        expected, _, _, j_below = green_classes_oracle(monoid)
+
+        def j_leq(c1, c2):
+            return c1 in j_below[c2]
+
+        ids = range(len(expected.j_classes))
         for c1 in ids:
-            assert greens.j_leq(c1, c1)
+            assert j_leq(c1, c1)
             for c2 in ids:
-                if greens.j_leq(c1, c2) and greens.j_leq(c2, c1):
+                if j_leq(c1, c2) and j_leq(c2, c1):
                     assert c1 == c2
                 for c3 in ids:
-                    if greens.j_leq(c1, c2) and greens.j_leq(c2, c3):
-                        assert greens.j_leq(c1, c3)
-        assert greens.j_minimal
+                    if j_leq(c1, c2) and j_leq(c2, c3):
+                        assert j_leq(c1, c3)
+        (minimal_id,) = expected.j_minimal
+        assert all(j_leq(minimal_id, c) for c in ids)
+        assert green_classes(monoid).j_minimal == expected.j_minimal
 
 
 def test_green_classes_cyclic_group():
@@ -137,8 +143,9 @@ def test_green_classes_first_letter_language():
     assert ident_class not in greens.j_minimal
     (minimal_id,) = greens.j_minimal
     assert len(greens.j_classes[minimal_id]) == 2
-    assert greens.j_leq(minimal_id, ident_class)
-    assert not greens.j_leq(ident_class, minimal_id)
+    _, _, _, j_below = green_classes_oracle(monoid)
+    assert minimal_id in j_below[ident_class]
+    assert ident_class not in j_below[minimal_id]
 
 
 def test_h_class_with_idempotent_is_a_subgroup():
@@ -257,7 +264,9 @@ def _partition_oracle(n, successors):
 
 def green_classes_oracle(monoid):
     """R, L and J as the SCCs of the right, left and two-sided Cayley graphs,
-    all three built from ``compose``."""
+    all three built from ``compose``; the J-minimal classes are read off the
+    J-order, returned as ``j_below[c]``, the J-class ids reachable from c
+    (c included), so that ``c1 in j_below[c2]`` decides c1 <=_J c2."""
     n = len(monoid)
     right = [tuple(monoid.compose(i, g) for g in monoid.generators) for i in range(n)]
     left = [tuple(monoid.compose(g, i) for g in monoid.generators) for i in range(n)]
@@ -284,7 +293,7 @@ def green_classes_oracle(monoid):
                         seen.add(j_class[t])
                         stack.append(j_class[t])
         j_below.append(frozenset(seen))
-    return GreenClasses(
+    greens = GreenClasses(
         r_class=r_class,
         l_class=l_class,
         j_class=j_class,
@@ -293,15 +302,23 @@ def green_classes_oracle(monoid):
         l_classes=l_classes,
         j_classes=j_classes,
         h_classes=tuple(frozenset(h) for h in h_classes),
-        j_below=tuple(j_below),
         j_minimal=tuple(c for c in range(len(j_classes)) if j_below[c] == {c}),
-    ), right, left
+    )
+    return greens, right, left, j_below
+
+
+def saturating_counter_dfa(n):
+    """``a`` steps q to min(q + 1, n − 1), ``b`` is the identity, and the
+    last state accepts: a minimal machine whose monoid {a^k : k < n} has n
+    J-classes in one chain."""
+    return Dfa(AB, n, [[min(q + 1, n - 1), q] for q in range(n)], 0, {n - 1})
 
 
 def oracle_machines():
     """Seeded DFAs of 1-6 states over two and three letters whose monoids
     have at most 1500 elements: two one-state machines, then machines whose
-    monoid is not trivial."""
+    monoid is not trivial, then a 300-state saturating counter with 300
+    J-classes."""
     rng = random.Random(59)
     machines = [all_words(), Dfa(Alphabet("abc"), 1, [[0, 0, 0]], 0, set())]
     for letters in ("ab", "abc"):
@@ -316,14 +333,17 @@ def oracle_machines():
                 if len(monoid) > 1:
                     machines.append(machine)
                     kept += 1
+    machines.append(saturating_counter_dfa(300))
     return machines
 
 
 @pytest.mark.parametrize("machine", oracle_machines())
 def test_green_classes_match_three_tarjan_oracle(machine):
     monoid, _ = transition_monoid(machine)
-    expected, right, left = green_classes_oracle(monoid)
-    assert green_classes(monoid) == expected
+    expected, right, left, _ = green_classes_oracle(monoid)
+    greens = green_classes(monoid)
+    assert greens == expected
+    assert len(greens.j_minimal) == 1
     assert monoid.right_cayley() == right
     assert monoid.left_cayley() == left
     rng = random.Random(len(monoid))
