@@ -10,9 +10,8 @@ exact value with zero tolerance.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import chain, compress, filterfalse
-from operator import gt, or_
+from itertools import chain, compress
+from operator import gt
 from typing import Callable, Optional
 
 from .automata import Dfa, least_word, mod_counter_dfa, reverse
@@ -36,6 +35,7 @@ from .languages import (
     o4,
     palindromes,
     prefix_extension,
+    reader,
     staircase_word_prefix,
     suffix_extension,
 )
@@ -156,8 +156,9 @@ def goldstine_inner_dfa(k):
     return Dfa(alphabet, 2 * k + 3, delta, 0, {tail_b})
 
 
-def nonpalindrome_window_dfa(k, alphabet=None):
-    """Words of length >= 2k whose last k letters do not mirror the first k.
+def nonpalindrome_window_dfa(k):
+    """Words over {a, b} of length >= 2k whose last k letters do not mirror
+    the first k.
 
     Realised as a k-letter prefix memory and then, for each prefix p, a
     saturating counter of letters read beyond it and the Knuth-Morris-Pratt
@@ -167,11 +168,8 @@ def nonpalindrome_window_dfa(k, alphabet=None):
     """
     if k < 1:
         raise ValueError("window length must be at least 1")
-    if alphabet is None:
-        alphabet = Alphabet("ab")
-    s = len(alphabet)
-    estimated = (s ** k - 1) // (s - 1) if s > 1 else k
-    estimated += (s ** k) * (s ** k) * (k + 1)
+    alphabet = Alphabet("ab")
+    estimated = 2 ** k - 1 + 4 ** k * (k + 1)
     if estimated > STATE_BUDGET:
         raise BudgetExceededError(
             "window automaton needs about %d states, budget is %d"
@@ -299,14 +297,15 @@ def infix_extension_family(base, letter):
     not used, but must be non-negative."""
     target = infix_extension(base, letter)
     alphabet = Alphabet(base.alphabet.symbols + (letter,))
-    member = None
-    for length in range(MEMBER_SEARCH_LENGTH + 1):
-        for word in enumerate_words(base.alphabet, length):
-            if base(word):
-                member = word
-                break
-        if member is not None:
-            break
+    start, step, accepting = reader(base)
+    symbols = base.alphabet.symbols
+    member = least_word(
+        start,
+        lambda s: [step(s, ch) for ch in symbols],
+        symbols,
+        accepting,
+        MEMBER_SEARCH_LENGTH,
+    )
 
     def empty(n):
         _check_bound(n)
@@ -366,24 +365,31 @@ def family(name):
             outer_claim=lambda k: Fraction(1, 2),
         )
     if name == "o3":
-        abc = Alphabet("abc")
-
-        def outer(k):
-            first = mod_counter_dfa(k, "a", "b", loops=("c",), alphabet=abc)
-            second = mod_counter_dfa(k, "a", "c", loops=("b",), alphabet=abc)
-            return first.complement().union(second.complement())
-
+        outer = _pair_counters_outer(Alphabet("abc"), "ab", "ac")
         return ApproxFamily(name="o3", target=o3(), outer=outer)
     if name == "o4":
-        quad = Alphabet("xXyY")
-
-        def outer(k):
-            first = mod_counter_dfa(k, "x", "X", loops=("y", "Y"), alphabet=quad)
-            second = mod_counter_dfa(k, "y", "Y", loops=("x", "X"), alphabet=quad)
-            return first.complement().union(second.complement())
-
+        outer = _pair_counters_outer(Alphabet("xXyY"), "xX", "yY")
         return ApproxFamily(name="o4", target=o4(), outer=outer)
     raise ValueError("unknown approximation family %r" % name)
+
+
+def _pair_counters_outer(alphabet, *pairs):
+    """k -> the words in which, for one of the two letter pairs, both
+    letters occur equally often modulo k: a product of two k-state
+    counters, so k² must stay within the state budget."""
+    def outer(k):
+        if k > 0 and k * k > STATE_BUDGET:
+            raise BudgetExceededError(
+                "two mod-%d counters need %d product states, budget is %d"
+                % (k, k * k, STATE_BUDGET)
+            )
+        counters = []
+        for a, b in pairs:
+            loops = [ch for ch in alphabet.symbols if ch not in (a, b)]
+            counters.append(mod_counter_dfa(k, a, b, loops, alphabet).complement())
+        return counters[0].union(counters[1])
+
+    return outer
 
 
 # -- verification --------------------------------------------------------------
@@ -414,11 +420,10 @@ def _walk(checks, oracle, max_length, census=False):
 
     A stepped oracle is read over its states: a pair search per check and a
     census by states.  Otherwise all words up to ``max_length`` are walked in
-    shortlex order once, asking the oracle about each word at most once, and
-    only when a census, a live outer check, or a word accepted by an inner
-    check live at the start of its length needs the verdict.  Once every
-    check has its counterexample, the remaining lengths of the census are
-    streamed.
+    shortlex order once: the oracle is asked about every word of a length
+    while some check is still live, and the verdicts serve the census and
+    every check.  Once every check has its counterexample, the remaining
+    lengths of the census are streamed.
     """
     stepper = oracle.stepper
     if stepper is not None:
@@ -448,29 +453,15 @@ def _walk(checks, oracle, max_length, census=False):
             if census:
                 counts.extend(count_members(oracle, range(length, max_length + 1)))
             break
-        accepted = [map(c.dfa.accepting.__contains__, c.states) for c in live]
-        if census or not all(c.inner for c in live):
-            verdicts = list(map(membership, words))
-            if census:
-                counts.append(sum(verdicts))
-            for c, acc in zip(live, accepted):
-                bad = map(gt, acc, verdicts) if c.inner else map(gt, verdicts, acc)
-                c.counterexample = next(compress(words, bad), None)
-        else:
-            # only inner checks: ask about the words that some of them accept,
-            # in order, until each check has met a non-member it accepts
-            pending = live
-            wanted = reduce(partial(map, or_), accepted)
-            for word in filterfalse(membership, compress(words, wanted)):
-                for c in pending:
-                    if c.dfa.accepts(word):
-                        c.counterexample = word
-                pending = [c for c in pending if c.counterexample is None]
-                if not pending:
-                    break
+        verdicts = list(map(membership, words))
+        if census:
+            counts.append(sum(verdicts))
+        for c in live:
+            acc = map(c.dfa.accepting.__contains__, c.states)
+            bad = map(gt, acc, verdicts) if c.inner else map(gt, verdicts, acc)
+            c.counterexample = next(compress(words, bad), None)
         if length == max_length:
             break
-        del accepted  # its maps hold on to the state lists replaced below
         words = [w + ch for w in words for ch in symbols]
         for c in live:
             if c.counterexample is None:
@@ -486,8 +477,7 @@ def verify_containment(dfa, oracle, direction, max_length, budget=None):
     ``inner`` checks L(dfa) ⊆ oracle, ``outer`` checks oracle ⊆ L(dfa).
     Returns None when the inclusion holds, else the shortlex-least
     counterexample.  A stepped oracle is searched over (automaton state,
-    oracle state) pairs; otherwise the words are walked, and an ``inner``
-    check asks the oracle only about accepted words.  The oracle's
+    oracle state) pairs; otherwise the words are walked.  The oracle's
     ``membership`` must return exactly True or False.
     """
     if direction not in ("inner", "outer"):

@@ -123,9 +123,6 @@ class Dfa:
     def useful_states(self):
         return self.reachable_states() & self.coaccessible_states()
 
-    def is_empty(self):
-        return not (self.reachable_states() & self.accepting)
-
     def minimized(self):
         """The unique minimal DFA, states renumbered canonically.
 
@@ -186,19 +183,18 @@ class Dfa:
 
 
 class Nfa:
-    """Nondeterministic automaton with optional epsilon edges.
+    """Nondeterministic automaton.
 
     ``transitions`` maps ``(state, letter_rank)`` to a set of states and may
-    be sparse; ``epsilon`` maps a state to a set of states.
+    be sparse.
     """
 
-    __slots__ = ("alphabet", "n_states", "transitions", "epsilon", "initials", "accepting")
+    __slots__ = ("alphabet", "n_states", "transitions", "initials", "accepting")
 
-    def __init__(self, alphabet, n_states, transitions, initials, accepting, epsilon=None):
+    def __init__(self, alphabet, n_states, transitions, initials, accepting):
         self.alphabet = alphabet
         self.n_states = n_states
         self.transitions = {k: frozenset(v) for k, v in transitions.items()}
-        self.epsilon = {k: frozenset(v) for k, v in (epsilon or {}).items()}
         self.initials = frozenset(initials)
         self.accepting = frozenset(accepting)
         limit = range(n_states)
@@ -208,16 +204,8 @@ class Nfa:
                 raise ValueError("letter rank %d out of range" % a)
             refs.add(q)
             refs.update(targets)
-        for q, targets in self.epsilon.items():
-            refs.add(q)
-            refs.update(targets)
         if any(q not in limit for q in refs):
             raise ValueError("referenced state out of range")
-
-    def _closure(self, states):
-        if not self.epsilon:
-            return frozenset(states)
-        return frozenset(explore(states, lambda q: self.epsilon.get(q, ()))[0])
 
     def determinize(self):
         """Equivalent total DFA via subset construction (canonical numbering)."""
@@ -225,11 +213,11 @@ class Nfa:
 
         def successors(subset):
             return [
-                self._closure([t for q in subset for t in transitions.get((q, a), ())])
+                frozenset(t for q in subset for t in transitions.get((q, a), ()))
                 for a in range(len(self.alphabet))
             ]
 
-        order, delta = explore([self._closure(self.initials)], successors)
+        order, delta = explore([self.initials], successors)
         accepting = frozenset(
             i for i, subset in enumerate(order) if subset & self.accepting
         )

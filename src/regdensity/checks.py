@@ -426,20 +426,22 @@ def check_density_algebra():
     null_dense_ok = True
     monotone_ok = True
     additive_ok = True
-    for machine in machines:
-        d = density(machine)
+    densities = [density(machine) for machine in machines]
+    for machine, d in zip(machines, densities):
         if d + density(machine.complement()) != 1:
             complement_ok = False
         if (d == 0) != (not is_dense(machine)):
             null_dense_ok = False
-    for x, y in zip(machines[0::2], machines[1::2]):
+    pairs = zip(machines[0::2], machines[1::2], densities[0::2], densities[1::2])
+    for x, y, dx, dy in pairs:
         meet = x.intersection(y)
         if not is_subset(meet, x):
             monotone_ok = False
-        if not (density(meet) <= density(x) and density(meet) <= density(y)):
+        d_meet = density(meet)
+        if not (d_meet <= dx and d_meet <= dy):
             monotone_ok = False
         rest = x.difference(y)
-        if density(rest.union(y)) != density(rest) + density(y):
+        if density(rest.union(y)) != density(rest) + dy:
             additive_ok = False
     return [
         _item("complement-law", complement_ok, "200 machines"),

@@ -421,8 +421,9 @@ def build_parser():
 
     for p in (density_p, census_p, gap_p, monoid_p, check_p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--budget", type=int, default=None)
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
+    for p in (census_p, gap_p, monoid_p):
+        p.add_argument("--budget", type=int, default=None)
     return parser
 
 
@@ -440,7 +441,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
-        if args.budget is not None and args.budget < 1:
+        if getattr(args, "budget", None) is not None and args.budget < 1:
             raise UsageError("--budget must be at least 1, got %d" % args.budget)
         if getattr(args, "max", 0) < 0:
             raise UsageError("--max must be non-negative, got %d" % args.max)

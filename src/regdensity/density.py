@@ -106,29 +106,16 @@ def _weighted_sum(terms, divisor=1):
 
 
 def _integer_rows(rows, rhs):
-    """Each equation as ({column: int}, int), scaled by the lcm of its
-    denominators; zero entries are dropped."""
+    """Each equation as ({column: int}, int): the integer row scaled by the
+    denominator of its right-hand side, zero entries dropped."""
     n = len(rows)
     out = []
     for row, b in zip(rows, rhs):
-        items = row.items() if hasattr(row, "items") else enumerate(row)
-        entries = {}
-        for j, v in items:
-            if not isinstance(v, int):
-                v = Fraction(v)
-            if v:
-                if not 0 <= j < n:
-                    raise ValueError("column %r outside a %d-unknown system" % (j, n))
-                entries[j] = v
-        if not isinstance(b, int):
-            b = Fraction(b)
-        scale = lcm(b.denominator, *(v.denominator for v in entries.values()))
-        out.append(
-            (
-                {j: v.numerator * (scale // v.denominator) for j, v in entries.items()},
-                b.numerator * (scale // b.denominator),
-            )
-        )
+        for j in row:
+            if not 0 <= j < n:
+                raise ValueError("column %r outside a %d-unknown system" % (j, n))
+        d = b.denominator
+        out.append(({j: v * d for j, v in row.items() if v}, b.numerator))
     return out
 
 
@@ -174,14 +161,15 @@ def _markowitz_pivot(mat, col_rows, row_buckets, col_buckets):
 def solve_exact(rows, rhs):
     """Solve the square rational system rows·x = rhs exactly.
 
-    Each row is a sequence of n coefficients or a mapping {column: value}
-    holding its nonzero entries.  Rows are scaled once to integers and
-    reduced by sparse elimination: the pivot minimises the Markowitz cost
-    (row nonzeros − 1)·(column nonzeros − 1), and each updated row is
-    divided by the gcd of its entries.  Back-substitution runs on integer
-    numerator/denominator pairs with one gcd per unknown, and the solution
-    is returned as reduced Fractions.  Raises ArithmeticError on a singular
-    system and BudgetExceededError past ``_SOLVE_WORK_LIMIT`` entry updates.
+    Each row is a mapping {column: int} holding its nonzero entries, and
+    each right-hand side an int or a Fraction.  Rows are scaled once to
+    integers and reduced by sparse elimination: the pivot minimises the
+    Markowitz cost (row nonzeros − 1)·(column nonzeros − 1), and each
+    updated row is divided by the gcd of its entries.  Back-substitution
+    runs on integer numerator/denominator pairs with one gcd per unknown,
+    and the solution is returned as reduced Fractions.  Raises
+    ArithmeticError on a singular system and BudgetExceededError past
+    ``_SOLVE_WORK_LIMIT`` entry updates.
     """
     n = len(rows)
     if len(rhs) != n:

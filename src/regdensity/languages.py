@@ -222,10 +222,9 @@ def semi_dyck():
     )
 
 
-def count_eq(a="a", b="b", alphabet=None):
+def count_eq(a="a", b="b"):
     """Words with equally many a's and b's."""
-    if alphabet is None:
-        alphabet = Alphabet((a, b))
+    alphabet = Alphabet((a, b))
     moves = {ch: ((ch == a) - (ch == b),) for ch in alphabet}
     return LanguageOracle(
         "counteq:%s,%s" % (a, b),
@@ -234,10 +233,8 @@ def count_eq(a="a", b="b", alphabet=None):
     )
 
 
-def palindromes(alphabet=None):
-    if alphabet is None:
-        alphabet = Alphabet("ab")
-    return LanguageOracle("pal", alphabet, lambda w: w == w[::-1])
+def palindromes():
+    return LanguageOracle("pal", Alphabet("ab"), lambda w: w == w[::-1])
 
 
 def o3():
@@ -341,7 +338,7 @@ def kemp_base():
 
 def kemp():
     oracle = suffix_extension(kemp_base(), "c")
-    return LanguageOracle("kemp", oracle.alphabet, oracle.membership)
+    return LanguageOracle("kemp", oracle.alphabet, stepper=oracle.stepper)
 
 
 def majority(m=1):
@@ -355,13 +352,8 @@ def majority(m=1):
     )
 
 
-def primitive(alphabet=None):
-    if alphabet is None:
-        alphabet = Alphabet("ab")
-    size = len(alphabet)
-    return LanguageOracle(
-        "primitive", alphabet, is_primitive, lambda n: primitive_count(n, size)
-    )
+def primitive():
+    return LanguageOracle("primitive", Alphabet("ab"), is_primitive, primitive_count)
 
 
 def coprefix(morphism, seed):
@@ -385,42 +377,35 @@ def coprefix(morphism, seed):
     )
 
 
+def reader(oracle):
+    """The oracle's stepper, or else its word reader: the state is the word
+    read so far, so equal states trivially have equal futures."""
+    if oracle.stepper is not None:
+        return oracle.stepper
+    return Stepper("", add, oracle.membership)
+
+
 def suffix_extension(base, letter):
     """Members of the base language followed by a fresh letter and any tail."""
-    def member(word):
-        i = word.find(letter)
-        return i >= 0 and base(word[:i])
-
-    return _extension("suffix", base, letter, _suffix_reader, member)
+    return _extension("suffix", base, letter, _suffix_reader)
 
 
 def prefix_extension(base, letter):
     """Any head, then a fresh letter, then a member of the base language."""
-    def member(word):
-        i = word.rfind(letter)
-        return i >= 0 and base(word[i + 1 :])
-
-    return _extension("prefix", base, letter, _prefix_reader, member)
+    return _extension("prefix", base, letter, _prefix_reader)
 
 
 def infix_extension(base, letter):
     """Words containing a fresh-letter pair that brackets a base member."""
-    def member(word):
-        positions = [i for i, ch in enumerate(word) if ch == letter]
-        return any(base(word[i + 1 : j]) for i, j in zip(positions, positions[1:]))
-
-    return _extension("infix", base, letter, _infix_reader, member)
+    return _extension("infix", base, letter, _infix_reader)
 
 
-def _extension(kind, base, letter, reader, member):
-    """The extension oracle: stepped by ``reader`` over a stepped base, else
-    asked word by word through ``member``."""
+def _extension(kind, base, letter, build):
+    """The extension oracle, stepped by ``build`` over the base's reader."""
     _check_extension_letter(base, letter)
     alphabet = Alphabet(base.alphabet.symbols + (letter,))
     name = "%s-ext:%s:%s" % (kind, base.name, letter)
-    if base.stepper is None:
-        return LanguageOracle(name, alphabet, member)
-    return LanguageOracle(name, alphabet, stepper=reader(base.stepper, letter))
+    return LanguageOracle(name, alphabet, stepper=build(reader(base), letter))
 
 
 def _suffix_reader(base, letter):
@@ -479,7 +464,7 @@ class DiagonalLanguage:
     """Recursive language accepting at most one word per length while escaping
     every co-infinite machine of a pinned DFA enumeration.
 
-    Machines over the alphabet are enumerated by state count s = 1, 2, ...;
+    Machines over {a, b} are enumerated by state count s = 1, 2, ...;
     for fixed s every (accepting-set, transition-table) pair appears in
     lexicographic order of its flat encoding — the accepting bitmask (state 0
     first) followed by the row-major transition table — and state 0 is always
@@ -491,10 +476,8 @@ class DiagonalLanguage:
     non-containment in the machine it escaped.
     """
 
-    def __init__(self, alphabet=None):
-        self.alphabet = alphabet if alphabet is not None else Alphabet("ab")
-        if len(self.alphabet) < 2:
-            raise ValueError("diagonal language needs at least two letters")
+    def __init__(self):
+        self.alphabet = Alphabet("ab")
         self._stream = self._machine_stream()
         self._machines_examined = 0
         self._picks = []
@@ -563,6 +546,6 @@ class DiagonalLanguage:
             i += 1
 
 
-def diagonal(alphabet=None):
-    program = DiagonalLanguage(alphabet)
+def diagonal():
+    program = DiagonalLanguage()
     return LanguageOracle("diagonal", program.alphabet, program.membership)

@@ -1,13 +1,15 @@
 """Word-at-a-time definitions of the stepped languages, kept as test oracles.
 
-The library defines dyck, counteq, majority, o3, o4, goldstine and the
-alphabet extensions of a stepped base by their steppers; the predicates
-below define the same languages directly on words, independently of those
-steppers.  ``is_primitive`` decides primitivity from the prime divisors
-of the length, independently of the library's substring search.
+The library defines dyck, counteq, majority, o3, o4, goldstine and every
+alphabet extension by their steppers; the predicates below define the
+same languages directly on words, independently of those steppers.
+``is_primitive`` decides primitivity from the prime divisors of the
+length, independently of the library's substring search.
 ``raw_window_dfa`` is the sliding-window machine that the non-palindrome
 window family minimizes to.
 """
+
+import re
 
 from regdensity import Alphabet, Dfa
 
@@ -51,6 +53,24 @@ def goldstine(word):
     return any(n != i for i, n in enumerate(blocks, start=1))
 
 
+def pal(word):
+    return word == word[::-1]
+
+
+def kemp_base(word):
+    """a (b^i a^i)* or (a^i b^2i)* a^+, i >= 1, matched by regular
+    expressions and then checked block by block."""
+    if re.fullmatch(r"a(b+a+)*", word):
+        pairs = re.findall(r"(b+)(a+)", word[1:])
+        if all(len(bs) == len(as_) for bs, as_ in pairs):
+            return True
+    if re.fullmatch(r"(a+b+)*a+", word):
+        pairs = re.findall(r"(a+)(b+)", word)
+        if all(len(bs) == 2 * len(as_) for as_, bs in pairs):
+            return True
+    return False
+
+
 def suffix_ext(base, letter):
     def member(word):
         i = word.find(letter)
@@ -73,24 +93,6 @@ def infix_ext(base, letter):
         return any(base(word[i + 1 : j]) for i, j in zip(positions, positions[1:]))
 
     return member
-
-
-# command-line oracle name -> reference predicate
-BY_SPEC = {
-    "dyck": dyck,
-    "counteq:a,b": counteq(),
-    "majority:1": majority(1),
-    "majority:3": majority(3),
-    "o3": o3,
-    "o4": o4,
-    "goldstine": goldstine,
-    "suffix-ext:dyck:c": suffix_ext(dyck, "c"),
-    "prefix-ext:dyck:c": prefix_ext(dyck, "c"),
-    "infix-ext:dyck:c": infix_ext(dyck, "c"),
-    "suffix-ext:goldstine:c": suffix_ext(goldstine, "c"),
-    "infix-ext:majority:1:c": infix_ext(majority(1), "c"),
-    "prefix-ext:suffix-ext:dyck:c:d": prefix_ext(suffix_ext(dyck, "c"), "d"),
-}
 
 
 def is_primitive(word):
@@ -119,11 +121,34 @@ def _prime_divisors(n):
     return out
 
 
-def raw_window_dfa(k, alphabet=Alphabet("ab")):
-    """Words of length >= 2k whose last k letters do not mirror the first
-    k, as a k-letter prefix memory, a sliding window of the last k letters
-    and a saturating counter of letters read beyond the prefix (not
-    minimized: (2^(2k+1) - 1) reachable states over two letters)."""
+# command-line oracle name -> reference predicate
+BY_SPEC = {
+    "dyck": dyck,
+    "counteq:a,b": counteq(),
+    "majority:1": majority(1),
+    "majority:3": majority(3),
+    "o3": o3,
+    "o4": o4,
+    "goldstine": goldstine,
+    "suffix-ext:dyck:c": suffix_ext(dyck, "c"),
+    "prefix-ext:dyck:c": prefix_ext(dyck, "c"),
+    "infix-ext:dyck:c": infix_ext(dyck, "c"),
+    "suffix-ext:goldstine:c": suffix_ext(goldstine, "c"),
+    "infix-ext:majority:1:c": infix_ext(majority(1), "c"),
+    "prefix-ext:suffix-ext:dyck:c:d": prefix_ext(suffix_ext(dyck, "c"), "d"),
+    "suffix-ext:pal:c": suffix_ext(pal, "c"),
+    "prefix-ext:primitive:c": prefix_ext(is_primitive, "c"),
+    "infix-ext:pal:c": infix_ext(pal, "c"),
+    "kemp": suffix_ext(kemp_base, "c"),
+}
+
+
+def raw_window_dfa(k):
+    """Words over {a, b} of length >= 2k whose last k letters do not mirror
+    the first k, as a k-letter prefix memory, a sliding window of the last
+    k letters and a saturating counter of letters read beyond the prefix
+    (not minimized: (2^(2k+1) - 1) reachable states)."""
+    alphabet = Alphabet("ab")
     s = len(alphabet)
     index = {}
     delta = []

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from regdensity import Alphabet, dfa_to_json, mod_counter_dfa, random_dfa
+from regdensity import Alphabet, approximations, dfa_to_json, mod_counter_dfa, random_dfa
 from regdensity.cli import main
 
 
@@ -329,11 +329,9 @@ def test_monoid_job_builds_one_monoid(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["density", "--dfa", "evens"],
         ["census", "--oracle", "dyck", "--max", "3"],
         ["gap", "--family", "modk", "--k", "3", "--max", "4"],
         ["monoid", "--dfa", "modk:3"],
-        ["check", "--only", "textbook"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -342,6 +340,34 @@ def test_budget_below_one_is_usage_error(capsys, argv, budget):
     assert code == 2
     assert out == ""
     assert "--budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", ["1", "0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [["density", "--dfa", "evens"], ["check", "--only", "textbook"]],
+    ids=lambda argv: argv[0],
+)
+def test_budget_is_refused_where_nothing_reads_it(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--budget", budget])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == ""
+    assert "--budget" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("family", ["o3", "o4"])
+def test_gap_counter_product_over_the_state_budget_exits_3(capsys, monkeypatch, family):
+    # k² product states are refused before either counter is built
+    built = []
+    monkeypatch.setattr(
+        approximations, "mod_counter_dfa", lambda *args, **kw: built.append(args)
+    )
+    code, out, err = run_cli(capsys, "gap", "--family", family, "--k", "600", "--max", "2")
+    assert code == 3
+    assert out == "" and built == []
+    assert "360000" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("family", ["modk", "o3", "o4", "pal", "goldstine"])

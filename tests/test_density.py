@@ -202,13 +202,12 @@ def test_convergence_of_counts_to_reported_limits():
 
 
 def test_solve_exact_small_system():
-    rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = solve_exact(rows, [Fraction(5), Fraction(10)])
+    x = solve_exact([{0: 2, 1: 1}, {0: 1, 1: 3}], [5, 10])
     assert x == [Fraction(1), Fraction(3)]
 
 
 def test_solve_exact_rational_entries():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1)]]
+    rows = [{0: 3, 1: 2}, {0: 1, 1: 4}]
     rhs = [Fraction(7, 6), Fraction(9, 4)]
     x = solve_exact(rows, rhs)
     assert rows[0][0] * x[0] + rows[0][1] * x[1] == rhs[0]
@@ -217,7 +216,12 @@ def test_solve_exact_rational_entries():
 
 def test_solve_exact_singular_raises():
     with pytest.raises(ArithmeticError):
-        solve_exact([[1, 1], [2, 2]], [1, 2])
+        solve_exact([{0: 1, 1: 1}, {0: 2, 1: 2}], [1, 2])
+
+
+def test_solve_exact_rejects_a_column_outside_the_system():
+    with pytest.raises(ValueError):
+        solve_exact([{0: 1, 2: 1}, {1: 1}], [1, 2])
 
 
 def bareiss_solve(rows, rhs):
@@ -279,16 +283,21 @@ def square_systems(draw, max_n=12):
 @given(square_systems())
 def test_solve_exact_matches_bareiss_oracle(system):
     rows, rhs = system
-    dict_rows = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    # each equation scaled to integer entries, as the density engine builds
+    # them; the right-hand side stays an int or a Fraction
+    int_rows = []
+    int_rhs = []
+    for row, b in zip(rows, rhs):
+        scale = lcm(*(Fraction(v).denominator for v in row))
+        int_rows.append({j: int(v * scale) for j, v in enumerate(row) if v})
+        int_rhs.append(b * scale)
     try:
         expected = bareiss_solve(rows, rhs)
     except ArithmeticError:
-        for given_rows in (rows, dict_rows):
-            with pytest.raises(ArithmeticError):
-                solve_exact(given_rows, rhs)
+        with pytest.raises(ArithmeticError):
+            solve_exact(int_rows, int_rhs)
         return
-    assert solve_exact(rows, rhs) == expected
-    solution = solve_exact(dict_rows, rhs)
+    solution = solve_exact(int_rows, int_rhs)
     assert solution == expected
     assert all(type(v) is Fraction for v in solution)
 

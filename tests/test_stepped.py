@@ -19,11 +19,14 @@ from regdensity import (
     gap_report,
     goldstine,
     infix_extension,
+    kemp,
+    kemp_base,
     majority,
     o3,
     o4,
     palindromes,
     prefix_extension,
+    primitive,
     semi_dyck,
     suffix_extension,
     suffix_extension_family,
@@ -49,6 +52,11 @@ def stepped_oracles():
         suffix_extension(goldstine(), "c"),
         infix_extension(majority(1), "c"),
         prefix_extension(suffix_extension(dyck, "c"), "d"),
+        # extensions of word-walked bases, read over the base's word reader
+        suffix_extension(palindromes(), "c"),
+        prefix_extension(primitive(), "c"),
+        infix_extension(palindromes(), "c"),
+        kemp(),
     ]
 
 
@@ -59,6 +67,8 @@ EXHAUSTIVE_LENGTH = {
     "suffix-ext:goldstine:c": 9,
     "infix-ext:majority:1:c": 9,
     "prefix-ext:suffix-ext:dyck:c:d": 7,
+    "prefix-ext:primitive:c": 9,
+    "infix-ext:pal:c": 9,
     "o4": 8,
 }
 
@@ -120,10 +130,12 @@ def test_oracle_needs_exactly_one_definition():
         LanguageOracle("both", Alphabet("ab"), semi_dyck().membership, stepper=semi_dyck().stepper)
 
 
-def test_unstepped_bases_keep_the_word_walk():
-    assert palindromes().stepper is None and palindromes().complement().stepper is None
+def test_extensions_of_word_walked_bases_are_stepped():
+    for whole in (palindromes(), primitive(), kemp_base()):
+        assert whole.stepper is None and whole.complement().stepper is None
+        for extend in (suffix_extension, prefix_extension, infix_extension):
+            assert extend(whole, "c").stepper is not None
     suff = suffix_extension(palindromes(), "c")
-    assert suff.stepper is None
     assert suff("abac") and not suff("abc") and not suff("ab")
 
 
