@@ -11,10 +11,11 @@ exact value with zero tolerance.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
+from math import isqrt
 from operator import gt
 from typing import Callable, Optional
 
-from .automata import Dfa, least_word, mod_counter_dfa, reverse
+from .automata import STATE_BUDGET, Dfa, build_dfa, least_word, mod_counter_dfa, reverse
 from .core import (
     Alphabet,
     BudgetExceededError,
@@ -36,12 +37,10 @@ from .languages import (
     palindromes,
     prefix_extension,
     reader,
-    staircase_word_prefix,
     suffix_extension,
 )
 from .monoid import transition_monoid
 
-STATE_BUDGET = 200_000  # states of a window or cylinder-trie machine
 MEMBER_SEARCH_LENGTH = 12  # longest base word the infix family looks for
 
 
@@ -81,17 +80,13 @@ class GapReport:
 # -- generators ---------------------------------------------------------------
 
 def ends_with_letter_dfa(letter, alphabet):
-    """Words whose last letter is the given one."""
-    rank = alphabet.rank(letter)
-    delta = [
-        [1 if a == rank else 0 for a in range(len(alphabet))],
-        [1 if a == rank else 0 for a in range(len(alphabet))],
-    ]
-    return Dfa(alphabet, 2, delta, 0, {1})
+    """Words whose last letter is the given one: the state is whether the
+    last letter read was it."""
+    return build_dfa(alphabet, False, lambda last: [ch == letter for ch in alphabet], bool)
 
 
 def empty_language_dfa(alphabet):
-    return Dfa(alphabet, 1, [[0] * len(alphabet)], 0, frozenset())
+    return build_dfa(alphabet, 0, lambda q: [q] * len(alphabet), bool)
 
 
 def _matcher_rows(pattern, symbols):
@@ -116,82 +111,74 @@ def contains_factor_dfa(pattern, alphabet):
     """Words containing the pattern as a factor (the Knuth-Morris-Pratt
     matcher, absorbing once the pattern is found)."""
     m = len(pattern)
-    delta = _matcher_rows(pattern, alphabet.symbols)
-    delta[m] = [m] * len(alphabet)
-    return Dfa(alphabet, m + 1, delta, 0, {m})
+    rows = _matcher_rows(pattern, alphabet.symbols)
+    rows[m] = [m] * len(alphabet)
+    return build_dfa(alphabet, 0, rows.__getitem__, lambda j: j == m)
+
+
+def _staircase_letter(j):
+    """Letter j (from 0) of the staircase word a b aa b aaa b ...: block i
+    ends with its b at position i(i+3)/2 - 1, that is where 8j + 17 is a
+    square."""
+    d = 8 * j + 17
+    return "b" if isqrt(d) ** 2 == d else "a"
 
 
 def goldstine_inner_dfa(k):
     """Words of the block language whose first k letters already diverge
-    from the staircase word and whose last letter is b."""
+    from the staircase word and whose last letter is b.
+
+    The state is (letters read, diverged) while at most k letters are read,
+    then the last letter read, or ``None`` (dead) once the first k letters
+    were the staircase prefix.
+    """
     if k < 1:
         raise ValueError("prefix length must be at least 1")
-    alphabet = Alphabet("ab")
-    prefix = staircase_word_prefix(k)
-    # state j < k: j letters read, all matching the staircase prefix;
-    # div[j]: j letters read, already diverged; then a 2-state last-letter
-    # tail and a dead sink for words that completed the staircase prefix
-    div = {j: k + j - 1 for j in range(1, k + 1)}
-    tail_a = 2 * k
-    tail_b = 2 * k + 1
-    dead = 2 * k + 2
-    delta = [[0, 0] for _ in range(2 * k + 3)]
-    for j in range(k):
-        for a, ch in enumerate("ab"):
-            matches = ch == prefix[j]
-            if j < k - 1:
-                delta[j][a] = j + 1 if matches else div[j + 1]
-            else:
-                delta[j][a] = dead if matches else div[k]
-    for j in range(1, k):
-        delta[div[j]][0] = div[j + 1]
-        delta[div[j]][1] = div[j + 1]
-    delta[div[k]][0] = tail_a
-    delta[div[k]][1] = tail_b
-    for state in (tail_a, tail_b):
-        delta[state][0] = tail_a
-        delta[state][1] = tail_b
-    delta[dead][0] = dead
-    delta[dead][1] = dead
-    return Dfa(alphabet, 2 * k + 3, delta, 0, {tail_b})
+
+    def successors(state):
+        if type(state) is not tuple:
+            return ("a", "b") if state else (None, None)
+        j, diverged = state
+        if j == k:
+            return ("a", "b")
+        row = [(j + 1, diverged or ch != _staircase_letter(j)) for ch in "ab"]
+        return [None if t == (k, False) else t for t in row]
+
+    return build_dfa(Alphabet("ab"), (0, False), successors, lambda state: state == "b")
 
 
 def nonpalindrome_window_dfa(k):
     """Words over {a, b} of length >= 2k whose last k letters do not mirror
     the first k.
 
-    Realised as a k-letter prefix memory and then, for each prefix p, a
-    saturating counter of letters read beyond it and the Knuth-Morris-Pratt
-    matcher state of those letters against reverse(p); the result is
-    minimized.  The budget bounds the equivalent sliding-window machine
-    (prefix memory, window of the last k letters and counter).
+    Realised as a memory of the prefix read so far and then, once it has k
+    letters p, a state (p, e, j): e letters read beyond p (saturating at k)
+    and the Knuth-Morris-Pratt matcher state j of those letters against
+    reverse(p); the result is minimized.  The budget bounds the equivalent
+    sliding-window machine (prefix memory, window of the last k letters and
+    counter), decided without computing its size once 2^k alone is past it.
     """
     if k < 1:
         raise ValueError("window length must be at least 1")
-    alphabet = Alphabet("ab")
-    estimated = 2 ** k - 1 + 4 ** k * (k + 1)
-    if estimated > STATE_BUDGET:
+    if k >= STATE_BUDGET.bit_length() or 2 ** k - 1 + 4 ** k * (k + 1) > STATE_BUDGET:
         raise BudgetExceededError(
-            "window automaton needs about %d states, budget is %d"
-            % (estimated, STATE_BUDGET)
+            "window automaton for k=%d needs more than %d states" % (k, STATE_BUDGET)
         )
-    symbols = alphabet.symbols
-    index, words = _word_trie_states(alphabet, k)
-    # per prefix, a block of states (e, j): e letters read beyond the prefix
-    # (saturating at k) and matcher state j
-    width = (k + 1) * (k + 1)
-    prefixes = enumerate_words(alphabet, k)
-    index.update((p, len(words) + i * width) for i, p in enumerate(prefixes))
-    delta = [[index[w + ch] for ch in symbols] for w in words]
-    accepting = []
-    for p in prefixes:
-        block = index[p]
-        matcher = _matcher_rows(p[::-1], symbols)
-        for e in range(k + 1):
-            after = block + min(e + 1, k) * (k + 1)
-            delta.extend([after + j for j in row] for row in matcher)
-        accepting.extend(block + k * (k + 1) + j for j in range(k))
-    return Dfa(alphabet, len(delta), delta, 0, accepting).minimized()
+    matchers = {}
+
+    def successors(state):
+        if type(state) is str:
+            return [(w, 0, 0) if len(w) == k else w for w in (state + "a", state + "b")]
+        p, e, j = state
+        if p not in matchers:
+            matchers[p] = _matcher_rows(p[::-1], "ab")
+        after = min(e + 1, k)
+        return [(p, after, t) for t in matchers[p][j]]
+
+    def accepting(state):
+        return type(state) is tuple and state[1] == k and state[2] < k
+
+    return build_dfa(Alphabet("ab"), "", successors, accepting).minimized()
 
 
 def _check_bound(n):
@@ -199,40 +186,26 @@ def _check_bound(n):
         raise ValueError("the parameter must be non-negative, got %d" % n)
 
 
-def _word_trie_states(alphabet, max_exclusive):
-    """Deterministically ordered ids for all words shorter than the bound."""
-    order = []
-    for length in range(max_exclusive):
-        order.extend(enumerate_words(alphabet, length))
-    return {w: i for i, w in enumerate(order)}, order
-
-
 def _cylinder_trie_dfa(base, letter, n, outer):
     """The machine behind both suffix sandwiches: a trie of the base words w
-    shorter than n, where w·letter leads to an absorbing ``free`` state if w
-    is a base member and to an absorbing dead state if not.  A word that
-    outgrows the trie is not decided by it: the outer machine sends it to
-    ``free`` and also accepts inside the trie, the inner one sends it to the
-    dead state and accepts only ``free``."""
+    shorter than n, where w·letter leads to the absorbing state True (free)
+    if w is a base member and to the absorbing state False (dead) if not.
+    A word that outgrows the trie is not decided by it: the outer machine
+    sends it to free and also accepts inside the trie, the inner one sends
+    it to dead and accepts only free."""
     _check_bound(n)
     alphabet = Alphabet(base.alphabet.symbols + (letter,))
-    s = len(base.alphabet)
-    trie_size = sum(s ** i for i in range(n))
-    if trie_size + 2 > STATE_BUDGET:
-        raise BudgetExceededError("cylinder trie needs %d states" % (trie_size + 2))
-    index, order = _word_trie_states(base.alphabet, n)
-    free = len(order)
-    dead = len(order) + 1
-    beyond = free if outer else dead
-    delta = [
-        [index.get(word + ch, beyond) for ch in base.alphabet.symbols]
-        + [free if base(word) else dead]
-        for word in order
-    ]
-    delta.append([free] * (s + 1))
-    delta.append([dead] * (s + 1))
-    accepting = {free, *range(len(order))} if outer else {free}
-    return Dfa(alphabet, len(order) + 2, delta, index.get("", beyond), accepting)
+
+    def successors(state):
+        if type(state) is bool:
+            return [state] * len(alphabet)
+        grown = [state + ch if len(state) + 1 < n else outer for ch in base.alphabet]
+        return grown + [base(state)]
+
+    def accepting(state):
+        return state is True or (outer and type(state) is str)
+
+    return build_dfa(alphabet, "" if n > 0 else outer, successors, accepting)
 
 
 def suffix_inner_dfa(base, letter, n):
@@ -337,12 +310,11 @@ def infix_extension_family(base, letter):
 def family(name):
     """Named approximation family used by the command-line surface."""
     if name == "modk":
-        ab = Alphabet("ab")
         return ApproxFamily(
             name="modk",
             target=count_eq(),
             inner=None,
-            outer=lambda k: mod_counter_dfa(k, alphabet=ab).complement(),
+            outer=lambda k: mod_counter_dfa(k).complement(),
             inner_claim=None,
             outer_claim=lambda k: Fraction(1, k) if k % 2 == 1 else None,
         )
@@ -375,19 +347,25 @@ def family(name):
 
 def _pair_counters_outer(alphabet, *pairs):
     """k -> the words in which, for one of the two letter pairs, both
-    letters occur equally often modulo k: a product of two k-state
-    counters, so k² must stay within the state budget."""
+    letters occur equally often modulo k: the state is the pair of count
+    differences modulo k, so k² must stay within the state budget."""
+    # per letter, its effect on the two count differences
+    moves = [tuple((ch == a) - (ch == b) for a, b in pairs) for ch in alphabet.symbols]
+
     def outer(k):
-        if k > 0 and k * k > STATE_BUDGET:
+        if k < 1:
+            raise ValueError("modulus must be at least 1")
+        if k * k > STATE_BUDGET:
             raise BudgetExceededError(
-                "two mod-%d counters need %d product states, budget is %d"
+                "the residue pairs mod %d need %d states, budget is %d"
                 % (k, k * k, STATE_BUDGET)
             )
-        counters = []
-        for a, b in pairs:
-            loops = [ch for ch in alphabet.symbols if ch not in (a, b)]
-            counters.append(mod_counter_dfa(k, a, b, loops, alphabet).complement())
-        return counters[0].union(counters[1])
+        return build_dfa(
+            alphabet,
+            (0, 0),
+            lambda rs: [((rs[0] + x) % k, (rs[1] + y) % k) for x, y in moves],
+            lambda rs: 0 in rs,
+        )
 
     return outer
 
@@ -491,11 +469,11 @@ def verify_containment(dfa, oracle, direction, max_length, budget=None):
 def gap_report(fam, ks, max_length, budget=None):
     """Exact inner/outer densities, gaps and containment verdicts per k.
 
-    One walk over the words checks every k's containments and, when the
-    target has no closed-form counter, takes its census: the oracle is asked
-    about each word at most once.  A stepped target is read over its states
-    instead (see ``verify_containment``).  The target's ``membership`` must
-    return exactly True or False.
+    One walk over the words checks every k's containments and takes the
+    target's census: the oracle is asked about each word at most once.  A
+    stepped target is read over its states instead (see
+    ``verify_containment``).  The target's ``membership`` must return
+    exactly True or False.
     """
     built = []
     checks = []
@@ -514,12 +492,8 @@ def gap_report(fam, ks, max_length, budget=None):
             pair.append(check)
         built.append((k, inner_d, outer_d, pair))
     target = fam.target
-    if target.counter is not None:
-        _walk(checks, target, max_length)
-        counts = [target.counts(n) for n in range(max_length + 1)]
-    else:
-        check_enumeration_budget(len(target.alphabet), max_length, budget, "membership tests")
-        counts = _walk(checks, target, max_length, census=True)
+    check_enumeration_budget(len(target.alphabet), max_length, budget, "membership tests")
+    counts = _walk(checks, target, max_length, census=True)
     rows = tuple(
         GapRow(
             k=k,

@@ -2,16 +2,21 @@
 forbidden-word detection, and the two searches behind them: a breadth-first
 explorer and a shortlex-least word search.
 
-DFAs are always total (every state has a transition on every letter); input
-constructors add a rejecting sink when needed.  All operations are pure and
-return fresh automata with canonical state numbering (BFS discovery order,
-letters taken in alphabet order), so structurally equal results are
-language-equal and vice versa after minimization.
+DFAs are always total (every state has a transition on every letter).
+Every machine the package constructs comes from ``build_dfa``: the states
+reachable from a start state under a successor function, numbered in BFS
+discovery order with letters taken in alphabet order.  All operations are
+pure and return such canonical machines, so structurally equal results are
+language-equal and vice versa after minimization.  The explorer refuses to
+discover more than ``STATE_BUDGET`` states, which bounds every automaton
+built or read.
 """
 
 import json
 
-from .core import Alphabet, LengthCensus
+from .core import Alphabet, BudgetExceededError, LengthCensus
+
+STATE_BUDGET = 200_000  # states one exploration may discover
 
 
 class Dfa:
@@ -90,13 +95,12 @@ class Dfa:
     def _product(self, other, keep):
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch: %r vs %r" % (self.alphabet, other.alphabet))
-        order, delta = explore([(self.initial, other.initial)], _pair_successors(self, other))
-        accepting = frozenset(
-            i
-            for i, (p, q) in enumerate(order)
-            if keep(p in self.accepting, q in other.accepting)
+        return build_dfa(
+            self.alphabet,
+            (self.initial, other.initial),
+            _pair_successors(self, other),
+            lambda pq: keep(pq[0] in self.accepting, pq[1] in other.accepting),
         )
-        return Dfa(self.alphabet, len(order), delta, 0, accepting)
 
     def union(self, other):
         return self._product(other, lambda x, y: x or y)
@@ -150,16 +154,13 @@ class Dfa:
         for i in range(len(reach)):
             if block[i] not in rep_delta:
                 rep_delta[block[i]] = [block[col[i]] for col in cols]
-        init_block = block[pos[self.initial]]
         acc_blocks = frozenset(block[pos[q]] for q in reach if q in self.accepting)
-        quotient = Dfa(
+        return build_dfa(
             self.alphabet,
-            len(rep_delta),
-            [rep_delta[b] for b in range(len(rep_delta))],
-            init_block,
-            acc_blocks,
+            block[pos[self.initial]],
+            rep_delta.__getitem__,
+            acc_blocks.__contains__,
         )
-        return _renumber_bfs(quotient)
 
     # -- Counting ------------------------------------------------------------
 
@@ -217,11 +218,12 @@ class Nfa:
                 for a in range(len(self.alphabet))
             ]
 
-        order, delta = explore([self.initials], successors)
-        accepting = frozenset(
-            i for i, subset in enumerate(order) if subset & self.accepting
+        return build_dfa(
+            self.alphabet,
+            self.initials,
+            successors,
+            lambda subset: not self.accepting.isdisjoint(subset),
         )
-        return Dfa(self.alphabet, len(order), delta, 0, accepting)
 
 
 def reverse(dfa):
@@ -238,7 +240,9 @@ def explore(starts, successors):
 
     Returns the states in discovery order and, for each of them, the
     discovery indices of ``successors(state)`` in the order listed (letter
-    order for automata).  States must be hashable.
+    order for automata).  States must be hashable.  Raises
+    BudgetExceededError rather than discover more than ``STATE_BUDGET``
+    states.
     """
     order = list(dict.fromkeys(starts))
     index = {q: i for i, q in enumerate(order)}
@@ -248,11 +252,24 @@ def explore(starts, successors):
         for t in successors(q):
             i = index.get(t)
             if i is None:
+                if len(order) >= STATE_BUDGET:
+                    raise BudgetExceededError(
+                        "automaton exceeds %d reachable states" % STATE_BUDGET
+                    )
                 i = index[t] = len(order)
                 order.append(t)
             row.append(i)
         rows.append(row)
     return order, rows
+
+
+def build_dfa(alphabet, start, successors, accepting):
+    """The DFA of the states reachable from ``start``, numbered in BFS
+    discovery order.  ``successors(state)`` lists one successor per letter,
+    in alphabet order, and ``accepting(state)`` decides each state."""
+    order, delta = explore([start], successors)
+    final = [i for i, q in enumerate(order) if accepting(q)]
+    return Dfa(alphabet, len(order), delta, 0, final)
 
 
 def least_word(start, successors, symbols, goal, max_length):
@@ -287,13 +304,6 @@ def _pair_successors(x, y):
     """Successors, letter by letter, of a state pair of two DFAs."""
     dx, dy = x.delta, y.delta
     return lambda pq: zip(dx[pq[0]], dy[pq[1]])
-
-
-def _renumber_bfs(dfa):
-    """Renumber reachable states in BFS discovery order (letters in order)."""
-    order, delta = explore([dfa.initial], dfa.delta.__getitem__)
-    accepting = frozenset(i for i, q in enumerate(order) if q in dfa.accepting)
-    return Dfa(dfa.alphabet, len(order), delta, 0, accepting)
 
 
 def equivalent(x, y):
@@ -434,52 +444,28 @@ def strongly_connected_components(successors):
     return sccs
 
 
-def mod_counter_dfa(k, a="a", b="b", loops=(), alphabet=None):
-    """DFA accepting words whose a-count and b-count differ modulo k.
-
-    State i holds (count of a) - (count of b) mod k; letters in ``loops`` act
-    as the identity.  Accepting states are all nonzero residues.
-    """
+def mod_counter_dfa(k):
+    """DFA over {a, b} accepting words whose a-count and b-count differ
+    modulo k: the state is (count of a) - (count of b) mod k."""
     if k < 1:
         raise ValueError("modulus must be at least 1")
-    if a == b:
-        raise ValueError("the two counted letters must differ")
-    loops = tuple(loops)
-    if a in loops or b in loops:
-        raise ValueError("self-loop letters must be disjoint from the counted pair")
-    if alphabet is None:
-        alphabet = Alphabet((a, b) + loops)
-    for ch in (a, b) + loops:
-        if ch not in alphabet:
-            raise ValueError("letter %r missing from alphabet %r" % (ch, alphabet))
-    if set(alphabet.symbols) - set((a, b) + loops):
-        raise ValueError("alphabet contains letters with no assigned action")
-    delta = []
-    for i in range(k):
-        row = []
-        for ch in alphabet.symbols:
-            if ch == a:
-                row.append((i + 1) % k)
-            elif ch == b:
-                row.append((i - 1) % k)
-            else:
-                row.append(i)
-        delta.append(row)
-    return Dfa(alphabet, k, delta, 0, frozenset(range(1, k)))
+    return build_dfa(Alphabet("ab"), 0, lambda i: ((i + 1) % k, (i - 1) % k), bool)
 
 
 def even_length_dfa(alphabet):
     """Words of even length."""
-    size = len(alphabet)
-    return Dfa(alphabet, 2, [[1] * size, [0] * size], 0, {0})
+    return build_dfa(alphabet, 0, lambda q: [1 - q] * len(alphabet), lambda q: q == 0)
 
 
 def starts_with_dfa(letter, alphabet):
-    """Words whose first letter is the given one."""
-    rank = alphabet.rank(letter)
-    size = len(alphabet)
-    delta = [[1 if a == rank else 2 for a in range(size)], [1] * size, [2] * size]
-    return Dfa(alphabet, 3, delta, 0, {1})
+    """Words whose first letter is the given one: the state is None before
+    the first letter, then whether it was the given one."""
+    return build_dfa(
+        alphabet,
+        None,
+        lambda first: [ch == letter if first is None else first for ch in alphabet],
+        lambda first: first is True,
+    )
 
 
 def random_dfa(rng, n_states, alphabet):

@@ -42,7 +42,6 @@ from .languages import (
     majority_count,
     o3,
     o3_count,
-    o4,
     palindromes,
     primitive,
     primitive_count,

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 
 from . import approximations, languages
 from .automata import dfa_from_json, even_length_dfa, mod_counter_dfa, starts_with_dfa
@@ -393,6 +394,7 @@ def cmd_check(args, out):
 
 # -- entry point -----------------------------------------------------------------
 
+@cache  # one parser per process: building one takes about a millisecond
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="regdensity",
@@ -437,6 +439,8 @@ _HANDLERS = {
 
 
 def main(argv=None):
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact values may have any number of digits
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]

@@ -134,10 +134,12 @@ def format_fraction(value):
 
 def check_enumeration_budget(alphabet_size, max_length, budget, what):
     """Refuse to enumerate ``alphabet_size ** max_length`` words past the
-    budget (default: the enumeration budget)."""
+    budget (default: the enumeration budget); the power is not computed
+    once max_length alone shows it past the budget."""
     if budget is None:
         budget = DEFAULT_ENUMERATION_BUDGET
-    if alphabet_size ** max_length > budget:
+    past = alphabet_size > 1 and max_length >= budget.bit_length()
+    if past or alphabet_size ** max_length > budget:
         raise BudgetExceededError(
             "%d^%d %s exceed budget %d" % (alphabet_size, max_length, what, budget)
         )

@@ -39,7 +39,7 @@ class Stepper(NamedTuple):
 
 
 class LanguageOracle:
-    """Named total membership predicate with an optional exact counter.
+    """Named total membership predicate.
 
     An oracle is given either by ``membership`` or by a ``stepper``, whose
     run over a word is then the membership predicate; censuses and
@@ -49,15 +49,14 @@ class LanguageOracle:
     truthy value such as a count gives wrong answers.
     """
 
-    __slots__ = ("name", "alphabet", "membership", "counter", "stepper")
+    __slots__ = ("name", "alphabet", "membership", "stepper")
 
-    def __init__(self, name, alphabet, membership=None, counter=None, stepper=None):
+    def __init__(self, name, alphabet, membership=None, stepper=None):
         if (membership is None) == (stepper is None):
             raise ValueError("an oracle needs exactly one of membership and stepper")
         self.name = name
         self.alphabet = alphabet
         self.membership = stepper.run if membership is None else membership
-        self.counter = counter
         self.stepper = stepper
 
     def __call__(self, word):
@@ -65,13 +64,6 @@ class LanguageOracle:
 
     def __repr__(self):
         return "LanguageOracle(%r, %r)" % (self.name, self.alphabet)
-
-    def counts(self, length):
-        """Exact number of members of the given length, via the closed-form
-        counter."""
-        if self.counter is None:
-            raise ValueError("oracle %r has no closed-form counter" % self.name)
-        return self.counter(length)
 
     def complement(self):
         name = "not-" + self.name
@@ -217,7 +209,6 @@ def semi_dyck():
     return LanguageOracle(
         "dyck",
         Alphabet("ab"),
-        counter=dyck_count,
         stepper=Stepper(0, step, lambda depth: depth == 0),
     )
 
@@ -244,7 +235,6 @@ def o3():
     return LanguageOracle(
         "o3",
         Alphabet("abc"),
-        counter=o3_count,
         stepper=_difference_stepper(moves, lambda state: 0 in state),
     )
 
@@ -256,7 +246,6 @@ def o4():
     return LanguageOracle(
         "o4",
         Alphabet("xXyY"),
-        counter=o4_count,
         stepper=_difference_stepper(moves, lambda state: 0 in state),
     )
 
@@ -347,27 +336,33 @@ def majority(m=1):
     return LanguageOracle(
         "majority:%d" % m,
         Alphabet("ab"),
-        counter=lambda n: majority_count(n, m),
         stepper=_difference_stepper({"a": (1,), "b": (-m,)}, lambda state: state[0] > 0),
     )
 
 
 def primitive():
-    return LanguageOracle("primitive", Alphabet("ab"), is_primitive, primitive_count)
+    return LanguageOracle("primitive", Alphabet("ab"), is_primitive)
 
 
 def coprefix(morphism, seed):
-    """Complement of the prefix set of the morphic fixed point."""
+    """Complement of the prefix set of the morphic fixed point.
+
+    The fixed point is infinite iff the tail of the seed's image has a
+    letter that is not mortal, where a letter is mortal if some iterate of
+    its image is empty; then every iteration grows the prefix.
+    """
     if not morphism.is_prolongable_on(seed):
         raise ValueError("morphism is not prolongable on %r" % seed)
+    mortal = set()
+    for _ in morphism.images:  # the mortal letters are all found in |A| rounds
+        mortal = {ch for ch, image in morphism.images.items() if mortal.issuperset(image)}
+    if mortal.issuperset(morphism.images[seed][1:]):
+        raise ValueError("the fixed point of the morphism on %r is finite" % seed)
     cache = [seed]
 
     def prefix_of(length):
         while len(cache[0]) < length:
-            grown = morphism(cache[0])
-            if len(grown) <= len(cache[0]):
-                raise ValueError("morphism iteration stalled; fixed point is finite")
-            cache[0] = grown
+            cache[0] = morphism(cache[0])
         return cache[0][:length]
 
     return LanguageOracle(

@@ -7,11 +7,18 @@ same languages directly on words, independently of those steppers.
 length, independently of the library's substring search.
 ``raw_window_dfa`` is the sliding-window machine that the non-palindrome
 window family minimizes to.
+
+The hand-indexed machines at the end number their states with their own
+index arithmetic instead of exploring a successor function; the library
+builds the same languages by exploration, and the tests compare the two
+after minimization.
 """
 
 import re
 
-from regdensity import Alphabet, Dfa
+from regdensity import Alphabet, Dfa, enumerate_words
+from regdensity.approximations import _matcher_rows
+from regdensity.languages import staircase_word_prefix
 
 
 def dyck(word):
@@ -186,3 +193,106 @@ def raw_window_dfa(k):
                     seen.add(nxt)
                     pending.append(nxt)
     return Dfa(alphabet, len(delta), delta, start, accepting)
+
+
+# -- hand-indexed machines ------------------------------------------------------
+
+def mod_counter_dfa(k, a="a", b="b", loops=(), alphabet=None):
+    """Words whose a-count and b-count differ modulo k; state i holds
+    (count of a) - (count of b) mod k and letters in ``loops`` act as the
+    identity."""
+    if alphabet is None:
+        alphabet = Alphabet((a, b) + tuple(loops))
+    delta = []
+    for i in range(k):
+        row = []
+        for ch in alphabet.symbols:
+            if ch == a:
+                row.append((i + 1) % k)
+            elif ch == b:
+                row.append((i - 1) % k)
+            else:
+                row.append(i)
+        delta.append(row)
+    return Dfa(alphabet, k, delta, 0, frozenset(range(1, k)))
+
+
+def pair_counters_union(alphabet, pairs, k):
+    """The o3/o4 outer machine as the union of two complemented counters,
+    each looping on the letters outside its pair."""
+    counters = []
+    for a, b in pairs:
+        loops = [ch for ch in alphabet.symbols if ch not in (a, b)]
+        counters.append(mod_counter_dfa(k, a, b, loops, alphabet).complement())
+    return counters[0].union(counters[1])
+
+
+def goldstine_inner_dfa(k):
+    """States j < k: j letters read, all matching the staircase prefix;
+    div[j]: j letters read, already diverged; then a 2-state last-letter
+    tail and a dead sink for words that completed the staircase prefix."""
+    prefix = staircase_word_prefix(k)
+    div = {j: k + j - 1 for j in range(1, k + 1)}
+    tail_a, tail_b, dead = 2 * k, 2 * k + 1, 2 * k + 2
+    delta = [[0, 0] for _ in range(2 * k + 3)]
+    for j in range(k):
+        for a, ch in enumerate("ab"):
+            matches = ch == prefix[j]
+            if j < k - 1:
+                delta[j][a] = j + 1 if matches else div[j + 1]
+            else:
+                delta[j][a] = dead if matches else div[k]
+    for j in range(1, k):
+        delta[div[j]] = [div[j + 1], div[j + 1]]
+    delta[div[k]] = [tail_a, tail_b]
+    delta[tail_a] = delta[tail_b] = [tail_a, tail_b]
+    delta[dead] = [dead, dead]
+    return Dfa(Alphabet("ab"), 2 * k + 3, delta, 0, {tail_b})
+
+
+def _word_trie_states(alphabet, max_exclusive):
+    order = []
+    for length in range(max_exclusive):
+        order.extend(enumerate_words(alphabet, length))
+    return {w: i for i, w in enumerate(order)}, order
+
+
+def window_dfa(k):
+    """The non-palindrome window machine before minimization: a trie of the
+    prefixes shorter than k, then per k-letter prefix p a block of
+    (k + 1)² states (e, j), unreachable ones included."""
+    alphabet = Alphabet("ab")
+    symbols = alphabet.symbols
+    index, words = _word_trie_states(alphabet, k)
+    width = (k + 1) * (k + 1)
+    prefixes = enumerate_words(alphabet, k)
+    index.update((p, len(words) + i * width) for i, p in enumerate(prefixes))
+    delta = [[index[w + ch] for ch in symbols] for w in words]
+    accepting = []
+    for p in prefixes:
+        block = index[p]
+        matcher = _matcher_rows(p[::-1], symbols)
+        for e in range(k + 1):
+            after = block + min(e + 1, k) * (k + 1)
+            delta.extend([after + j for j in row] for row in matcher)
+        accepting.extend(block + k * (k + 1) + j for j in range(k))
+    return Dfa(alphabet, len(delta), delta, 0, accepting)
+
+
+def cylinder_trie_dfa(base, letter, n, outer):
+    """The suffix sandwich machine as a shortlex-numbered trie of the base
+    words shorter than n, then the absorbing free and dead states."""
+    alphabet = Alphabet(base.alphabet.symbols + (letter,))
+    s = len(base.alphabet)
+    index, order = _word_trie_states(base.alphabet, n)
+    free, dead = len(order), len(order) + 1
+    beyond = free if outer else dead
+    delta = [
+        [index.get(word + ch, beyond) for ch in base.alphabet.symbols]
+        + [free if base(word) else dead]
+        for word in order
+    ]
+    delta.append([free] * (s + 1))
+    delta.append([dead] * (s + 1))
+    accepting = {free, *range(len(order))} if outer else {free}
+    return Dfa(alphabet, len(order) + 2, delta, index.get("", beyond), accepting)

@@ -42,7 +42,7 @@ from regdensity import (
     suffix_extension_family,
     verify_containment,
 )
-from regdensity import approximations
+from regdensity import approximations, automata
 from regdensity.approximations import (
     contains_factor_dfa,
     ends_with_letter_dfa,
@@ -51,7 +51,9 @@ from regdensity.approximations import (
     suffix_inner_dfa,
     suffix_outer_dfa,
 )
-from regdensity.languages import kemp_base
+from regdensity.languages import kemp_base, staircase_word_prefix
+
+import reference_languages as ref
 
 AB = Alphabet("ab")
 
@@ -85,6 +87,15 @@ def test_pal_inner_is_exactly_the_window_language():
 def test_pal_state_budget():
     with pytest.raises(BudgetExceededError):
         nonpalindrome_window_dfa(8)
+    # decided without computing 4**k
+    for k in (10 ** 8, 10 ** 11):
+        with pytest.raises(BudgetExceededError):
+            nonpalindrome_window_dfa(k)
+
+
+def test_window_machine_is_the_hand_indexed_machine():
+    for k in range(1, 7):
+        assert nonpalindrome_window_dfa(k) == ref.window_dfa(k).minimized()
 
 
 def test_goldstine_family_claims():
@@ -94,9 +105,19 @@ def test_goldstine_family_claims():
         assert density(fam.outer(k)) == Fraction(1, 2)
 
 
-def test_goldstine_inner_language_matches_definition():
-    from regdensity.languages import staircase_word_prefix
+def test_goldstine_inner_is_the_hand_indexed_machine():
+    for k in range(1, 12):
+        machine = goldstine_inner_dfa(k)
+        assert machine.n_states == 2 * k + 3
+        assert machine.minimized() == ref.goldstine_inner_dfa(k).minimized()
 
+
+def test_staircase_letters_spell_the_staircase_word():
+    word = staircase_word_prefix(3000)
+    assert "".join(map(approximations._staircase_letter, range(3000))) == word
+
+
+def test_goldstine_inner_language_matches_definition():
     k = 3
     machine = goldstine_inner_dfa(k)
     prefix = staircase_word_prefix(k)
@@ -244,7 +265,7 @@ def test_verify_containment_errors():
     with pytest.raises(ValueError):
         verify_containment(mod_counter_dfa(3), semi_dyck(), "sideways", 4)
     with pytest.raises(ValueError):
-        verify_containment(mod_counter_dfa(3, loops=("c",)), semi_dyck(), "inner", 4)
+        verify_containment(family("o3").outer(3), semi_dyck(), "inner", 4)
     with pytest.raises(BudgetExceededError):
         verify_containment(mod_counter_dfa(3), semi_dyck(), "inner", 30)
 
@@ -272,8 +293,25 @@ def test_gap_report_detects_broken_inner():
     assert not report.rows[0].containment_ok
 
 
+def test_cylinder_tries_are_the_hand_indexed_tries():
+    for base in (semi_dyck(), palindromes(), goldstine()):
+        for n in range(6):
+            for build, outer in ((suffix_inner_dfa, False), (suffix_outer_dfa, True)):
+                expected = ref.cylinder_trie_dfa(base, "c", n, outer).minimized()
+                assert build(base, "c", n).minimized() == expected
+
+
+def test_pair_counter_outer_is_the_union_of_two_looped_counters():
+    for name, pairs in (("o3", ("ab", "ac")), ("o4", ("xX", "yY"))):
+        fam = family(name)
+        for k in range(1, 8):
+            outer = fam.outer(k)
+            union = ref.pair_counters_union(outer.alphabet, pairs, k)
+            assert outer.minimized() == union.minimized()
+
+
 def test_suffix_trie_budget(monkeypatch):
-    monkeypatch.setattr(approximations, "STATE_BUDGET", 100)
+    monkeypatch.setattr(automata, "STATE_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
         suffix_inner_dfa(semi_dyck(), "c", 10)
     with pytest.raises(BudgetExceededError):
@@ -368,12 +406,7 @@ def old_gap_report(fam, ks, max_length):
                 else old_verify_containment(outer, fam.target, "outer", max_length),
             )
         )
-    if fam.target.counter is not None:
-        counts = [fam.target.counts(n) for n in range(max_length + 1)]
-        census = LengthCensus(len(fam.target.alphabet), counts)
-    else:
-        census = old_census(fam.target, max_length)
-    _, cesaro = ratio_and_cesaro(census)
+    _, cesaro = ratio_and_cesaro(old_census(fam.target, max_length))
     return GapReport(family=fam.name, rows=tuple(rows), target_cesaro=tuple(cesaro))
 
 
@@ -385,12 +418,11 @@ def counting(oracle):
         asked.append(word)
         return oracle.membership(word)
 
-    return LanguageOracle(oracle.name, oracle.alphabet, member, oracle.counter), asked
+    return LanguageOracle(oracle.name, oracle.alphabet, member), asked
 
 
-def dfa_oracle(machine, counted):
-    counter = (lambda n: machine.count_words(n).counts[n]) if counted else None
-    return LanguageOracle("dfa", machine.alphabet, machine.accepts, counter)
+def dfa_oracle(machine):
+    return LanguageOracle("dfa", machine.alphabet, machine.accepts)
 
 
 TARGETS = {
@@ -416,7 +448,7 @@ def gap_cases(draw):
     reference = None
     if build is None:
         reference = draw(small_dfas(alphabet))
-        target = dfa_oracle(reference, counted=draw(st.booleans()))
+        target = dfa_oracle(reference)
     else:
         target = build()
     n_ks = draw(st.integers(1, 3))
@@ -514,12 +546,12 @@ def test_census_streams_on_once_every_check_has_failed():
 
 
 def test_inner_checks_share_verdicts_within_a_length():
-    # several inner-only checks against a target with a counter (words with
+    # several inner-only checks against a word-walked target (words with
     # #a = #b mod 2, i.e. even length): each word is asked at most once; two
     # claims fail at length 3, at "aaa" and, for the one that only accepts
     # words ending in b, at "bbb"
     def balanced_mod(k):
-        return mod_counter_dfa(k, alphabet=AB).complement()
+        return mod_counter_dfa(k).complement()
 
     machines = [
         balanced_mod(4),
@@ -528,7 +560,7 @@ def test_inner_checks_share_verdicts_within_a_length():
         balanced_mod(3).intersection(ends_with_letter_dfa("b", AB)),
     ]
     ks = range(len(machines))
-    target = dfa_oracle(balanced_mod(2), counted=True)
+    target = dfa_oracle(balanced_mod(2))
     fam = ApproxFamily(name="mod", target=target, inner=machines.__getitem__)
     target, asked = counting(target)
     report = gap_report(dataclasses.replace(fam, target=target), ks, 10)

@@ -3,7 +3,6 @@
 import itertools
 import random
 from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 from regdensity import (
     Alphabet,
+    BudgetExceededError,
     Dfa,
     LanguageOracle,
     Nfa,
@@ -29,8 +29,10 @@ from regdensity import (
     shortlex_least_member,
 )
 from regdensity import automata
-from regdensity.approximations import nonpalindrome_window_dfa
+from regdensity.approximations import family, nonpalindrome_window_dfa
+from regdensity.automata import build_dfa
 from regdensity.density import UniformChain
+import reference_languages as ref
 from reference_languages import raw_window_dfa
 
 AB = Alphabet("ab")
@@ -112,7 +114,8 @@ def test_minimize_idempotent_and_language_preserving(machine):
 
 def moore_minimized(dfa):
     """Test-only oracle: Moore refinement state by state, one signature
-    tuple per state per round, then the quotient and its BFS renumbering."""
+    tuple per state per round, then the quotient's blocks renumbered in BFS
+    order, letters in alphabet order."""
     reach = sorted(dfa.reachable_states())
     pos = {q: i for i, q in enumerate(reach)}
     n_letters = len(dfa.alphabet)
@@ -135,21 +138,24 @@ def moore_minimized(dfa):
         b = block[i]
         if b not in rep_delta:
             rep_delta[b] = [block[pos[dfa.delta[q][a]]] for a in range(n_letters)]
-    quotient = Dfa(
+    accepting_blocks = {block[pos[q]] for q in reach if q in dfa.accepting}
+    order = [block[pos[dfa.initial]]]
+    for b in order:
+        for t in rep_delta[b]:
+            if t not in order:
+                order.append(t)
+    number = {b: i for i, b in enumerate(order)}
+    return Dfa(
         dfa.alphabet,
-        len(rep_delta),
-        [rep_delta[b] for b in range(len(rep_delta))],
-        block[pos[dfa.initial]],
-        frozenset(block[pos[q]] for q in reach if q in dfa.accepting),
+        len(order),
+        [[number[t] for t in rep_delta[b]] for b in order],
+        0,
+        {number[b] for b in order if b in accepting_blocks},
     )
-    return automata._renumber_bfs(quotient)
 
 
 def assert_minimized_matches_moore(machine):
     assert machine.minimized() == moore_minimized(machine)
-    # the quotients agree before renumbering too: same blocks, same block ids
-    with mock.patch.object(automata, "_renumber_bfs", lambda dfa: dfa):
-        assert machine.minimized() == moore_minimized(machine)
 
 
 @st.composite
@@ -277,20 +283,48 @@ def test_mod_counter_examples():
     assert a3.n_states == 3 and a3.accepting == frozenset({1, 2})
     a1 = mod_counter_dfa(1)
     assert shortlex_least_member(a1) is None
-    looped = mod_counter_dfa(3, loops=("c",))
+    # a self-looped counter: the reference one, and the o3 outer machine,
+    # whose a-b counter ignores c
+    looped = ref.mod_counter_dfa(3, loops=("c",))
     assert looped.accepts("cac")
     assert not looped.accepts("cabc")
+    o3_outer = family("o3").outer(3)
+    assert not o3_outer.accepts("cac") and o3_outer.accepts("cabc")
 
 
 def test_mod_counter_validation():
-    with pytest.raises(ValueError):
-        mod_counter_dfa(0)
-    with pytest.raises(ValueError):
-        mod_counter_dfa(3, "a", "a")
-    with pytest.raises(ValueError):
-        mod_counter_dfa(3, loops=("a",))
-    with pytest.raises(ValueError):
-        mod_counter_dfa(3, alphabet=ABC)  # letter c has no action
+    for k in (0, -3):
+        with pytest.raises(ValueError):
+            mod_counter_dfa(k)
+
+
+def test_mod_counter_is_the_hand_indexed_counter():
+    for k in range(1, 12):
+        machine = mod_counter_dfa(k)
+        assert machine.n_states == k
+        assert machine == machine.minimized() == ref.mod_counter_dfa(k).minimized()
+
+
+def test_build_dfa_numbers_states_in_discovery_order():
+    # states are the residues mod 5 under +1 and +2: BFS from 0 meets
+    # 1, 2, then 3 (from 1), then 4 (from 2)
+    machine = build_dfa(AB, 0, lambda r: ((r + 1) % 5, (r + 2) % 5), lambda r: r == 4)
+    assert machine.delta == ((1, 2), (2, 3), (3, 4), (4, 0), (0, 1))
+    assert machine.accepting == frozenset({4})
+    assert machine.initial == 0
+
+
+def test_every_exploration_stops_at_the_state_budget(monkeypatch):
+    monkeypatch.setattr(automata, "STATE_BUDGET", 10)
+    assert mod_counter_dfa(10).n_states == 10
+    with pytest.raises(BudgetExceededError):
+        mod_counter_dfa(11)
+    big = Dfa(AB, 11, [[(q + 1) % 11, q] for q in range(11)], 0, {0})
+    for operation in (big.minimized, big.reachable_states, reverse(big).determinize):
+        with pytest.raises(BudgetExceededError):
+            operation()
+    with pytest.raises(BudgetExceededError):
+        mod_counter_dfa(4).union(mod_counter_dfa(3))
 
 
 def test_language_infinite_examples():
@@ -373,7 +407,7 @@ def test_is_subset_and_equivalent():
 
 
 def test_json_round_trip():
-    machine = mod_counter_dfa(3, loops=("c",))
+    machine = family("o3").outer(3)  # three letters, a product of counters
     doc = dfa_to_json(machine)
     assert dfa_from_json(doc) == machine
     assert dfa_from_json(__import__("json").dumps(doc)) == machine

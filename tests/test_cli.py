@@ -3,6 +3,8 @@
 import importlib
 import json
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -359,15 +361,67 @@ def test_budget_is_refused_where_nothing_reads_it(capsys, argv, budget):
 
 @pytest.mark.parametrize("family", ["o3", "o4"])
 def test_gap_counter_product_over_the_state_budget_exits_3(capsys, monkeypatch, family):
-    # k² product states are refused before either counter is built
+    # k² residue pairs are refused before any machine is built
     built = []
     monkeypatch.setattr(
-        approximations, "mod_counter_dfa", lambda *args, **kw: built.append(args)
+        approximations, "build_dfa", lambda *args, **kw: built.append(args)
     )
     code, out, err = run_cli(capsys, "gap", "--family", family, "--k", "600", "--max", "2")
     assert code == 3
     assert out == "" and built == []
     assert "360000" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--family", "modk", "--k", "99999999999", "--max", "2"],
+        ["gap", "--family", "goldstine", "--k", "99999999999", "--max", "2"],
+        ["gap", "--family", "goldstine", "--k", "999999", "--max", "2"],
+        ["gap", "--family", "pal", "--k", "99999999999", "--max", "2"],
+        ["gap", "--family", "pal", "--k", "100000000", "--max", "1"],
+        ["density", "--dfa", "modk:1000000"],
+        ["census", "--oracle", "dyck", "--max", "9" * 5000],
+    ],
+    ids=lambda argv: " ".join(argv)[:48],
+)
+def test_over_budget_parameters_exit_3_at_once(capsys, argv):
+    # every automaton is explored under one state budget, and the window
+    # and enumeration gates never compute the power they bound
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert code == 3 and out == ""
+    assert "resource budget exceeded" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_exact_values_of_any_length_print(capsys, fmt):
+    # the inner density 1/2 - 1/2^14301 has over 4300 digits on each side
+    code, out, err = run_cli(
+        capsys, "gap", "--family", "goldstine", "--k", "14300", "--max", "1", "--format", fmt
+    )
+    assert code == 0 and err == ""
+    if fmt == "json":
+        inner = json.loads(out)["rows"][0]["inner"]
+        inner = Fraction(inner["num"], inner["den"])
+    else:
+        inner = Fraction(out.splitlines()[1].split(",")[1])
+    assert inner == Fraction(1, 2) - Fraction(1, 2 ** 14301)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--oracle", "coprefix:a=ab,b=", "--max", "4"],
+        ["gap", "--family", "suffix-ext:coprefix:a=ab,b=:c", "--k", "2", "--max", "4"],
+    ],
+    ids=["census", "gap"],
+)
+def test_finite_coprefix_fixed_point_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "finite" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("family", ["modk", "o3", "o4", "pal", "goldstine"])

@@ -205,10 +205,41 @@ def test_coprefix_oracle():
 def test_coprefix_rejects_bad_morphisms():
     with pytest.raises(ValueError):
         coprefix(Morphism(AB, {"a": "b", "b": "a"}), "a")
-    stalling = Morphism(AB, {"a": "ab", "b": ""})
-    oracle = coprefix(stalling, "a")
-    with pytest.raises(ValueError):
-        oracle("aaa")  # needs prefix length 3, iteration stalls at "ab"
+    # b is mortal (its image is empty), and c is too (its image is b), so
+    # each fixed point below is finite and the morphism is refused up front
+    for images in ({"a": "ab", "b": ""}, {"a": "abc", "b": "", "c": "b"}):
+        alphabet = Alphabet("".join(images))
+        with pytest.raises(ValueError, match="finite"):
+            coprefix(Morphism(alphabet, images), "a")
+
+
+def test_coprefix_with_a_mortal_letter_and_an_infinite_fixed_point():
+    # c is mortal but b is not: the fixed point is a b c (b c)^ω
+    oracle = coprefix(Morphism(Alphabet("abc"), {"a": "abc", "b": "bc", "c": ""}), "a")
+    assert not oracle("abcbcbcbc")
+    assert oracle("abcbb") and oracle("abcc")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text("ab", max_size=3), st.text("ab", max_size=3))
+def test_coprefix_refuses_exactly_the_finite_fixed_points(tail, b_image):
+    morphism = Morphism(AB, {"a": "a" + tail, "b": b_image})
+    # iterating from a, the length stops growing within |A| + 1 rounds or
+    # grows forever
+    word = "a"
+    for _ in range(4):
+        word = morphism(word)
+    finite = len(morphism(word)) == len(word)
+    if not tail or finite:
+        with pytest.raises(ValueError):
+            coprefix(morphism, "a")
+        return
+    oracle = coprefix(morphism, "a")
+    fixed_point = word
+    while len(fixed_point) < 12:
+        fixed_point = morphism(fixed_point)
+    for n in range(12):
+        assert not oracle(fixed_point[:n])
 
 
 def test_extension_oracles():
@@ -278,10 +309,9 @@ def test_diagonal_budget_errors(monkeypatch):
             DiagonalLanguage().membership("a")
 
 
-def test_oracle_counter_interface():
-    with pytest.raises(ValueError):
-        goldstine().counts(3)
-    assert semi_dyck().counts(6) == 5
+def test_module_counter_and_oracle_complement():
+    assert dyck_count(6) == 5
+    assert not hasattr(semi_dyck(), "counts")
     negated = semi_dyck().complement()
     assert negated("ba") and not negated("ab")
 

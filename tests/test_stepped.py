@@ -75,7 +75,7 @@ EXHAUSTIVE_LENGTH = {
 
 def unstepped(oracle):
     """The same language, asked word by word."""
-    return LanguageOracle(oracle.name, oracle.alphabet, oracle.membership, oracle.counter)
+    return LanguageOracle(oracle.name, oracle.alphabet, oracle.membership)
 
 
 def test_reference_covers_every_stepped_oracle():
