@@ -6,6 +6,7 @@ from .core import (
     BudgetExceededError,
     DEFAULT_ENUMERATION_BUDGET,
     LengthCensus,
+    Stepper,
     census_by_enumeration,
     enumerate_words,
     ratio_and_cesaro,
@@ -38,7 +39,6 @@ from .languages import (
     DiagonalLanguage,
     LanguageOracle,
     Morphism,
-    Stepper,
     coprefix,
     count_eq,
     diagonal,

@@ -10,9 +10,9 @@ exact value with zero tolerance.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from functools import cache
+from itertools import chain
 from math import isqrt
-from operator import gt
 from typing import Callable, Optional
 
 from .automata import STATE_BUDGET, Dfa, build_dfa, least_word, mod_counter_dfa, reverse
@@ -21,10 +21,9 @@ from .core import (
     BudgetExceededError,
     LengthCensus,
     check_enumeration_budget,
-    count_by_states,
-    count_members,
-    enumerate_words,
+    member_counts,
     ratio_and_cesaro,
+    reader,
 )
 from .density import density
 from .languages import (
@@ -36,7 +35,6 @@ from .languages import (
     o4,
     palindromes,
     prefix_extension,
-    reader,
     suffix_extension,
 )
 from .monoid import transition_monoid
@@ -192,8 +190,14 @@ def _cylinder_trie_dfa(base, letter, n, outer):
     if w is a base member and to the absorbing state False (dead) if not.
     A word that outgrows the trie is not decided by it: the outer machine
     sends it to free and also accepts inside the trie, the inner one sends
-    it to dead and accepts only free."""
+    it to dead and accepts only free.  The budget is checked on the trie
+    words alone, before the base is asked about any of them."""
     _check_bound(n)
+    words = 0
+    for i in range(n):
+        words += len(base.alphabet) ** i
+        if words > STATE_BUDGET:
+            raise BudgetExceededError("automaton exceeds %d reachable states" % STATE_BUDGET)
     alphabet = Alphabet(base.alphabet.symbols + (letter,))
 
     def successors(state):
@@ -219,14 +223,13 @@ def suffix_outer_dfa(base, letter, n):
 
 
 def _cylinder_mass(base, letter, n, members):
-    """Exact density sum of the cylinders picked below length n."""
-    size = len(base.alphabet) + 1
+    """Exact density sum of the cylinders picked below length n, from the
+    base's census (see ``member_counts``)."""
+    size = len(base.alphabet)
     total = Fraction(0)
-    for length in range(n):
-        hits = sum(
-            base(word) == members for word in enumerate_words(base.alphabet, length)
-        )
-        total += Fraction(hits, size ** (length + 1))
+    for length, count in enumerate(member_counts(base, n - 1)):
+        hits = count if members else size ** length - count
+        total += Fraction(hits, (size + 1) ** (length + 1))
     return total
 
 
@@ -372,81 +375,38 @@ def _pair_counters_outer(alphabet, *pairs):
 
 # -- verification --------------------------------------------------------------
 
-class _Check:
-    """One containment claim and, once found, its counterexample.  The word
-    walk keeps the automaton's state after each word of the current length
-    (dropped once the counterexample is found)."""
-
-    __slots__ = ("dfa", "inner", "states", "counterexample")
-
-    def __init__(self, dfa, direction):
-        self.dfa = dfa
-        self.inner = direction == "inner"
-        self.states = [dfa.initial]
-        self.counterexample = None
-
-
 def _guard_walk(dfa, oracle, max_length, budget):
     if dfa.alphabet != oracle.alphabet:
         raise ValueError("automaton and oracle alphabets differ")
     check_enumeration_budget(len(dfa.alphabet), max_length, budget, "containment tests")
 
 
-def _walk(checks, oracle, max_length, census=False):
-    """Fill each check's shortlex-least counterexample up to ``max_length``;
-    return the per-length member counts when ``census`` is set, else None.
+def _walk(dfa, inner, oracle, max_length):
+    """The shortlex-least counterexample up to ``max_length`` to L(dfa) ⊆
+    oracle (``inner``) or oracle ⊆ L(dfa), or None.
 
-    A stepped oracle is read over its states: a pair search per check and a
-    census by states.  Otherwise all words up to ``max_length`` are walked in
-    shortlex order once: the oracle is asked about every word of a length
-    while some check is still live, and the verdicts serve the census and
-    every check.  Once every check has its counterexample, the remaining
-    lengths of the census are streamed.
+    When the oracle's thin side holds every counterexample (its non-members
+    for an inner claim, its members for an outer one), the automaton reads
+    the thin words in shortlex order.  Otherwise the search runs over
+    (automaton state, reader state) pairs, one length at a time: a word's
+    verdict depends only on its pair, and a word reader's state is the word.
     """
-    stepper = oracle.stepper
-    if stepper is not None:
-        # a pair search per check over (automaton state, oracle state): a
-        # word's verdict depends only on its pair
-        start, step, accepting = stepper
-        symbols = oracle.alphabet.symbols
-        for c in checks:
-            delta, final = c.dfa.delta, c.dfa.accepting
-            # (accepted by the automaton, member) of a counterexample
-            bad = (True, False) if c.inner else (False, True)
-            c.counterexample = least_word(
-                (c.dfa.initial, start),
-                lambda qs: [(t, step(qs[1], ch)) for t, ch in zip(delta[qs[0]], symbols)],
-                symbols,
-                lambda qs: (qs[0] in final, accepting(qs[1])) == bad,
-                max_length,
-            )
-        return count_by_states(stepper, symbols, max_length) if census else None
-    membership = oracle.membership
+    thin = oracle.thin
+    if thin is not None and thin.members != inner:
+        words = chain.from_iterable(map(thin.words, range(max_length + 1)))
+        return next((w for w in words if dfa.accepts(w) == inner), None)
+    start, step, accepting = reader(oracle)
     symbols = oracle.alphabet.symbols
-    counts = [] if census else None
-    words = [""]
-    for length in range(max_length + 1):
-        live = [c for c in checks if c.counterexample is None]
-        if not live:
-            if census:
-                counts.extend(count_members(oracle, range(length, max_length + 1)))
-            break
-        verdicts = list(map(membership, words))
-        if census:
-            counts.append(sum(verdicts))
-        for c in live:
-            acc = map(c.dfa.accepting.__contains__, c.states)
-            bad = map(gt, acc, verdicts) if c.inner else map(gt, verdicts, acc)
-            c.counterexample = next(compress(words, bad), None)
-        if length == max_length:
-            break
-        words = [w + ch for w in words for ch in symbols]
-        for c in live:
-            if c.counterexample is None:
-                c.states = list(chain.from_iterable(map(c.dfa.delta.__getitem__, c.states)))
-            else:
-                c.states = None
-    return counts
+    delta, final = dfa.delta, dfa.accepting
+    # (accepted by the automaton, member) of a counterexample
+    bad = (True, False) if inner else (False, True)
+    return least_word(
+        (dfa.initial, start),
+        lambda qs: [(t, step(qs[1], ch)) for t, ch in zip(delta[qs[0]], symbols)],
+        symbols,
+        lambda qs: (qs[0] in final, accepting(qs[1])) == bad,
+        max_length,
+    )
 
 
 def verify_containment(dfa, oracle, direction, max_length, budget=None):
@@ -454,57 +414,60 @@ def verify_containment(dfa, oracle, direction, max_length, budget=None):
 
     ``inner`` checks L(dfa) ⊆ oracle, ``outer`` checks oracle ⊆ L(dfa).
     Returns None when the inclusion holds, else the shortlex-least
-    counterexample.  A stepped oracle is searched over (automaton state,
-    oracle state) pairs; otherwise the words are walked.  The oracle's
+    counterexample.  A thin oracle checked on its thin side runs the
+    automaton over the thin words; every other claim is a search over
+    (automaton state, reader state) pairs, and a membership-only oracle's
+    reader asks it about each word at most once.  The oracle's
     ``membership`` must return exactly True or False.
     """
     if direction not in ("inner", "outer"):
         raise ValueError("direction must be 'inner' or 'outer'")
     _guard_walk(dfa, oracle, max_length, budget)
-    check = _Check(dfa, direction)
-    _walk([check], oracle, max_length)
-    return check.counterexample
+    return _walk(dfa, direction == "inner", oracle, max_length)
 
 
 def gap_report(fam, ks, max_length, budget=None):
     """Exact inner/outer densities, gaps and containment verdicts per k.
 
-    One walk over the words checks every k's containments and takes the
-    target's census: the oracle is asked about each word at most once.  A
-    stepped target is read over its states instead (see
-    ``verify_containment``).  The target's ``membership`` must return
-    exactly True or False.
+    Every k's containments are checked as by ``verify_containment`` and the
+    target's census is taken as by ``census_by_enumeration``.  A
+    membership-only target's verdicts are memoised for the call, so the
+    checks and the census ask it about each word at most once, and the
+    first questions come in shortlex order.  The target's ``membership``
+    must return exactly True or False.
     """
     built = []
-    checks = []
     for k in ks:
         inner_dfa = fam.inner(k) if fam.inner is not None else None
         outer_dfa = fam.outer(k) if fam.outer is not None else None
         inner_d = density(inner_dfa) if inner_dfa is not None else Fraction(0)
         outer_d = density(outer_dfa) if outer_dfa is not None else Fraction(1)
-        pair = []
-        for dfa, direction in ((inner_dfa, "inner"), (outer_dfa, "outer")):
-            check = None
+        for dfa in (inner_dfa, outer_dfa):
             if dfa is not None:
                 _guard_walk(dfa, fam.target, max_length, budget)
-                check = _Check(dfa, direction)
-                checks.append(check)
-            pair.append(check)
-        built.append((k, inner_d, outer_d, pair))
+        built.append((k, inner_d, outer_d, inner_dfa, outer_dfa))
     target = fam.target
     check_enumeration_budget(len(target.alphabet), max_length, budget, "membership tests")
-    counts = _walk(checks, target, max_length, census=True)
+    if target.stepper is None:
+        target = LanguageOracle(
+            target.name, target.alphabet, cache(target.membership), thin=target.thin
+        )
+
+    def counterexample(dfa, inner):
+        return None if dfa is None else _walk(dfa, inner, target, max_length)
+
     rows = tuple(
         GapRow(
             k=k,
             inner_density=inner_d,
             outer_density=outer_d,
             gap=outer_d - inner_d,
-            inner_counterexample=None if inner is None else inner.counterexample,
-            outer_counterexample=None if outer is None else outer.counterexample,
+            inner_counterexample=counterexample(inner_dfa, True),
+            outer_counterexample=counterexample(outer_dfa, False),
         )
-        for k, inner_d, outer_d, (inner, outer) in built
+        for k, inner_d, outer_d, inner_dfa, outer_dfa in built
     )
+    counts = member_counts(target, max_length)
     _, cesaro = ratio_and_cesaro(LengthCensus(len(target.alphabet), counts))
     return GapReport(family=fam.name, rows=rows, target_cesaro=tuple(cesaro))
 

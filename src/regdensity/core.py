@@ -7,6 +7,9 @@ in this package.
 
 import itertools
 from fractions import Fraction
+from functools import reduce
+from operator import add
+from typing import Callable, Hashable, NamedTuple
 
 DEFAULT_ENUMERATION_BUDGET = 2 ** 26
 
@@ -145,25 +148,64 @@ def check_enumeration_budget(alphabet_size, max_length, budget, what):
         )
 
 
-def census_by_enumeration(oracle, max_length, budget=None):
-    """Census a language oracle up to a length.
+class Stepper(NamedTuple):
+    """A deterministic left-to-right reader of a language.
 
-    The oracle must expose ``alphabet`` and a ``membership`` predicate that
-    returns exactly True or False.  When it also has a ``stepper``, the
-    census is read from the stepper's states (see ``count_by_states``);
-    otherwise words are asked in shortlex order, in blocks of at most 1024
-    that share a head.  Guarded either way: ``|A| ** max_length`` may not
-    exceed the enumeration budget, which also bounds the stepper's states
-    per length.
+    ``step(state, letter)`` moves from state to state, starting at
+    ``start``; a word is a member iff ``accepting`` holds of the state it
+    reaches.  States are hashable and equal states have equal futures, so
+    words that reach the same state can be counted and checked together.
+    ``accepting`` must return exactly True or False.
+    """
+
+    start: Hashable
+    step: Callable
+    accepting: Callable
+
+    def run(self, word):
+        return self.accepting(reduce(self.step, word, self.start))
+
+
+class ThinSide(NamedTuple):
+    """The sparse side of a language: its members if ``members`` is set,
+    else its non-members.  ``words(n)`` yields that side's words of length
+    n in shortlex order of the declared alphabet."""
+
+    members: bool
+    words: Callable
+
+
+def reader(oracle):
+    """The oracle's stepper, or else its word reader: the state is the word
+    read so far, so equal states trivially have equal futures."""
+    if oracle.stepper is not None:
+        return oracle.stepper
+    return Stepper("", add, oracle.membership)
+
+
+def census_by_enumeration(oracle, max_length, budget=None):
+    """Census a language oracle up to a length (see ``member_counts``).
+
+    Guarded: ``|A| ** max_length`` may not exceed the enumeration budget,
+    which also bounds the reader's states and the thin words per length.
     """
     alphabet = oracle.alphabet
     check_enumeration_budget(len(alphabet), max_length, budget, "membership tests")
-    stepper = getattr(oracle, "stepper", None)
-    if stepper is not None:
-        counts = count_by_states(stepper, alphabet.symbols, max_length)
-    else:
-        counts = list(count_members(oracle, range(max_length + 1)))
-    return LengthCensus(len(alphabet), counts)
+    return LengthCensus(len(alphabet), member_counts(oracle, max_length))
+
+
+def member_counts(oracle, max_length):
+    """Members of each length 0..max_length.  A thin oracle counts its thin
+    words, |thin_n| or |A|^n - |thin_n|; any other is read over its
+    reader's states (see ``count_by_states``), which asks a word reader
+    about each word once, in shortlex order.  Unguarded: callers check the
+    budget."""
+    thin = oracle.thin
+    if thin is None:
+        return count_by_states(reader(oracle), oracle.alphabet.symbols, max_length)
+    size = len(oracle.alphabet)
+    counts = [sum(1 for _ in thin.words(n)) for n in range(max_length + 1)]
+    return counts if thin.members else [size ** n - c for n, c in enumerate(counts)]
 
 
 def count_by_states(stepper, symbols, max_length):
@@ -184,18 +226,3 @@ def count_by_states(stepper, symbols, max_length):
                 grown[after] = grown.get(after, 0) + m
         layer = grown
     return counts
-
-
-def count_members(oracle, lengths):
-    """Yield the number of members of each given length, asking the oracle
-    about the words of each length in shortlex order, in blocks of at most
-    1024 words that share a head.  Unguarded: callers check the budget."""
-    alphabet = oracle.alphabet
-    membership = oracle.membership
-    # the longest tail length whose words fit in one block of 1024
-    block = max(t for t in range(11) if len(alphabet) ** t <= 1024)
-    for n in lengths:
-        tail = min(n, block)
-        tails = enumerate_words(alphabet, tail)
-        heads = ("".join(p) for p in itertools.product(alphabet.symbols, repeat=n - tail))
-        yield sum(sum(map(membership, map(head.__add__, tails))) for head in heads)

@@ -6,13 +6,11 @@ escapes every co-infinite machine of a pinned enumeration.
 """
 
 import itertools
-from functools import reduce
 from math import comb, factorial
 from operator import add
-from typing import Callable, Hashable, NamedTuple
 
 from .automata import Dfa, is_coinfinite, shortlex_least_member
-from .core import Alphabet, BudgetExceededError
+from .core import Alphabet, BudgetExceededError, Stepper, ThinSide, reader
 
 # how far the diagonal language may go: machines enumerated, and the length
 # of the longest picked word
@@ -20,44 +18,29 @@ DIAGONAL_MAX_MACHINES = 200_000
 DIAGONAL_MAX_WORD_LENGTH = 256
 
 
-class Stepper(NamedTuple):
-    """A deterministic left-to-right reader of a language.
-
-    ``step(state, letter)`` moves from state to state, starting at
-    ``start``; a word is a member iff ``accepting`` holds of the state it
-    reaches.  States are hashable and equal states have equal futures, so
-    words that reach the same state can be counted and checked together.
-    ``accepting`` must return exactly True or False.
-    """
-
-    start: Hashable
-    step: Callable
-    accepting: Callable
-
-    def run(self, word):
-        return self.accepting(reduce(self.step, word, self.start))
-
-
 class LanguageOracle:
     """Named total membership predicate.
 
     An oracle is given either by ``membership`` or by a ``stepper``, whose
     run over a word is then the membership predicate; censuses and
-    containment checks read a stepped oracle's states, not its words.
-    ``membership`` must return exactly True or False: censuses sum its
-    results and containment checks compare them with ``>``, so a merely
-    truthy value such as a count gives wrong answers.
+    containment checks read a stepped oracle's states, not its words.  A
+    membership oracle may also have a ``thin`` side (see ``ThinSide``),
+    which censuses count and containment checks read where every
+    counterexample lies on it.  ``membership`` must return exactly True or
+    False: containment checks compare its results with True and False, so
+    a merely truthy value such as a count gives wrong answers.
     """
 
-    __slots__ = ("name", "alphabet", "membership", "stepper")
+    __slots__ = ("name", "alphabet", "membership", "stepper", "thin")
 
-    def __init__(self, name, alphabet, membership=None, stepper=None):
+    def __init__(self, name, alphabet, membership=None, stepper=None, thin=None):
         if (membership is None) == (stepper is None):
             raise ValueError("an oracle needs exactly one of membership and stepper")
         self.name = name
         self.alphabet = alphabet
         self.membership = stepper.run if membership is None else membership
         self.stepper = stepper
+        self.thin = thin
 
     def __call__(self, word):
         return self.membership(word)
@@ -72,8 +55,10 @@ class LanguageOracle:
             return LanguageOracle(
                 name, self.alphabet, stepper=Stepper(start, step, lambda s: not accepting(s))
             )
-        membership = self.membership
-        return LanguageOracle(name, self.alphabet, lambda w: not membership(w))
+        membership, thin = self.membership, self.thin
+        if thin is not None:
+            thin = ThinSide(not thin.members, thin.words)
+        return LanguageOracle(name, self.alphabet, lambda w: not membership(w), thin=thin)
 
 
 class Morphism:
@@ -224,8 +209,21 @@ def count_eq(a="a", b="b"):
     )
 
 
+def palindrome_words(alphabet):
+    """n -> the palindromes of length n in shortlex order: each is decided,
+    and ordered, by its first ceil(n/2) letters."""
+    def words(n):
+        for half in itertools.product(alphabet.symbols, repeat=(n + 1) // 2):
+            head = "".join(half)
+            yield head + head[: n // 2][::-1]
+
+    return words
+
+
 def palindromes():
-    return LanguageOracle("pal", Alphabet("ab"), lambda w: w == w[::-1])
+    alphabet = Alphabet("ab")
+    thin = ThinSide(True, palindrome_words(alphabet))
+    return LanguageOracle("pal", alphabet, lambda w: w == w[::-1], thin=thin)
 
 
 def o3():
@@ -340,8 +338,25 @@ def majority(m=1):
     )
 
 
+def proper_powers(alphabet):
+    """n -> the words of length n that are not primitive, in shortlex order:
+    the powers u^(n/d) for each divisor d < n of n, and the empty word."""
+    def words(n):
+        powers = {
+            "".join(u) * (n // d)
+            for d in range(1, n)
+            if n % d == 0
+            for u in itertools.product(alphabet.symbols, repeat=d)
+        }
+        return [""] if n == 0 else sorted(powers, key=alphabet.ranks)
+
+    return words
+
+
 def primitive():
-    return LanguageOracle("primitive", Alphabet("ab"), is_primitive)
+    alphabet = Alphabet("ab")
+    thin = ThinSide(False, proper_powers(alphabet))
+    return LanguageOracle("primitive", alphabet, is_primitive, thin=thin)
 
 
 def coprefix(morphism, seed):
@@ -365,19 +380,13 @@ def coprefix(morphism, seed):
             cache[0] = morphism(cache[0])
         return cache[0][:length]
 
+    # the thin side is the non-members: the one fixed-point prefix per length
     return LanguageOracle(
         "coprefix",
         morphism.alphabet,
         lambda w: w != prefix_of(len(w)),
+        thin=ThinSide(False, lambda n: [prefix_of(n)]),
     )
-
-
-def reader(oracle):
-    """The oracle's stepper, or else its word reader: the state is the word
-    read so far, so equal states trivially have equal futures."""
-    if oracle.stepper is not None:
-        return oracle.stepper
-    return Stepper("", add, oracle.membership)
 
 
 def suffix_extension(base, letter):
@@ -543,4 +552,5 @@ class DiagonalLanguage:
 
 def diagonal():
     program = DiagonalLanguage()
-    return LanguageOracle("diagonal", program.alphabet, program.membership)
+    picks = ThinSide(True, lambda n: [w for w in program.accepted_words_up_to(n) if len(w) == n])
+    return LanguageOracle("diagonal", program.alphabet, program.membership, thin=picks)

@@ -521,9 +521,8 @@ def test_census_matches_old_loop(case):
     ids=lambda value: getattr(value, "name", value),
 )
 def test_census_blocks_keep_shortlex_order(oracle, max_length):
-    # past the tail length (10, 6 and 5 letters for 2, 3 and 4 symbols) the
-    # census asks in head blocks; the diagonal oracle must see the same
-    # shortlex sequence as before
+    # a membership-only census reads its word reader one length at a time;
+    # the diagonal oracle must see the same shortlex sequence as before
     target, asked = counting(oracle)
     census = census_by_enumeration(target, max_length)
     assert asked == [
@@ -567,6 +566,30 @@ def test_inner_checks_share_verdicts_within_a_length():
     assert report == old_gap_report(fam, ks, 10)
     assert [row.inner_counterexample for row in report.rows] == [None, "aaa", None, "bbb"]
     assert len(asked) == len(set(asked))
+
+
+def test_trie_past_the_state_budget_asks_the_base_no_word():
+    # the trie words alone, sum 2^i over i < n, pass the state budget
+    base, asked = counting(diagonal())
+    for build in (suffix_extension_family, prefix_extension_family):
+        fam = build(base, "c")
+        for generator in (fam.inner, fam.outer):
+            with pytest.raises(BudgetExceededError):
+                generator(99999999999)
+    assert asked == []
+
+
+def test_trie_budget_raises_only_where_the_exploration_would(monkeypatch):
+    # 15 trie words fit a budget of 16, but with the absorbing states they do
+    # not: the exploration raises after asking; 31 trie words raise at once
+    monkeypatch.setattr(automata, "STATE_BUDGET", 16)
+    monkeypatch.setattr(approximations, "STATE_BUDGET", 16)
+    for n, asks in ((4, True), (5, False)):
+        base, asked = counting(semi_dyck())
+        with pytest.raises(BudgetExceededError):
+            suffix_inner_dfa(base, "c", n)
+        assert bool(asked) == asks
+    assert suffix_inner_dfa(semi_dyck(), "c", 3).n_states == 9
 
 
 @pytest.mark.parametrize("build", [suffix_extension_family, prefix_extension_family])

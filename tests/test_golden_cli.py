@@ -33,6 +33,10 @@ _GAP_CASES = [
     ("modk", ["2,4"], 14),
     ("prefix-ext:dyck:c", ["1,2,3,4"], 8),
     ("infix-ext:dyck:c", ["0,3"], 8),
+    # thin-side targets: every window machine of the palindrome family, and
+    # a trie over the diagonal language past the state budget (exit 3)
+    ("pal", ["1,2,3,4,5,6,7"], 14),
+    ("suffix-ext:diagonal:c", ["99999999999"], 2),
 ]
 
 _CENSUS_CASES = [
@@ -50,6 +54,11 @@ _CENSUS_CASES = [
     ("diagonal", 7),
     ("suffix-ext:dyck:c", 8),
     ("o4", 7),
+    # thin-side oracles, one in a declared letter order that is not ASCII
+    ("primitive", 16),
+    ("pal", 16),
+    ("coprefix:b=ba,a=b", 14),
+    ("diagonal", 12),
 ]
 
 _OTHER_CASES = [

@@ -1,6 +1,6 @@
 """Stepped oracles: each stepper against its word-at-a-time definition, and
-the stepped census and pair search against the word census and word walk
-on the same oracle with its stepper removed."""
+the stepped census and pair search against the same oracle with its
+stepper removed, which is read by its word reader."""
 
 import dataclasses
 
@@ -33,7 +33,6 @@ from regdensity import (
     verify_containment,
 )
 from regdensity.approximations import ends_with_letter_dfa, family, goldstine_inner_dfa
-from regdensity.core import count_members
 
 
 def stepped_oracles():
@@ -120,7 +119,6 @@ def test_stepped_census_equals_word_census(name):
     by_states = census_by_enumeration(oracle, max_length)
     by_words = census_by_enumeration(unstepped(oracle), max_length)
     assert by_states == by_words
-    assert by_states.counts == list(count_members(unstepped(oracle), range(max_length + 1)))
 
 
 def test_oracle_needs_exactly_one_definition():
