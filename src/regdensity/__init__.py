@@ -24,7 +24,6 @@ from .automata import (
     language_infinite,
     mod_counter_dfa,
     random_dfa,
-    reverse,
     shortlex_least_member,
 )
 from .density import (

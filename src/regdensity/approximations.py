@@ -15,11 +15,11 @@ from itertools import chain
 from math import isqrt
 from typing import Callable, Optional
 
-from .automata import STATE_BUDGET, Dfa, build_dfa, least_word, mod_counter_dfa, reverse
+from .automata import STATE_BUDGET, Dfa, build_dfa, least_word, mod_counter_dfa
 from .core import (
     Alphabet,
     BudgetExceededError,
-    LengthCensus,
+    census_by_enumeration,
     check_enumeration_budget,
     member_counts,
     ratio_and_cesaro,
@@ -184,21 +184,27 @@ def _check_bound(n):
         raise ValueError("the parameter must be non-negative, got %d" % n)
 
 
-def _cylinder_trie_dfa(base, letter, n, outer):
-    """The machine behind both suffix sandwiches: a trie of the base words w
-    shorter than n, where w·letter leads to the absorbing state True (free)
-    if w is a base member and to the absorbing state False (dead) if not.
-    A word that outgrows the trie is not decided by it: the outer machine
-    sends it to free and also accepts inside the trie, the inner one sends
-    it to dead and accepts only free.  The budget is checked on the trie
-    words alone, before the base is asked about any of them."""
+def _trie_alphabet(base, letter, n):
+    """The extension alphabet of a trie over the base words shorter than n.
+    The budget is checked on the trie words alone, before the base is asked
+    about any of them."""
     _check_bound(n)
     words = 0
     for i in range(n):
         words += len(base.alphabet) ** i
         if words > STATE_BUDGET:
             raise BudgetExceededError("automaton exceeds %d reachable states" % STATE_BUDGET)
-    alphabet = Alphabet(base.alphabet.symbols + (letter,))
+    return Alphabet(base.alphabet.symbols + (letter,))
+
+
+def _cylinder_trie_dfa(base, letter, n, outer):
+    """The machine behind both suffix sandwiches: a trie of the base words w
+    shorter than n, where w·letter leads to the absorbing state True (free)
+    if w is a base member and to the absorbing state False (dead) if not.
+    A word that outgrows the trie is not decided by it: the outer machine
+    sends it to free and also accepts inside the trie, the inner one sends
+    it to dead and accepts only free."""
+    alphabet = _trie_alphabet(base, letter, n)
 
     def successors(state):
         if type(state) is bool:
@@ -210,6 +216,28 @@ def _cylinder_trie_dfa(base, letter, n, outer):
         return state is True or (outer and type(state) is str)
 
     return build_dfa(alphabet, "" if n > 0 else outer, successors, accepting)
+
+
+def _tail_trie_dfa(base, letter, n, outer):
+    """The machine behind both prefix sandwiches, minimized: the state is
+    the base word read since the last fresh letter while it is shorter than
+    n, and the fresh letter restarts it at the empty word.  A trie word is
+    accepted iff it is a base member.  The one state ``outer`` stands for
+    the words before the first fresh letter and for those whose tail has
+    outgrown the trie, and is its own verdict.  The restart edges make the
+    raw trie one recurrent class, hence the minimization."""
+    alphabet = _trie_alphabet(base, letter, n)
+    restart = "" if n > 0 else outer
+
+    def successors(state):
+        if type(state) is bool:
+            return [state] * len(base.alphabet) + [restart]
+        return [state + ch if len(state) + 1 < n else outer for ch in base.alphabet] + [restart]
+
+    def accepting(state):
+        return state if type(state) is bool else base(state)
+
+    return build_dfa(alphabet, outer, successors, accepting).minimized()
 
 
 def suffix_inner_dfa(base, letter, n):
@@ -247,20 +275,13 @@ def suffix_extension_family(base, letter):
 
 
 def prefix_extension_family(base, letter):
-    """Same sandwich for the prefix extension, obtained by reversal."""
-    reversed_base = LanguageOracle(
-        base.name + "-reversed", base.alphabet, lambda w: base(w[::-1])
-    )
-
-    def reversed_machines(build):
-        return lambda n: reverse(build(reversed_base, letter, n)).determinize().minimized()
-
-    target = prefix_extension(base, letter)
+    """Same sandwich for the prefix extension, from tries of the base word
+    after the last fresh letter (see ``_tail_trie_dfa``)."""
     return ApproxFamily(
         name="prefix-ext:%s:%s" % (base.name, letter),
-        target=target,
-        inner=reversed_machines(suffix_inner_dfa),
-        outer=reversed_machines(suffix_outer_dfa),
+        target=prefix_extension(base, letter),
+        inner=lambda n: _tail_trie_dfa(base, letter, n, outer=False),
+        outer=lambda n: _tail_trie_dfa(base, letter, n, outer=True),
         inner_claim=lambda n: _cylinder_mass(base, letter, n, True),
         outer_claim=lambda n: 1 - _cylinder_mass(base, letter, n, False),
     )
@@ -282,31 +303,21 @@ def infix_extension_family(base, letter):
         accepting,
         MEMBER_SEARCH_LENGTH,
     )
+    empty = member is None
 
-    def empty(n):
+    def machine(n):
         _check_bound(n)
-        return empty_language_dfa(alphabet)
-
-    def containing(n):
-        _check_bound(n)
+        if empty:
+            return empty_language_dfa(alphabet)
         return contains_factor_dfa(letter + member + letter, alphabet)
 
-    if member is None:
-        return ApproxFamily(
-            name="infix-ext:%s:%s" % (base.name, letter),
-            target=target,
-            inner=empty,
-            outer=empty,
-            inner_claim=lambda n: Fraction(0),
-            outer_claim=lambda n: Fraction(0),
-        )
     return ApproxFamily(
         name="infix-ext:%s:%s" % (base.name, letter),
         target=target,
-        inner=containing,
-        outer=None,
-        inner_claim=lambda n: Fraction(1),
-        outer_claim=None,
+        inner=machine,
+        outer=machine if empty else None,
+        inner_claim=lambda n: Fraction(0 if empty else 1),
+        outer_claim=(lambda n: Fraction(0)) if empty else None,
     )
 
 
@@ -316,9 +327,7 @@ def family(name):
         return ApproxFamily(
             name="modk",
             target=count_eq(),
-            inner=None,
             outer=lambda k: mod_counter_dfa(k).complement(),
-            inner_claim=None,
             outer_claim=lambda k: Fraction(1, k) if k % 2 == 1 else None,
         )
     if name == "pal":
@@ -326,9 +335,7 @@ def family(name):
             name="pal",
             target=palindromes().complement(),
             inner=lambda k: nonpalindrome_window_dfa(k),
-            outer=None,
             inner_claim=lambda k: 1 - Fraction(1, 2 ** k),
-            outer_claim=None,
         )
     if name == "goldstine":
         return ApproxFamily(
@@ -375,22 +382,26 @@ def _pair_counters_outer(alphabet, *pairs):
 
 # -- verification --------------------------------------------------------------
 
-def _guard_walk(dfa, oracle, max_length, budget):
+def verify_containment(dfa, oracle, direction, max_length, budget=None):
+    """Check an inclusion claim on all words up to a length.
+
+    ``inner`` checks L(dfa) ⊆ oracle, ``outer`` checks oracle ⊆ L(dfa).
+    Returns None when the inclusion holds, else the shortlex-least
+    counterexample.  When the oracle's thin side holds every counterexample
+    (its non-members for an inner claim, its members for an outer one), the
+    automaton reads the thin words in shortlex order.  Otherwise the search
+    runs over (automaton state, reader state) pairs, one length at a time:
+    a word's verdict depends only on its pair, and a membership-only
+    oracle's reader state is the word, so it is asked about each word at
+    most once.  The oracle's ``membership`` must return exactly True or
+    False.
+    """
+    if direction not in ("inner", "outer"):
+        raise ValueError("direction must be 'inner' or 'outer'")
     if dfa.alphabet != oracle.alphabet:
         raise ValueError("automaton and oracle alphabets differ")
     check_enumeration_budget(len(dfa.alphabet), max_length, budget, "containment tests")
-
-
-def _walk(dfa, inner, oracle, max_length):
-    """The shortlex-least counterexample up to ``max_length`` to L(dfa) ⊆
-    oracle (``inner``) or oracle ⊆ L(dfa), or None.
-
-    When the oracle's thin side holds every counterexample (its non-members
-    for an inner claim, its members for an outer one), the automaton reads
-    the thin words in shortlex order.  Otherwise the search runs over
-    (automaton state, reader state) pairs, one length at a time: a word's
-    verdict depends only on its pair, and a word reader's state is the word.
-    """
+    inner = direction == "inner"
     thin = oracle.thin
     if thin is not None and thin.members != inner:
         words = chain.from_iterable(map(thin.words, range(max_length + 1)))
@@ -409,67 +420,36 @@ def _walk(dfa, inner, oracle, max_length):
     )
 
 
-def verify_containment(dfa, oracle, direction, max_length, budget=None):
-    """Check an inclusion claim on all words up to a length.
-
-    ``inner`` checks L(dfa) ⊆ oracle, ``outer`` checks oracle ⊆ L(dfa).
-    Returns None when the inclusion holds, else the shortlex-least
-    counterexample.  A thin oracle checked on its thin side runs the
-    automaton over the thin words; every other claim is a search over
-    (automaton state, reader state) pairs, and a membership-only oracle's
-    reader asks it about each word at most once.  The oracle's
-    ``membership`` must return exactly True or False.
-    """
-    if direction not in ("inner", "outer"):
-        raise ValueError("direction must be 'inner' or 'outer'")
-    _guard_walk(dfa, oracle, max_length, budget)
-    return _walk(dfa, direction == "inner", oracle, max_length)
-
-
 def gap_report(fam, ks, max_length, budget=None):
     """Exact inner/outer densities, gaps and containment verdicts per k.
 
-    Every k's containments are checked as by ``verify_containment`` and the
-    target's census is taken as by ``census_by_enumeration``.  A
-    membership-only target's verdicts are memoised for the call, so the
-    checks and the census ask it about each word at most once, and the
-    first questions come in shortlex order.  The target's ``membership``
-    must return exactly True or False.
+    For each k, each side is built, its density taken and its claim checked
+    by ``verify_containment``; a missing inner side is empty (density 0) and
+    a missing outer side is every word (density 1).  Then the target is
+    censused once by ``census_by_enumeration``.  A membership-only target's
+    verdicts are memoised for the call, so the checks and the census ask it
+    about each word at most once.  The target's ``membership`` must return
+    exactly True or False.
     """
-    built = []
-    for k in ks:
-        inner_dfa = fam.inner(k) if fam.inner is not None else None
-        outer_dfa = fam.outer(k) if fam.outer is not None else None
-        inner_d = density(inner_dfa) if inner_dfa is not None else Fraction(0)
-        outer_d = density(outer_dfa) if outer_dfa is not None else Fraction(1)
-        for dfa in (inner_dfa, outer_dfa):
-            if dfa is not None:
-                _guard_walk(dfa, fam.target, max_length, budget)
-        built.append((k, inner_d, outer_d, inner_dfa, outer_dfa))
     target = fam.target
-    check_enumeration_budget(len(target.alphabet), max_length, budget, "membership tests")
     if target.stepper is None:
         target = LanguageOracle(
             target.name, target.alphabet, cache(target.membership), thin=target.thin
         )
 
-    def counterexample(dfa, inner):
-        return None if dfa is None else _walk(dfa, inner, target, max_length)
+    def side(build, k, empty_density, direction):
+        if build is None:
+            return empty_density, None
+        dfa = build(k)
+        return density(dfa), verify_containment(dfa, target, direction, max_length, budget)
 
-    rows = tuple(
-        GapRow(
-            k=k,
-            inner_density=inner_d,
-            outer_density=outer_d,
-            gap=outer_d - inner_d,
-            inner_counterexample=counterexample(inner_dfa, True),
-            outer_counterexample=counterexample(outer_dfa, False),
-        )
-        for k, inner_d, outer_d, inner_dfa, outer_dfa in built
-    )
-    counts = member_counts(target, max_length)
-    _, cesaro = ratio_and_cesaro(LengthCensus(len(target.alphabet), counts))
-    return GapReport(family=fam.name, rows=rows, target_cesaro=tuple(cesaro))
+    rows = []
+    for k in ks:
+        inner_d, inner_cex = side(fam.inner, k, Fraction(0), "inner")
+        outer_d, outer_cex = side(fam.outer, k, Fraction(1), "outer")
+        rows.append(GapRow(k, inner_d, outer_d, outer_d - inner_d, inner_cex, outer_cex))
+    _, cesaro = ratio_and_cesaro(census_by_enumeration(target, max_length, budget))
+    return GapReport(family=fam.name, rows=tuple(rows), target_cesaro=tuple(cesaro))
 
 
 def majority_escape_witness(dfa, m=1):
@@ -489,18 +469,15 @@ def majority_escape_witness(dfa, m=1):
     monoid, accept = transition_monoid(dfa)
     radius = max(len(w) for w in monoid.witnesses)
     block = "b" * (2 * radius)
-    blocked = monoid.element_of_word(block)
-    size = len(monoid.elements)
-    for x in range(size):
-        xb = monoid.compose(x, blocked)
-        for y in range(size):
-            if monoid.compose(xb, y) in accept.elements:
-                witness = monoid.witnesses[x] + block + monoid.witnesses[y]
-                if not dfa.accepts(witness):
-                    raise AssertionError("escape witness rejected by the automaton")
-                if witness.count("a") > m * witness.count("b"):
-                    raise AssertionError("escape witness fails the count bound")
-                if len(witness) > 4 * radius:
-                    raise AssertionError("escape witness exceeds the length bound")
-                return witness
-    raise AssertionError("dense language must absorb an all-b block")
+    found = monoid.bracket(monoid.element_of_word(block), accept.elements)
+    if found is None:
+        raise AssertionError("dense language must absorb an all-b block")
+    x, y = found
+    witness = monoid.witnesses[x] + block + monoid.witnesses[y]
+    if not dfa.accepts(witness):
+        raise AssertionError("escape witness rejected by the automaton")
+    if witness.count("a") > m * witness.count("b"):
+        raise AssertionError("escape witness fails the count bound")
+    if len(witness) > 4 * radius:
+        raise AssertionError("escape witness exceeds the length bound")
+    return witness

@@ -226,15 +226,6 @@ class Nfa:
         )
 
 
-def reverse(dfa):
-    """NFA for the reversed language."""
-    transitions = {}
-    for q, row in enumerate(dfa.delta):
-        for a, t in enumerate(row):
-            transitions.setdefault((t, a), set()).add(q)
-    return Nfa(dfa.alphabet, dfa.n_states, transitions, dfa.accepting, {dfa.initial})
-
-
 def explore(starts, successors):
     """Breadth-first search from the start states.
 

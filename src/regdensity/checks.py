@@ -64,6 +64,20 @@ def _item(label, passed, detail=""):
     return CheckItem(label, bool(passed), detail)
 
 
+def _equal(label, value, expected):
+    """An exact value against its closed form."""
+    return _item(
+        label,
+        value == expected,
+        "%s expected %s" % (format_fraction(value), format_fraction(expected)),
+    )
+
+
+def _contained(label, cex):
+    """A containment claim: its counterexample, or None if it holds."""
+    return _item(label, cex is None, cex or "ok")
+
+
 # -- criteria -----------------------------------------------------------------
 
 def check_textbook():
@@ -104,18 +118,9 @@ def check_modk():
     target = count_eq().complement()
     for k in (3, 5, 7, 9):
         machine = mod_counter_dfa(k)
-        d = density(machine)
-        items.append(
-            _item(
-                "modk-density-k%d" % k,
-                d == Fraction(k - 1, k),
-                "%s expected %s" % (format_fraction(d), format_fraction(Fraction(k - 1, k))),
-            )
-        )
+        items.append(_equal("modk-density-k%d" % k, density(machine), Fraction(k - 1, k)))
         cex = verify_containment(machine, target, "inner", 12)
-        items.append(
-            _item("modk-containment-k%d" % k, cex is None, cex or "ok")
-        )
+        items.append(_contained("modk-containment-k%d" % k, cex))
     return items
 
 
@@ -147,17 +152,10 @@ def check_palindromes():
     target = palindromes().complement()
     for k in range(1, 7):
         machine = nonpalindrome_window_dfa(k)
-        d = density(machine)
         claim = 1 - Fraction(1, 2 ** k)
-        items.append(
-            _item(
-                "pal-inner-density-k%d" % k,
-                d == claim,
-                "%s expected %s" % (format_fraction(d), format_fraction(claim)),
-            )
-        )
+        items.append(_equal("pal-inner-density-k%d" % k, density(machine), claim))
         cex = verify_containment(machine, target, "inner", 14)
-        items.append(_item("pal-inner-containment-k%d" % k, cex is None, cex or "ok"))
+        items.append(_contained("pal-inner-containment-k%d" % k, cex))
     return items
 
 
@@ -166,23 +164,12 @@ def check_goldstine():
     target = goldstine()
     for k in range(1, 11):
         machine = goldstine_inner_dfa(k)
-        d = density(machine)
         claim = Fraction(1, 2) - Fraction(1, 2 ** (k + 1))
-        items.append(
-            _item(
-                "goldstine-inner-density-k%d" % k,
-                d == claim,
-                "%s expected %s" % (format_fraction(d), format_fraction(claim)),
-            )
-        )
+        items.append(_equal("goldstine-inner-density-k%d" % k, density(machine), claim))
         cex = verify_containment(machine, target, "inner", 16)
-        items.append(
-            _item("goldstine-inner-containment-k%d" % k, cex is None, cex or "ok")
-        )
-    outer_cex = verify_containment(
-        ends_with_letter_dfa("b", AB), target, "outer", 16
-    )
-    items.append(_item("goldstine-outer-containment", outer_cex is None, outer_cex or "ok"))
+        items.append(_contained("goldstine-inner-containment-k%d" % k, cex))
+    outer_cex = verify_containment(ends_with_letter_dfa("b", AB), target, "outer", 16)
+    items.append(_contained("goldstine-outer-containment", outer_cex))
 
     staircase = staircase_word_prefix(12)
     prefixes = {staircase[:i] for i in range(13)}
@@ -203,7 +190,7 @@ def check_goldstine():
 
 def check_o3o4():
     items = []
-    for name, counter in (("o3", o3_count), ("o4", None)):
+    for name in ("o3", "o4"):
         fam = family(name)
         for k in (3, 5, 9):
             machine = fam.outer(k)
@@ -243,14 +230,7 @@ def check_suffix_extension():
     unary = LanguageOracle("a-star", Alphabet("a"), lambda w: True)
     for n in range(1, 11):
         d = density(suffix_inner_dfa(unary, "c", n))
-        claim = 1 - Fraction(1, 2 ** n)
-        items.append(
-            _item(
-                "suffix-unary-inner-n%d" % n,
-                d == claim,
-                "%s expected %s" % (format_fraction(d), format_fraction(claim)),
-            )
-        )
+        items.append(_equal("suffix-unary-inner-n%d" % n, d, 1 - Fraction(1, 2 ** n)))
     # the inner and outer tries of each n ask the base about the same words
     base = kemp_base()
     base = LanguageOracle(base.name, base.alphabet, cache(base.membership))

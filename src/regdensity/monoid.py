@@ -64,6 +64,17 @@ class Monoid:
         """Index of the transformation 'apply element i, then element j'."""
         return self.index[_then(self.elements[i])(self.elements[j])]
 
+    def bracket(self, middle, goal):
+        """The first (x, y) in index order with x·middle·y in ``goal``, or
+        None."""
+        size = len(self.elements)
+        for x in range(size):
+            left = self.compose(x, middle)
+            for y in range(size):
+                if self.compose(left, y) in goal:
+                    return x, y
+        return None
+
     def right_cayley(self):
         """right_cayley()[i][g] = index of element_i · generator_g."""
         return self._right
@@ -273,17 +284,7 @@ def witness_in_monoid(dfa, monoid, accept, greens):
         # the J-minimal element is the identity; extend through a letter and
         # close the loop inside the same J-class
         letter = monoid.alphabet.symbols[0]
-        stepped = monoid.compose(t, monoid.generators[0])
-        size = len(monoid.elements)
-        found = None
-        for x in range(size):
-            xs = monoid.compose(x, stepped)
-            for y in range(size):
-                if monoid.compose(xs, y) == t:
-                    found = (x, y)
-                    break
-            if found:
-                break
+        found = monoid.bracket(monoid.compose(t, monoid.generators[0]), {t})
         if found is None:
             raise AssertionError("J-minimality must allow recovering the element")
         x, y = found

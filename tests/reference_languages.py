@@ -11,12 +11,14 @@ window family minimizes to.
 The hand-indexed machines at the end number their states with their own
 index arithmetic instead of exploring a successor function; the library
 builds the same languages by exploration, and the tests compare the two
-after minimization.
+after minimization.  ``prefix_trie_by_reversal`` builds the prefix
+extension's sandwich machines the long way round: the suffix machine of
+the reversed base, reversed into an NFA, determinized and minimized.
 """
 
 import re
 
-from regdensity import Alphabet, Dfa, enumerate_words
+from regdensity import Alphabet, Dfa, LanguageOracle, Nfa, enumerate_words
 from regdensity.approximations import _matcher_rows
 from regdensity.languages import staircase_word_prefix
 
@@ -296,3 +298,24 @@ def cylinder_trie_dfa(base, letter, n, outer):
     delta.append([dead] * (s + 1))
     accepting = {free, *range(len(order))} if outer else {free}
     return Dfa(alphabet, len(order) + 2, delta, index.get("", beyond), accepting)
+
+
+def reverse(dfa):
+    """NFA for the reversed language: every edge turned round, the accepting
+    states initial and the initial state accepting."""
+    transitions = {}
+    for q, row in enumerate(dfa.delta):
+        for a, t in enumerate(row):
+            transitions.setdefault((t, a), set()).add(q)
+    return Nfa(dfa.alphabet, dfa.n_states, transitions, dfa.accepting, {dfa.initial})
+
+
+def prefix_trie_by_reversal(base, letter, n, outer):
+    """The prefix sandwich machine (inner or ``outer``) as the reversal of
+    the suffix machine over the reversed base, determinized and minimized:
+    the prefix extension of B is the reversal of the suffix extension of
+    B reversed."""
+    reversed_base = LanguageOracle(
+        base.name + "-reversed", base.alphabet, lambda w: base(w[::-1])
+    )
+    return reverse(cylinder_trie_dfa(reversed_base, letter, n, outer)).determinize().minimized()

@@ -28,6 +28,7 @@ from regdensity import (
     goldstine,
     infix_extension_family,
     is_subset,
+    majority,
     majority_escape_witness,
     mod_counter_dfa,
     natural_density,
@@ -35,6 +36,7 @@ from regdensity import (
     o4,
     palindromes,
     prefix_extension_family,
+    primitive,
     random_dfa,
     ratio_and_cesaro,
     semi_dyck,
@@ -199,11 +201,18 @@ def frozen_bases(draw):
     return n, LanguageOracle("frozen", AB, members.__contains__)
 
 
+def _prefix_machines_match_the_reversal_route(base, n):
+    fam = prefix_extension_family(base, "c")
+    for machine, outer in ((fam.inner(n), False), (fam.outer(n), True)):
+        assert machine == ref.prefix_trie_by_reversal(base, "c", n, outer)
+
+
 @settings(max_examples=60, deadline=None)
 @given(frozen_bases())
 def test_extension_machines_match_cylinder_mass_on_random_bases(case):
-    # the suffix machines are deep transient tries; the prefix ones are their
-    # reversals, determinized and minimized
+    # the suffix machines are deep transient tries; the prefix ones are
+    # minimized tries of the tail after the last fresh letter, the same
+    # machines as the reversal route gives
     n, base = case
     for build in (suffix_extension_family, prefix_extension_family):
         fam = build(base, "c")
@@ -211,6 +220,18 @@ def test_extension_machines_match_cylinder_mass_on_random_bases(case):
                                (fam.outer(n), fam.outer_claim(n))):
             assert density(machine) == claim
             assert natural_density(machine).natural_density == claim
+    _prefix_machines_match_the_reversal_route(base, n)
+
+
+@pytest.mark.parametrize(
+    "base", [semi_dyck(), palindromes(), goldstine(), primitive(), count_eq(), majority(2)],
+    ids=lambda base: base.name,
+)
+def test_prefix_machines_are_the_reversed_suffix_machines(base):
+    # the tail tries and the reversed, determinized suffix tries of the
+    # reversed base have the same minimal machines
+    for n in range(8):
+        _prefix_machines_match_the_reversal_route(base, n)
 
 
 def test_suffix_family_respects_target():
@@ -220,7 +241,7 @@ def test_suffix_family_respects_target():
         assert verify_containment(fam.outer(n), fam.target, "outer", 8) is None
 
 
-def test_prefix_family_by_reversal():
+def test_prefix_family_on_a_membership_only_base():
     base = LanguageOracle("ends-a", AB, lambda w: w.endswith("a"))
     fam = prefix_extension_family(base, "c")
     assert density(fam.inner(3)) == fam.inner_claim(3) == Fraction(5, 27)

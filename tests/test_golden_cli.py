@@ -37,6 +37,11 @@ _GAP_CASES = [
     # a trie over the diagonal language past the state budget (exit 3)
     ("pal", ["1,2,3,4,5,6,7"], 14),
     ("suffix-ext:diagonal:c", ["99999999999"], 2),
+    # prefix tries: over a membership-only base with k=0, over goldstine, and
+    # past the state budget before the base is asked (exit 3)
+    ("prefix-ext:pal:c", ["0,1,3"], 6),
+    ("prefix-ext:goldstine:c", ["2,5"], 7),
+    ("prefix-ext:dyck:c", ["18"], 2),
 ]
 
 _CENSUS_CASES = [
@@ -68,6 +73,8 @@ _OTHER_CASES = [
     ["monoid", "--dfa", "evens"],
     ["monoid", "--dfa", "modk:4"],
     ["monoid", "--dfa", "starts:b"],
+    # the whole suite: exit 1 on the two knowingly-red items, with every detail
+    ["check", "--format", "json"],
     # over budget: exit 3, nothing on stdout
     ["gap", "--family", "goldstine", "--k", "1,0", "--max", "30"],
     ["gap", "--family", "pal", "--k", "2", "--max", "9", "--budget", "500"],
