@@ -467,13 +467,13 @@ def majority_escape_witness(dfa, m=1):
     if density(dfa) == 0:
         raise ValueError("no guarantee for null languages")
     monoid, accept = transition_monoid(dfa)
-    radius = max(len(w) for w in monoid.witnesses)
+    radius = len(monoid.witness(len(monoid) - 1))  # BFS order is shortlex
     block = "b" * (2 * radius)
     found = monoid.bracket(monoid.element_of_word(block), accept.elements)
     if found is None:
         raise AssertionError("dense language must absorb an all-b block")
     x, y = found
-    witness = monoid.witnesses[x] + block + monoid.witnesses[y]
+    witness = monoid.witness(x) + block + monoid.witness(y)
     if not dfa.accepts(witness):
         raise AssertionError("escape witness rejected by the automaton")
     if witness.count("a") > m * witness.count("b"):

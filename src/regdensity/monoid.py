@@ -2,12 +2,15 @@
 
 The syntactic monoid of a regular language is realised concretely as the
 transition monoid of its minimal DFA: elements are state transformations,
-composition is left-to-right ("read u, then v"), and every element carries
-its shortlex-least witness word.  The right Cayley graph is recorded while
-the elements are enumerated (Froidure & Pin).  Green's R and L classes are
-the strongly connected components of the right and left Cayley graphs, and
-J = D = R ∨ L because the monoid is finite, which keeps everything linear in
-the number of monoid elements.
+composition is left-to-right ("read u, then v").  The elements are
+enumerated breadth-first, and each new element records its BFS parent, the
+element and letter it was first reached from; its shortlex-least witness
+word is read off that parent chain.  The right Cayley graph is recorded
+while the elements are enumerated (Froidure & Pin), and each left Cayley
+row is derived from its parent's row through the right Cayley graph.
+Green's R and L classes are the strongly connected components of the right
+and left Cayley graphs, and J = D = R ∨ L because the monoid is finite,
+which keeps everything linear in the number of monoid elements.
 """
 
 from dataclasses import dataclass
@@ -19,19 +22,30 @@ from .density import density
 from .languages import is_primitive
 
 DEFAULT_MONOID_BUDGET = 50_000
+BYTE_STATES = 256  # a minimal DFA with at most this many states has bytes elements
+
+
+def _transformation(images):
+    """The state map q -> images[q]: ``bytes`` when every state fits in a
+    byte, a tuple otherwise."""
+    return bytes(images) if len(images) <= BYTE_STATES else tuple(images)
+
+
+def _operand(second):
+    """``second`` in the form the maps from ``_then`` take: a bytes element
+    padded to the 256-byte table of ``bytes.translate``."""
+    return second.ljust(256, b"\0") if type(second) is bytes else second
 
 
 def _then(first):
-    """The map t -> 'apply first, then t' on transformation tuples."""
-    if len(first) == 1:
-        # one state: (0,) is the only transformation, and itemgetter of one
-        # index would return a scalar instead of a 1-tuple
-        return lambda t: t
-    return itemgetter(*first)
+    """The map t -> 'apply first, then t', for t given by ``_operand``."""
+    if type(first) is bytes:
+        return first.translate
+    return itemgetter(*first)  # more than BYTE_STATES states, so never one index
 
 
 class Monoid:
-    """Transition monoid of a minimal DFA, with witnesses and Cayley graphs."""
+    """Transition monoid of a minimal DFA, with BFS parents and Cayley graphs."""
 
     __slots__ = (
         "alphabet",
@@ -39,21 +53,23 @@ class Monoid:
         "index",
         "identity",
         "generators",
-        "witnesses",
         "minimal_dfa",
+        "_parent",
+        "_letter",
         "_right",
         "_left",
     )
 
-    def __init__(self, alphabet, elements, index, identity, generators, witnesses, minimal_dfa,
-                 right):
+    def __init__(self, alphabet, elements, index, identity, generators, minimal_dfa, parent,
+                 letter, right):
         self.alphabet = alphabet
         self.elements = elements
         self.index = index
         self.identity = identity
         self.generators = generators
-        self.witnesses = witnesses
         self.minimal_dfa = minimal_dfa
+        self._parent = parent
+        self._letter = letter
         self._right = right
         self._left = None
 
@@ -62,16 +78,34 @@ class Monoid:
 
     def compose(self, i, j):
         """Index of the transformation 'apply element i, then element j'."""
-        return self.index[_then(self.elements[i])(self.elements[j])]
+        return self.index[_then(self.elements[i])(_operand(self.elements[j]))]
+
+    def witness(self, i):
+        """The shortlex-least word evaluating to element i: the letters on
+        its BFS parent chain, read from the identity down."""
+        symbols = self.alphabet.symbols
+        parent, letter = self._parent, self._letter
+        word = []
+        while i != self.identity:
+            word.append(symbols[letter[i]])
+            i = parent[i]
+        return "".join(reversed(word))
 
     def bracket(self, middle, goal):
         """The first (x, y) in index order with x·middle·y in ``goal``, or
-        None."""
+        None.  For each x, p·y with p = x·middle is read in index order as
+        p·parent(y) followed by letter(y) on the right Cayley graph."""
+        right, parent, letter = self._right, self._parent, self._letter
         size = len(self.elements)
+        products = [0] * size
         for x in range(size):
-            left = self.compose(x, middle)
-            for y in range(size):
-                if self.compose(left, y) in goal:
+            p = self.compose(x, middle)
+            if p in goal:
+                return x, self.identity
+            products[0] = p
+            for y in range(1, size):
+                products[y] = py = right[products[parent[y]]][letter[y]]
+                if py in goal:
                     return x, y
         return None
 
@@ -80,14 +114,16 @@ class Monoid:
         return self._right
 
     def left_cayley(self):
-        """left_cayley()[i][g] = index of generator_g · element_i."""
+        """left_cayley()[i][g] = index of generator_g · element_i.
+
+        Row i is derived from its BFS parent j, i = j·a, as
+        g·i = (g·j)·a: one right Cayley step per generator."""
         if self._left is None:
-            index = self.index
-            by_generator = [_then(self.elements[g]) for g in self.generators]
-            self._left = [
-                tuple([index[then(element)] for then in by_generator])
-                for element in self.elements
-            ]
+            right = self._right
+            left = [right[self.identity]]  # g·1 = g
+            for j, a in zip(self._parent[1:], self._letter[1:]):
+                left.append(tuple([right[gj][a] for gj in left[j]]))
+            self._left = left
         return self._left
 
     def element_of_word(self, word):
@@ -110,30 +146,33 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
     """Monoid of the minimal DFA plus its accept set.
 
     Elements are discovered breadth-first with letters in alphabet order, so
-    each element's recorded witness is its shortlex-least word, and element
+    the parent chain each element records, the element and letter it was
+    first reached from, spells its shortlex-least witness, and element
     indices increase in shortlex order of the witnesses.  Row i of the right
-    Cayley graph is recorded when element i leaves the frontier.
+    Cayley graph is recorded when element i leaves the frontier; left rows
+    and witnesses are derived from the parents when asked for.  Elements are
+    ``bytes`` state maps, extended by a letter with one ``bytes.translate``,
+    up to BYTE_STATES states, and tuples above.
     """
     minimal = dfa.minimized()
     n = minimal.n_states
-    symbols = minimal.alphabet.symbols
-    identity = tuple(range(n))
+    identity = _transformation(range(n))
     elements = [identity]
     index = {identity: 0}
-    witnesses = [""]
+    parent = [0]  # the identity's parent and letter are never read
+    letter = [0]
     right = []
     letter_maps = [
-        tuple(minimal.delta[q][a] for q in range(n))
+        (a, _operand(_transformation([minimal.delta[q][a] for q in range(n)])))
         for a in range(len(minimal.alphabet))
     ]
-    frontier = 0
-    while frontier < len(elements):
-        then = _then(elements[frontier])
-        word = witnesses[frontier]
+    find = index.get
+    for frontier, element in enumerate(elements):  # elements grows while it is read
+        then = _then(element)
         row = []
-        for a, letter_map in enumerate(letter_maps):
+        for a, letter_map in letter_maps:
             composed = then(letter_map)
-            target = index.get(composed)
+            target = find(composed)
             if target is None:
                 if len(elements) >= budget:
                     raise BudgetExceededError(
@@ -142,18 +181,19 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
                 target = len(elements)
                 index[composed] = target
                 elements.append(composed)
-                witnesses.append(word + symbols[a])
+                parent.append(frontier)
+                letter.append(a)
             row.append(target)
         right.append(tuple(row))  # tuples of ints drop out of the cycle collector
-        frontier += 1
     monoid = Monoid(
         minimal.alphabet,
         elements,
         index,
         0,
         list(right[0]),
-        witnesses,
         minimal,
+        parent,
+        letter,
         right,
     )
     accept = AcceptSet(
@@ -279,7 +319,7 @@ def witness_in_monoid(dfa, monoid, accept, greens):
         raise AssertionError("non-null language must meet a J-minimal element")
     t = min(candidates)  # element indices follow the shortlex order of witnesses
     n = idempotent_power(monoid, t)
-    word = monoid.witnesses[t]
+    word = monoid.witness(t)
     if word == "":
         # the J-minimal element is the identity; extend through a letter and
         # close the loop inside the same J-class
@@ -288,7 +328,7 @@ def witness_in_monoid(dfa, monoid, accept, greens):
         if found is None:
             raise AssertionError("J-minimality must allow recovering the element")
         x, y = found
-        word = monoid.witnesses[x] + letter + monoid.witnesses[y]
+        word = monoid.witness(x) + letter + monoid.witness(y)
     for m in (1, 2, 3):
         power = word * (m * n + 1)
         if not dfa.accepts(power):

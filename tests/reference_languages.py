@@ -14,13 +14,21 @@ builds the same languages by exploration, and the tests compare the two
 after minimization.  ``prefix_trie_by_reversal`` builds the prefix
 extension's sandwich machines the long way round: the suffix machine of
 the reversed base, reversed into an NFA, determinized and minimized.
+
+``tuple_transition_monoid`` is the transition monoid on tuple state maps
+composed by ``itemgetter``, with an eager list of witness words, its left
+Cayley rows composed element by generator and ``bracket`` composing one
+pair at a time; the library's monoid on bytes elements with BFS parents is
+compared against it.
 """
 
 import re
+from operator import itemgetter
 
-from regdensity import Alphabet, Dfa, LanguageOracle, Nfa, enumerate_words
+from regdensity import Alphabet, BudgetExceededError, Dfa, LanguageOracle, Nfa, enumerate_words
 from regdensity.approximations import _matcher_rows
 from regdensity.languages import staircase_word_prefix
+from regdensity.monoid import DEFAULT_MONOID_BUDGET, AcceptSet
 
 
 def dyck(word):
@@ -319,3 +327,139 @@ def prefix_trie_by_reversal(base, letter, n, outer):
         base.name + "-reversed", base.alphabet, lambda w: base(w[::-1])
     )
     return reverse(cylinder_trie_dfa(reversed_base, letter, n, outer)).determinize().minimized()
+
+
+def _then(first):
+    """The map t -> 'apply first, then t' on transformation tuples."""
+    if len(first) == 1:
+        # one state: (0,) is the only transformation, and itemgetter of one
+        # index would return a scalar instead of a 1-tuple
+        return lambda t: t
+    return itemgetter(*first)
+
+
+class TupleMonoid:
+    """Transition monoid of a minimal DFA, with witnesses and Cayley graphs."""
+
+    __slots__ = (
+        "alphabet",
+        "elements",
+        "index",
+        "identity",
+        "generators",
+        "witnesses",
+        "minimal_dfa",
+        "_right",
+        "_left",
+    )
+
+    def __init__(self, alphabet, elements, index, identity, generators, witnesses, minimal_dfa,
+                 right):
+        self.alphabet = alphabet
+        self.elements = elements
+        self.index = index
+        self.identity = identity
+        self.generators = generators
+        self.witnesses = witnesses
+        self.minimal_dfa = minimal_dfa
+        self._right = right
+        self._left = None
+
+    def __len__(self):
+        return len(self.elements)
+
+    def compose(self, i, j):
+        """Index of the transformation 'apply element i, then element j'."""
+        return self.index[_then(self.elements[i])(self.elements[j])]
+
+    def bracket(self, middle, goal):
+        """The first (x, y) in index order with x·middle·y in ``goal``, or
+        None."""
+        size = len(self.elements)
+        for x in range(size):
+            left = self.compose(x, middle)
+            for y in range(size):
+                if self.compose(left, y) in goal:
+                    return x, y
+        return None
+
+    def right_cayley(self):
+        """right_cayley()[i][g] = index of element_i · generator_g."""
+        return self._right
+
+    def left_cayley(self):
+        """left_cayley()[i][g] = index of generator_g · element_i."""
+        if self._left is None:
+            index = self.index
+            by_generator = [_then(self.elements[g]) for g in self.generators]
+            self._left = [
+                tuple([index[then(element)] for then in by_generator])
+                for element in self.elements
+            ]
+        return self._left
+
+    def element_of_word(self, word):
+        e = self.identity
+        for ch in word:
+            e = self._right[e][self.alphabet.rank(ch)]
+        return e
+
+
+def tuple_transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
+    """Monoid of the minimal DFA plus its accept set.
+
+    Elements are discovered breadth-first with letters in alphabet order, so
+    each element's recorded witness is its shortlex-least word, and element
+    indices increase in shortlex order of the witnesses.  Row i of the right
+    Cayley graph is recorded when element i leaves the frontier.
+    """
+    minimal = dfa.minimized()
+    n = minimal.n_states
+    symbols = minimal.alphabet.symbols
+    identity = tuple(range(n))
+    elements = [identity]
+    index = {identity: 0}
+    witnesses = [""]
+    right = []
+    letter_maps = [
+        tuple(minimal.delta[q][a] for q in range(n))
+        for a in range(len(minimal.alphabet))
+    ]
+    frontier = 0
+    while frontier < len(elements):
+        then = _then(elements[frontier])
+        word = witnesses[frontier]
+        row = []
+        for a, letter_map in enumerate(letter_maps):
+            composed = then(letter_map)
+            target = index.get(composed)
+            if target is None:
+                if len(elements) >= budget:
+                    raise BudgetExceededError(
+                        "transition monoid exceeds %d elements" % budget
+                    )
+                target = len(elements)
+                index[composed] = target
+                elements.append(composed)
+                witnesses.append(word + symbols[a])
+            row.append(target)
+        right.append(tuple(row))  # tuples of ints drop out of the cycle collector
+        frontier += 1
+    monoid = TupleMonoid(
+        minimal.alphabet,
+        elements,
+        index,
+        0,
+        list(right[0]),
+        witnesses,
+        minimal,
+        right,
+    )
+    accept = AcceptSet(
+        frozenset(
+            i
+            for i, el in enumerate(elements)
+            if el[minimal.initial] in minimal.accepting
+        )
+    )
+    return monoid, accept

@@ -21,6 +21,8 @@ from regdensity import (
 from regdensity.automata import strongly_connected_components
 from regdensity.monoid import GreenClasses, idempotent_power
 
+import reference_languages as ref
+
 AB = Alphabet("ab")
 
 
@@ -56,10 +58,10 @@ def test_transition_monoid_examples():
 
 def test_witnesses_are_shortlex_least():
     monoid, _ = transition_monoid(mod_counter_dfa(3))
-    assert monoid.witnesses == ["", "a", "b"]
+    assert [monoid.witness(i) for i in range(len(monoid))] == ["", "a", "b"]
     monoid, _ = transition_monoid(starts_with_a())
-    for i, witness in enumerate(monoid.witnesses):
-        assert monoid.element_of_word(witness) == i
+    for i in range(len(monoid)):
+        assert monoid.element_of_word(monoid.witness(i)) == i
 
 
 def test_monoid_closure_and_morphism_property():
@@ -350,10 +352,72 @@ def test_green_classes_match_three_tarjan_oracle(machine):
     for i in range(len(monoid)):
         j = rng.randrange(len(monoid))
         first, then = monoid.elements[i], monoid.elements[j]
-        assert monoid.elements[monoid.compose(i, j)] == tuple(then[p] for p in first)
+        assert tuple(monoid.elements[monoid.compose(i, j)]) == tuple(then[p] for p in first)
     for _ in range(30):
         word = "".join(rng.choice(monoid.alphabet.symbols) for _ in range(rng.randint(0, 8)))
         folded = monoid.identity
         for ch in word:
             folded = monoid.compose(folded, monoid.generators[monoid.alphabet.rank(ch)])
         assert monoid.element_of_word(word) == folded
+
+
+# -- differential: bytes elements with BFS parents against tuple elements ------
+
+def differential_machines():
+    """Seeded DFAs of 1-7 states over two and three letters whose monoids
+    have at most 2000 elements, a one-state machine, and saturating counters
+    whose minimal DFAs have 256 states (bytes elements) and 300 (tuples)."""
+    rng = random.Random(61)
+    machines = [Dfa(AB, 1, [[0, 0]], 0, set())]
+    for letters in ("ab", "abc"):
+        for n in range(1, 8):
+            kept = 0
+            while kept < 3:
+                machine = random_dfa(rng, n, Alphabet(letters))
+                try:
+                    ref.tuple_transition_monoid(machine, budget=2000)
+                except BudgetExceededError:
+                    continue
+                machines.append(machine)
+                kept += 1
+    return machines + [saturating_counter_dfa(256), saturating_counter_dfa(300)]
+
+
+@pytest.mark.parametrize("machine", differential_machines())
+def test_monoid_matches_tuple_reference(machine):
+    monoid, accept = transition_monoid(machine)
+    expected, expected_accept = ref.tuple_transition_monoid(machine)
+    assert [tuple(element) for element in monoid.elements] == expected.elements
+    assert monoid.right_cayley() == expected.right_cayley()
+    assert monoid.left_cayley() == expected.left_cayley()
+    assert [monoid.witness(i) for i in range(len(monoid))] == expected.witnesses
+    assert accept == expected_accept
+
+
+@pytest.mark.parametrize("states, kind", [(256, bytes), (300, tuple)])
+def test_budget_is_exact_on_both_element_kinds(states, kind):
+    machine = saturating_counter_dfa(states)
+    monoid, _ = transition_monoid(machine, budget=states)
+    assert len(monoid) == states
+    assert all(type(element) is kind for element in monoid.elements)
+    with pytest.raises(BudgetExceededError):
+        transition_monoid(machine, budget=states - 1)
+
+
+def test_bracket_matches_pairwise_composition():
+    rng = random.Random(67)
+    checked = 0
+    while checked < 12:
+        machine = random_dfa(rng, rng.randint(2, 5), Alphabet(rng.choice(("ab", "abc"))))
+        try:
+            monoid, _ = transition_monoid(machine, budget=150)
+        except BudgetExceededError:
+            continue
+        expected, _ = ref.tuple_transition_monoid(machine)
+        size = len(monoid)
+        assert monoid.bracket(rng.randrange(size), set()) is None
+        for _ in range(6):
+            middle = rng.randrange(size)
+            goal = set(rng.sample(range(size), rng.randint(0, min(3, size))))
+            assert monoid.bracket(middle, goal) == expected.bracket(middle, goal)
+        checked += 1
