@@ -310,44 +310,27 @@ def cmd_monoid(args, out):
     greens = green_classes(monoid)
     null_language = density(machine) == 0
     witness = None if null_language else witness_in_monoid(machine, monoid, accept, greens)
+    counts = {
+        name: max(assignment) + 1  # ids run from 0 without a gap
+        for name, assignment in zip("JRLH", (greens.j_class, greens.r_class, greens.l_class,
+                                             greens.h_class))
+    }
+    minimal_accept = sorted(i for i in accept.elements if greens.j_class[i] in greens.j_minimal)
     if args.format == "json":
         payload = {
             "elements": len(monoid),
-            "green": {
-                "J": len(greens.j_classes),
-                "R": len(greens.r_classes),
-                "L": len(greens.l_classes),
-                "H": len(greens.h_classes),
-            },
+            "green": counts,
             "accept_set": sorted(accept.elements),
-            "j_minimal_accept": sorted(
-                i for i in accept.elements if greens.j_class[i] in greens.j_minimal
-            ),
+            "j_minimal_accept": minimal_accept,
             "status": "NULL-LANGUAGE" if null_language else "ok",
             "witness": None if witness is None else {"word": witness[0], "power": witness[1]},
         }
         out.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
         out.write("|M|=%d\n" % len(monoid))
-        out.write(
-            "green: J=%d R=%d L=%d H=%d\n"
-            % (
-                len(greens.j_classes),
-                len(greens.r_classes),
-                len(greens.l_classes),
-                len(greens.h_classes),
-            )
-        )
+        out.write("green: J=%(J)d R=%(R)d L=%(L)d H=%(H)d\n" % counts)
         out.write("S=[%s]\n" % ",".join(str(i) for i in sorted(accept.elements)))
-        out.write(
-            "J-minimal-S=[%s]\n"
-            % ",".join(
-                str(i)
-                for i in sorted(
-                    i for i in accept.elements if greens.j_class[i] in greens.j_minimal
-                )
-            )
-        )
+        out.write("J-minimal-S=[%s]\n" % ",".join(str(i) for i in minimal_accept))
         if null_language:
             out.write("status=NULL-LANGUAGE\n")
         else:

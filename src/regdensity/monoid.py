@@ -8,15 +8,23 @@ element and letter it was first reached from; its shortlex-least witness
 word is read off that parent chain.  The right Cayley graph is recorded
 while the elements are enumerated (Froidure & Pin), and each left Cayley
 row is derived from its parent's row through the right Cayley graph.
-Green's R and L classes are the strongly connected components of the right
-and left Cayley graphs, and J = D = R ∨ L because the monoid is finite,
-which keeps everything linear in the number of monoid elements.
+
+Green's relations need no pass of Tarjan's algorithm over the elements
+(East, Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups").
+Images move along the orbit of the state set, im(x·a) = im(x)·a, and x R x·a
+exactly when im(x·a) lies in the strongly connected component of im(x) in
+that orbit: if im(x)·a·w = im(x), then s = a·w permutes im(x), so x·s^k = x
+for some k.  Finite monoids are stable: an edge of either Cayley graph that
+stays in its J-class stays in its R-class (right) or L-class (left).  So
+J = D is the SCCs of the small graph of left edges on the R-classes, and the
+L-classes are spanned by the left edges that keep the J-class.  Everything
+stays linear in the number of monoid elements.
 """
 
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .automata import strongly_connected_components
+from .automata import explore, strongly_connected_components
 from .core import BudgetExceededError
 from .density import density
 from .languages import is_primitive
@@ -208,80 +216,96 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
 
 @dataclass(frozen=True)
 class GreenClasses:
-    """Partitions of a monoid into R, L, J and H classes plus the minimal
-    J-class.
+    """Green's R, L, J and H classes of a monoid, one class id per element,
+    plus the minimal J-class.
 
-    Class ids are noncanonical ints; ``j_minimal`` holds the one J-class id
-    that is J-below every other, the monoid's minimal ideal.
+    Ids are canonical: R, L and J classes are numbered by least member, H
+    classes by the first (R, L) pair in index order.  ``j_minimal`` holds
+    the one J-class id that is J-below every other, the monoid's minimal
+    ideal.  The ``*_classes`` properties group the members of each class.
     """
 
     r_class: tuple
     l_class: tuple
     j_class: tuple
     h_class: tuple
-    r_classes: tuple
-    l_classes: tuple
-    j_classes: tuple
-    h_classes: tuple
     j_minimal: tuple
 
+    r_classes = property(lambda self: _members(self.r_class))
+    l_classes = property(lambda self: _members(self.l_class))
+    j_classes = property(lambda self: _members(self.j_class))
+    h_classes = property(lambda self: _members(self.h_class))
 
-def _partition_from_sccs(n, successors):
-    comps = strongly_connected_components(successors)
-    comps = [sorted(c) for c in comps]
-    comps.sort(key=lambda c: c[0])
-    assignment = [0] * n
-    for cid, comp in enumerate(comps):
-        for q in comp:
-            assignment[q] = cid
-    return tuple(assignment), tuple(frozenset(c) for c in comps)
+
+def _members(assignment):
+    groups = [[] for _ in range(max(assignment) + 1)]
+    for i, c in enumerate(assignment):
+        groups[c].append(i)
+    return tuple(frozenset(g) for g in groups)
+
+
+def _keyed_classes(edges, key):
+    """Class ids by least member, and each class's least member, for a
+    ``key`` that edges keep exactly inside a class: each class is a forward
+    DFS from its least member along the edges that keep its key."""
+    assignment = [-1] * len(edges)
+    roots = []
+    for root, k in enumerate(key):
+        if assignment[root] < 0:
+            assignment[root] = c = len(roots)
+            roots.append(root)
+            stack = [root]
+            while stack:
+                for t in edges[stack.pop()]:
+                    if assignment[t] < 0 and key[t] == k:
+                        assignment[t] = c
+                        stack.append(t)
+    return assignment, roots
+
+
+def _component_ids(successors):
+    """Each node's SCC id, with components numbered by least member."""
+    ids = [0] * len(successors)
+    for c, comp in enumerate(sorted(strongly_connected_components(successors), key=min)):
+        for v in comp:
+            ids[v] = c
+    return ids
 
 
 def green_classes(monoid):
-    n = len(monoid.elements)
-    right = monoid.right_cayley()
-    left = monoid.left_cayley()
-    r_class, r_classes = _partition_from_sccs(n, right)
-    l_class, l_classes = _partition_from_sccs(n, left)
+    """Green's classes of ``monoid`` from its image orbit and Cayley graphs."""
+    right, left = monoid.right_cayley(), monoid.left_cayley()
+    delta, letters = monoid.minimal_dfa.delta, range(len(monoid.alphabet))
+    _, steps = explore(
+        [frozenset(range(monoid.minimal_dfa.n_states))],
+        lambda subset: [frozenset([delta[q][a] for q in subset]) for a in letters],
+    )
+    image = [0]  # im(p·a) = im(p)·a, read along the BFS parents
+    for p, a in zip(monoid._parent[1:], monoid._letter[1:]):
+        image.append(steps[image[p]][a])
+    component = _component_ids(steps)
+    r_class, r_roots = _keyed_classes(right, [component[v] for v in image])
 
-    # D = R∘L in a finite monoid, and J = D: the J-class of i is the union of
-    # the L-classes that meet the R-class of i.  Scanning i upwards numbers
-    # the J-classes by least member.
-    j_class = [None] * n
-    j_members = []
-    for i in range(n):
-        if j_class[i] is None:
-            members = []
-            for lc in {l_class[k] for k in r_classes[r_class[i]]}:
-                members.extend(l_classes[lc])
-            for k in members:
-                j_class[k] = len(j_members)
-            j_members.append(frozenset(members))
+    # R is a left congruence, so g·x lands in one R-class for every x of an
+    # R-class: the left edges of each least member span the R-quotient.
+    # Right edges that leave an R-class leave its J-class (stability), so
+    # the J-classes are the SCCs of this quotient.
+    quotient = [[r_class[t] for t in left[x]] for x in r_roots]
+    j_of_r = _component_ids(quotient)
+    j_class = [j_of_r[r] for r in r_class]
+    l_class, _ = _keyed_classes(left, j_class)  # stability again, on the left
 
     h_ids = {}
     h_class = [h_ids.setdefault(key, len(h_ids)) for key in zip(r_class, l_class)]
-    h_members = [set() for _ in range(len(h_ids))]
-    for i, h in enumerate(h_class):
-        h_members[h].add(i)
 
     # A finite monoid has exactly one minimal J-class, its minimal ideal K.
     # No generator leads out of K, as K is an ideal.  From x outside K,
-    # x·k lies in K for every k in K, so the right Cayley graph leads out of
-    # the class of x: K is the one class that no right edge leaves.
-    exits = {c for c, row in zip(j_class, right) for t in row if j_class[t] != c}
-    j_minimal = tuple(c for c in range(len(j_members)) if c not in exits)
+    # k·x lies in K for every k in K, so the left Cayley graph leads out of
+    # the class of x: K is the one class that no quotient edge leaves.
+    exits = {j_of_r[r] for r, row in enumerate(quotient) for s in row if j_of_r[s] != j_of_r[r]}
+    j_minimal = tuple(c for c in range(max(j_of_r) + 1) if c not in exits)
 
-    return GreenClasses(
-        r_class=tuple(r_class),
-        l_class=tuple(l_class),
-        j_class=tuple(j_class),
-        h_class=tuple(h_class),
-        r_classes=r_classes,
-        l_classes=l_classes,
-        j_classes=tuple(j_members),
-        h_classes=tuple(frozenset(s) for s in h_members),
-        j_minimal=j_minimal,
-    )
+    return GreenClasses(tuple(r_class), tuple(l_class), tuple(j_class), tuple(h_class), j_minimal)
 
 
 def idempotent_power(monoid, element):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from regdensity import (
     Alphabet,
@@ -273,17 +275,11 @@ def green_classes_oracle(monoid):
     right = [tuple(monoid.compose(i, g) for g in monoid.generators) for i in range(n)]
     left = [tuple(monoid.compose(g, i) for g in monoid.generators) for i in range(n)]
     two_sided = [right[i] + left[i] for i in range(n)]
-    r_class, r_classes = _partition_oracle(n, right)
-    l_class, l_classes = _partition_oracle(n, left)
+    r_class, _ = _partition_oracle(n, right)
+    l_class, _ = _partition_oracle(n, left)
     j_class, j_classes = _partition_oracle(n, two_sided)
     h_ids = {}
-    h_class = []
-    for key in zip(r_class, l_class):
-        h_ids.setdefault(key, len(h_ids))
-        h_class.append(h_ids[key])
-    h_classes = [set() for _ in h_ids]
-    for i, h in enumerate(h_class):
-        h_classes[h].add(i)
+    h_class = tuple(h_ids.setdefault(key, len(h_ids)) for key in zip(r_class, l_class))
     j_below = []
     for c in range(len(j_classes)):
         seen, stack = {c}, [c]
@@ -299,11 +295,7 @@ def green_classes_oracle(monoid):
         r_class=r_class,
         l_class=l_class,
         j_class=j_class,
-        h_class=tuple(h_class),
-        r_classes=r_classes,
-        l_classes=l_classes,
-        j_classes=j_classes,
-        h_classes=tuple(frozenset(h) for h in h_classes),
+        h_class=h_class,
         j_minimal=tuple(c for c in range(len(j_classes)) if j_below[c] == {c}),
     )
     return greens, right, left, j_below
@@ -359,6 +351,56 @@ def test_green_classes_match_three_tarjan_oracle(machine):
         for ch in word:
             folded = monoid.compose(folded, monoid.generators[monoid.alphabet.rank(ch)])
         assert monoid.element_of_word(word) == folded
+
+
+def test_rank_is_not_an_r_class_key():
+    """b·a keeps rank 2 but leaves the R-class of b: R-classes follow the
+    strongly connected components of the image orbit, not the rank."""
+    machine = Dfa(AB, 3, [[0, 1], [2, 1], [2, 2]], 0, {0, 1})
+    monoid, _ = transition_monoid(machine)
+    expected, right, _, _ = green_classes_oracle(monoid)
+    rank = [len(set(element)) for element in monoid.elements]
+    assert any(
+        rank[t] == rank[i] and expected.r_class[t] != expected.r_class[i]
+        for i, row in enumerate(right)
+        for t in row
+    )
+    assert green_classes(monoid) == expected
+
+
+def test_image_is_not_an_l_class_key():
+    """Two J-equivalent elements with one image lie in different L-classes:
+    the left edges that stay in an L-class are those that stay in its
+    J-class, whatever they do to the image."""
+    machine = Dfa(AB, 3, [[1, 2], [2, 2], [2, 1]], 0, {2})
+    monoid, _ = transition_monoid(machine)
+    expected, _, _, _ = green_classes_oracle(monoid)
+    l_classes = {}
+    for i, element in enumerate(monoid.elements):
+        l_classes.setdefault((frozenset(element), expected.j_class[i]), set()).add(
+            expected.l_class[i]
+        )
+    assert any(len(ids) > 1 for ids in l_classes.values())
+    assert green_classes(monoid) == expected
+
+
+@st.composite
+def small_dfas(draw):
+    alphabet = Alphabet(draw(st.sampled_from(("ab", "abc"))))
+    n = draw(st.integers(1, 7))
+    delta = [[draw(st.integers(0, n - 1)) for _ in alphabet.symbols] for _ in range(n)]
+    return Dfa(alphabet, n, delta, 0, draw(st.sets(st.integers(0, n - 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_dfas())
+def test_green_classes_match_oracle_on_random_machines(machine):
+    try:
+        monoid, _ = transition_monoid(machine, budget=3000)
+    except BudgetExceededError:
+        assume(False)
+    expected, _, _, _ = green_classes_oracle(monoid)
+    assert green_classes(monoid) == expected
 
 
 # -- differential: bytes elements with BFS parents against tuple elements ------
