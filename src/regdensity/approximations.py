@@ -152,7 +152,10 @@ def nonpalindrome_window_dfa(k):
     Realised as a memory of the prefix read so far and then, once it has k
     letters p, a state (p, e, j): e letters read beyond p (saturating at k)
     and the Knuth-Morris-Pratt matcher state j of those letters against
-    reverse(p); the result is minimized.  The budget bounds the equivalent
+    reverse(p).  The machine is minimal as built: its one mergeable pair per
+    p, the rejecting full match (p, k, k) and (p, k - 1, b) for the longest
+    proper border b of reverse(p), have the same row, so a completed match
+    goes straight to (p, k - 1, b).  The budget bounds the equivalent
     sliding-window machine (prefix memory, window of the last k letters and
     counter), decided without computing its size once 2^k alone is past it.
     """
@@ -169,14 +172,16 @@ def nonpalindrome_window_dfa(k):
             return [(w, 0, 0) if len(w) == k else w for w in (state + "a", state + "b")]
         p, e, j = state
         if p not in matchers:
-            matchers[p] = _matcher_rows(p[::-1], "ab")
+            rows = _matcher_rows(p[::-1], "ab")
+            matchers[p] = rows, rows.index(rows[k])  # row k repeats the border's row
+        rows, border = matchers[p]
         after = min(e + 1, k)
-        return [(p, after, t) for t in matchers[p][j]]
+        return [(p, k - 1, border) if t == k else (p, after, t) for t in rows[j]]
 
     def accepting(state):
         return type(state) is tuple and state[1] == k and state[2] < k
 
-    return build_dfa(Alphabet("ab"), "", successors, accepting).minimized()
+    return build_dfa(Alphabet("ab"), "", successors, accepting)
 
 
 def _check_bound(n):
@@ -186,13 +191,14 @@ def _check_bound(n):
 
 def _trie_alphabet(base, letter, n):
     """The extension alphabet of a trie over the base words shorter than n.
-    The budget is checked on the trie words alone, before the base is asked
-    about any of them."""
+    The budget is checked on the trie words and the one state that the words
+    outgrowing the trie reach, which both trie machines hold, before the
+    base is asked about any word."""
     _check_bound(n)
-    words = 0
+    states = 1
     for i in range(n):
-        words += len(base.alphabet) ** i
-        if words > STATE_BUDGET:
+        states += len(base.alphabet) ** i
+        if states > STATE_BUDGET:
             raise BudgetExceededError("automaton exceeds %d reachable states" % STATE_BUDGET)
     return Alphabet(base.alphabet.symbols + (letter,))
 
@@ -203,41 +209,60 @@ def _cylinder_trie_dfa(base, letter, n, outer):
     if w is a base member and to the absorbing state False (dead) if not.
     A word that outgrows the trie is not decided by it: the outer machine
     sends it to free and also accepts inside the trie, the inner one sends
-    it to dead and accepts only free."""
+    it to dead and accepts only free.  A trie state carries the base
+    reader's state along with its word, so each word costs one step."""
     alphabet = _trie_alphabet(base, letter, n)
+    start, step, member = reader(base)
+    symbols = base.alphabet.symbols
 
     def successors(state):
         if type(state) is bool:
             return [state] * len(alphabet)
-        grown = [state + ch if len(state) + 1 < n else outer for ch in base.alphabet]
-        return grown + [base(state)]
+        word, s = state
+        grown = [(word + ch, step(s, ch)) if len(word) + 1 < n else outer for ch in symbols]
+        return grown + [member(s)]
 
     def accepting(state):
-        return state is True or (outer and type(state) is str)
+        return state is True or (outer and type(state) is tuple)
 
-    return build_dfa(alphabet, "" if n > 0 else outer, successors, accepting)
+    return build_dfa(alphabet, ("", start) if n > 0 else outer, successors, accepting)
 
 
 def _tail_trie_dfa(base, letter, n, outer):
-    """The machine behind both prefix sandwiches, minimized: the state is
-    the base word read since the last fresh letter while it is shorter than
-    n, and the fresh letter restarts it at the empty word.  A trie word is
-    accepted iff it is a base member.  The one state ``outer`` stands for
+    """The machine behind both prefix sandwiches, built minimal: the state
+    is the base word read since the last fresh letter while it is shorter
+    than n, and the fresh letter restarts it at the empty word.  A trie word
+    is accepted iff it is a base member.  The one state ``outer`` stands for
     the words before the first fresh letter and for those whose tail has
-    outgrown the trie, and is its own verdict.  The restart edges make the
-    raw trie one recurrent class, hence the minimization."""
+    outgrown the trie, and is its own verdict.  Every fresh letter leads to
+    the root, so the trie's nodes, the base reader's states per depth, are
+    classed from the leaves up by (verdict, child classes); ``outer`` is
+    class 0, keyed (outer, 0, ..., 0), and a node with that key joins it.
+    The base is asked about the nodes in shortlex order of first words."""
     alphabet = _trie_alphabet(base, letter, n)
-    restart = "" if n > 0 else outer
-
-    def successors(state):
-        if type(state) is bool:
-            return [state] * len(base.alphabet) + [restart]
-        return [state + ch if len(state) + 1 < n else outer for ch in base.alphabet] + [restart]
-
-    def accepting(state):
-        return state if type(state) is bool else base(state)
-
-    return build_dfa(alphabet, outer, successors, accepting).minimized()
+    start, step, member = reader(base)
+    symbols = base.alphabet.symbols
+    layers = []  # per depth, reader state -> (verdict, children; none at a leaf)
+    frontier = [start]
+    for depth in range(n):
+        leaf = depth + 1 == n
+        layer = {s: (member(s), () if leaf else tuple(step(s, ch) for ch in symbols))
+                 for s in frontier}
+        layers.append(layer)
+        frontier = dict.fromkeys(t for _, children in layer.values() for t in children)
+    outgrown = (0,) * len(symbols)  # a leaf's base letters lead to outer
+    keys = {(outer,) + outgrown: 0}
+    below = {}
+    for layer in reversed(layers):
+        below = {
+            s: keys.setdefault(
+                (verdict,) + (tuple(below[t] for t in children) or outgrown), len(keys)
+            )
+            for s, (verdict, children) in layer.items()
+        }
+    root = below[start] if n > 0 else 0
+    keys = list(keys)
+    return build_dfa(alphabet, 0, lambda c: keys[c][1:] + (root,), lambda c: keys[c][0])
 
 
 def suffix_inner_dfa(base, letter, n):

@@ -14,6 +14,8 @@ builds the same languages by exploration, and the tests compare the two
 after minimization.  ``prefix_trie_by_reversal`` builds the prefix
 extension's sandwich machines the long way round: the suffix machine of
 the reversed base, reversed into an NFA, determinized and minimized.
+``tail_trie_dfa`` builds them as a raw trie of the tail words, each decided
+from the base's start, and minimizes it.
 
 ``tuple_transition_monoid`` is the transition monoid on tuple state maps
 composed by ``itemgetter``, with an eager list of witness words, its left
@@ -26,7 +28,8 @@ import re
 from operator import itemgetter
 
 from regdensity import Alphabet, BudgetExceededError, Dfa, LanguageOracle, Nfa, enumerate_words
-from regdensity.approximations import _matcher_rows
+from regdensity.approximations import _matcher_rows, _trie_alphabet
+from regdensity.automata import build_dfa
 from regdensity.languages import staircase_word_prefix
 from regdensity.monoid import DEFAULT_MONOID_BUDGET, AcceptSet
 
@@ -327,6 +330,27 @@ def prefix_trie_by_reversal(base, letter, n, outer):
         base.name + "-reversed", base.alphabet, lambda w: base(w[::-1])
     )
     return reverse(cylinder_trie_dfa(reversed_base, letter, n, outer)).determinize().minimized()
+
+
+def tail_trie_dfa(base, letter, n, outer):
+    """The prefix sandwich machine as a raw trie of the words read since
+    the last fresh letter, each decided by ``base(word)`` from the base's
+    start, then minimized by Moore refinement: the state is the tail while
+    it is shorter than n, the fresh letter restarts it at the empty word,
+    and the one state ``outer`` stands for the words before the first fresh
+    letter and for those whose tail outgrew the trie."""
+    alphabet = _trie_alphabet(base, letter, n)
+    restart = "" if n > 0 else outer
+
+    def successors(state):
+        if type(state) is bool:
+            return [state] * len(base.alphabet) + [restart]
+        return [state + ch if len(state) + 1 < n else outer for ch in base.alphabet] + [restart]
+
+    def accepting(state):
+        return state if type(state) is bool else base(state)
+
+    return build_dfa(alphabet, outer, successors, accepting).minimized()
 
 
 def _then(first):

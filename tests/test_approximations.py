@@ -18,6 +18,7 @@ from regdensity import (
     GapRow,
     LanguageOracle,
     LengthCensus,
+    Stepper,
     census_by_enumeration,
     count_eq,
     density,
@@ -46,6 +47,8 @@ from regdensity import (
 )
 from regdensity import approximations, automata
 from regdensity.approximations import (
+    _cylinder_trie_dfa,
+    _tail_trie_dfa,
     contains_factor_dfa,
     ends_with_letter_dfa,
     goldstine_inner_dfa,
@@ -53,6 +56,7 @@ from regdensity.approximations import (
     suffix_inner_dfa,
     suffix_outer_dfa,
 )
+from regdensity.cli import load_oracle
 from regdensity.languages import kemp_base, staircase_word_prefix
 
 import reference_languages as ref
@@ -611,6 +615,87 @@ def test_trie_budget_raises_only_where_the_exploration_would(monkeypatch):
             suffix_inner_dfa(base, "c", n)
         assert bool(asked) == asks
     assert suffix_inner_dfa(semi_dyck(), "c", 3).n_states == 9
+
+
+def _fresh_letter(base):
+    return next(ch for ch in "cdz" if ch not in base.alphabet)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["dyck", "majority:2", "kemp", "pal", "primitive", "o3", "goldstine",
+     "coprefix:a=ab,b=a", "diagonal"],
+)
+def test_tail_trie_is_the_minimized_raw_trie(spec):
+    base = load_oracle(spec)
+    letter = _fresh_letter(base)
+    for n in range(9):
+        for outer in (False, True):
+            assert _tail_trie_dfa(base, letter, n, outer) == ref.tail_trie_dfa(base, letter, n, outer)
+
+
+def stepped_dfa_reader(machine):
+    """The machine's language as a stepped oracle: equal reader states are
+    reached by many words, at many depths."""
+    delta, rank = machine.delta, machine.alphabet.rank
+    stepper = Stepper(machine.initial, lambda q, ch: delta[q][rank(ch)],
+                      machine.accepting.__contains__)
+    return LanguageOracle("dfa", machine.alphabet, stepper=stepper)
+
+
+@st.composite
+def reader_dfas(draw):
+    alphabet = Alphabet(draw(st.sampled_from(["a", "ab", "abc"])))
+    n = draw(st.integers(1, 5))
+    delta = [[draw(st.integers(0, n - 1)) for _ in alphabet] for _ in range(n)]
+    return Dfa(alphabet, n, delta, 0, draw(st.sets(st.integers(0, n - 1))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(reader_dfas(), st.integers(0, 6))
+def test_tail_trie_over_a_stepped_reader_is_the_minimized_raw_trie(machine, n):
+    base = stepped_dfa_reader(machine)
+    for outer in (False, True):
+        assert _tail_trie_dfa(base, "z", n, outer) == ref.tail_trie_dfa(base, "z", n, outer)
+
+
+def test_tail_trie_budget_counts_the_outer_state(monkeypatch):
+    # a unary base has n trie words below n, and the raw exploration holds
+    # outer besides, so a budget of 16 fits n = 15 but not n = 16
+    monkeypatch.setattr(automata, "STATE_BUDGET", 16)
+    monkeypatch.setattr(approximations, "STATE_BUDGET", 16)
+    unary = LanguageOracle("a-star", Alphabet("a"), lambda w: len(w) % 3 == 0)
+    for outer in (False, True):
+        assert _tail_trie_dfa(unary, "c", 15, outer) == ref.tail_trie_dfa(unary, "c", 15, outer)
+        base, asked = counting(unary)
+        with pytest.raises(BudgetExceededError) as direct:
+            _tail_trie_dfa(base, "c", 16, outer)
+        assert asked == []
+        # the raw exploration alone, past the trie-word pre-check
+        monkeypatch.setattr(approximations, "STATE_BUDGET", 10 ** 6)
+        with pytest.raises(BudgetExceededError) as raw:
+            ref.tail_trie_dfa(unary, "c", 16, outer)
+        monkeypatch.setattr(approximations, "STATE_BUDGET", 16)
+        assert str(direct.value) == str(raw.value) == "automaton exceeds 16 reachable states"
+
+
+def test_cylinder_trie_steps_each_word_once():
+    # each trie word but the root, 2^n - 2 words of lengths 1..n-1, is one
+    # step from its parent's reader state
+    steps = []
+    dyck = semi_dyck().stepper
+
+    def step(state, ch):
+        steps.append(ch)
+        return dyck.step(state, ch)
+
+    base = LanguageOracle("dyck", AB, stepper=Stepper(dyck.start, step, dyck.accepting))
+    for n in range(8):
+        for outer in (False, True):
+            del steps[:]
+            machine = _cylinder_trie_dfa(base, "c", n, outer)
+            assert machine == _cylinder_trie_dfa(semi_dyck(), "c", n, outer)
+            assert len(steps) == 2 ** max(n, 1) - 2
 
 
 @pytest.mark.parametrize("build", [suffix_extension_family, prefix_extension_family])

@@ -42,6 +42,8 @@ _GAP_CASES = [
     ("prefix-ext:pal:c", ["0,1,3"], 6),
     ("prefix-ext:goldstine:c", ["2,5"], 7),
     ("prefix-ext:dyck:c", ["18"], 2),
+    # deep tail tries over a stepped base: 131,071 trie words at k=17
+    ("prefix-ext:dyck:c", ["12,17"], 2),
 ]
 
 _CENSUS_CASES = [
