@@ -190,56 +190,41 @@ def _check_bound(n):
 
 
 def _trie_alphabet(base, letter, n):
-    """The extension alphabet of a trie over the base words shorter than n.
-    The budget is checked on the trie words and the one state that the words
-    outgrowing the trie reach, which both trie machines hold, before the
-    base is asked about any word."""
+    """The extension alphabet of a trie over the base words shorter than n,
+    and the states of its raw machine, the trie words and the one state
+    ``outer`` that the words outgrowing the trie reach.  Both sandwiches
+    hold these states, so the budget is checked on them before the base is
+    asked about any word."""
     _check_bound(n)
     states = 1
     for i in range(n):
         states += len(base.alphabet) ** i
         if states > STATE_BUDGET:
             raise BudgetExceededError("automaton exceeds %d reachable states" % STATE_BUDGET)
-    return Alphabet(base.alphabet.symbols + (letter,))
+    return Alphabet(base.alphabet.symbols + (letter,)), states
 
 
-def _cylinder_trie_dfa(base, letter, n, outer):
-    """The machine behind both suffix sandwiches: a trie of the base words w
-    shorter than n, where w·letter leads to the absorbing state True (free)
-    if w is a base member and to the absorbing state False (dead) if not.
-    A word that outgrows the trie is not decided by it: the outer machine
-    sends it to free and also accepts inside the trie, the inner one sends
-    it to dead and accepts only free.  A trie state carries the base
-    reader's state along with its word, so each word costs one step."""
-    alphabet = _trie_alphabet(base, letter, n)
-    start, step, member = reader(base)
-    symbols = base.alphabet.symbols
+def _extension_trie_dfa(base, letter, n, outer, suffix):
+    """The machine behind every extension sandwich, built minimal from a
+    trie of the base words shorter than n.  The trie's nodes, the base
+    reader's states per depth, are asked in shortlex order of first words
+    and classed from the leaves up (Revuz 1992) by (acceptance, child
+    classes, fresh-letter class).  A word that outgrows the trie reaches
+    class 0, the one state ``outer``, which is its own verdict, and a node
+    keyed as class 0 joins it.
 
-    def successors(state):
-        if type(state) is bool:
-            return [state] * len(alphabet)
-        word, s = state
-        grown = [(word + ch, step(s, ch)) if len(word) + 1 < n else outer for ch in symbols]
-        return grown + [member(s)]
+    In a ``suffix`` trie w·letter decides the word for good: it leads to
+    class 0 if w's verdict is ``outer`` and else to class 1, the other
+    absorbing state, and a trie node accepts as ``outer`` does.  The machine
+    starts at the root's class.  Otherwise the fresh letter restarts the
+    trie at the root, so it is left out of the keys; a node accepts iff it
+    is a base member, and class 0 also stands for the words before the
+    first fresh letter, where the machine starts.
 
-    def accepting(state):
-        return state is True or (outer and type(state) is tuple)
-
-    return build_dfa(alphabet, ("", start) if n > 0 else outer, successors, accepting)
-
-
-def _tail_trie_dfa(base, letter, n, outer):
-    """The machine behind both prefix sandwiches, built minimal: the state
-    is the base word read since the last fresh letter while it is shorter
-    than n, and the fresh letter restarts it at the empty word.  A trie word
-    is accepted iff it is a base member.  The one state ``outer`` stands for
-    the words before the first fresh letter and for those whose tail has
-    outgrown the trie, and is its own verdict.  Every fresh letter leads to
-    the root, so the trie's nodes, the base reader's states per depth, are
-    classed from the leaves up by (verdict, child classes); ``outer`` is
-    class 0, keyed (outer, 0, ..., 0), and a node with that key joins it.
-    The base is asked about the nodes in shortlex order of first words."""
-    alphabet = _trie_alphabet(base, letter, n)
+    Once some verdict reaches class 1, the raw suffix machine holds it
+    besides the states that ``_trie_alphabet`` counts, so the budget is
+    checked again after the walk and raises where that exploration did."""
+    alphabet, states = _trie_alphabet(base, letter, n)
     start, step, member = reader(base)
     symbols = base.alphabet.symbols
     layers = []  # per depth, reader state -> (verdict, children; none at a leaf)
@@ -251,28 +236,38 @@ def _tail_trie_dfa(base, letter, n, outer):
         layers.append(layer)
         frontier = dict.fromkeys(t for _, children in layer.values() for t in children)
     outgrown = (0,) * len(symbols)  # a leaf's base letters lead to outer
-    keys = {(outer,) + outgrown: 0}
+    if suffix:
+        keys = {(outer,) + outgrown + (0,): 0, (not outer,) + (1,) * len(alphabet): 1}
+        if states == STATE_BUDGET and any(
+            verdict != outer for layer in layers for verdict, _ in layer.values()
+        ):
+            raise BudgetExceededError("automaton exceeds %d reachable states" % STATE_BUDGET)
+    else:
+        keys = {(outer,) + outgrown: 0}
     below = {}
     for layer in reversed(layers):
-        below = {
-            s: keys.setdefault(
-                (verdict,) + (tuple(below[t] for t in children) or outgrown), len(keys)
-            )
-            for s, (verdict, children) in layer.items()
-        }
+        classes = {}
+        for s, (verdict, children) in layer.items():
+            grown = tuple(below[t] for t in children) or outgrown
+            key = (outer,) + grown + (int(verdict != outer),) if suffix else (verdict,) + grown
+            classes[s] = keys.setdefault(key, len(keys))
+        below = classes
     root = below[start] if n > 0 else 0
+    fresh = () if suffix else (root,)
     keys = list(keys)
-    return build_dfa(alphabet, 0, lambda c: keys[c][1:] + (root,), lambda c: keys[c][0])
+    return build_dfa(
+        alphabet, root if suffix else 0, lambda c: keys[c][1:] + fresh, lambda c: keys[c][0]
+    )
 
 
 def suffix_inner_dfa(base, letter, n):
     """Union of the cylinders w·letter·B* over base members w shorter than n."""
-    return _cylinder_trie_dfa(base, letter, n, outer=False)
+    return _extension_trie_dfa(base, letter, n, outer=False, suffix=True)
 
 
 def suffix_outer_dfa(base, letter, n):
     """All words except the cylinders of base non-members shorter than n."""
-    return _cylinder_trie_dfa(base, letter, n, outer=True)
+    return _extension_trie_dfa(base, letter, n, outer=True, suffix=True)
 
 
 def _cylinder_mass(base, letter, n, members):
@@ -301,12 +296,12 @@ def suffix_extension_family(base, letter):
 
 def prefix_extension_family(base, letter):
     """Same sandwich for the prefix extension, from tries of the base word
-    after the last fresh letter (see ``_tail_trie_dfa``)."""
+    after the last fresh letter (see ``_extension_trie_dfa``)."""
     return ApproxFamily(
         name="prefix-ext:%s:%s" % (base.name, letter),
         target=prefix_extension(base, letter),
-        inner=lambda n: _tail_trie_dfa(base, letter, n, outer=False),
-        outer=lambda n: _tail_trie_dfa(base, letter, n, outer=True),
+        inner=lambda n: _extension_trie_dfa(base, letter, n, outer=False, suffix=False),
+        outer=lambda n: _extension_trie_dfa(base, letter, n, outer=True, suffix=False),
         inner_claim=lambda n: _cylinder_mass(base, letter, n, True),
         outer_claim=lambda n: 1 - _cylinder_mass(base, letter, n, False),
     )

@@ -339,7 +339,7 @@ def tail_trie_dfa(base, letter, n, outer):
     it is shorter than n, the fresh letter restarts it at the empty word,
     and the one state ``outer`` stands for the words before the first fresh
     letter and for those whose tail outgrew the trie."""
-    alphabet = _trie_alphabet(base, letter, n)
+    alphabet, _ = _trie_alphabet(base, letter, n)
     restart = "" if n > 0 else outer
 
     def successors(state):

@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -47,8 +49,7 @@ from regdensity import (
 )
 from regdensity import approximations, automata
 from regdensity.approximations import (
-    _cylinder_trie_dfa,
-    _tail_trie_dfa,
+    _extension_trie_dfa,
     contains_factor_dfa,
     ends_with_letter_dfa,
     goldstine_inner_dfa,
@@ -318,14 +319,6 @@ def test_gap_report_detects_broken_inner():
     assert not report.rows[0].containment_ok
 
 
-def test_cylinder_tries_are_the_hand_indexed_tries():
-    for base in (semi_dyck(), palindromes(), goldstine()):
-        for n in range(6):
-            for build, outer in ((suffix_inner_dfa, False), (suffix_outer_dfa, True)):
-                expected = ref.cylinder_trie_dfa(base, "c", n, outer).minimized()
-                assert build(base, "c", n).minimized() == expected
-
-
 def test_pair_counter_outer_is_the_union_of_two_looped_counters():
     for name, pairs in (("o3", ("ab", "ac")), ("o4", ("xX", "yY"))):
         fam = family(name)
@@ -337,6 +330,7 @@ def test_pair_counter_outer_is_the_union_of_two_looped_counters():
 
 def test_suffix_trie_budget(monkeypatch):
     monkeypatch.setattr(automata, "STATE_BUDGET", 100)
+    monkeypatch.setattr(approximations, "STATE_BUDGET", 100)
     with pytest.raises(BudgetExceededError):
         suffix_inner_dfa(semi_dyck(), "c", 10)
     with pytest.raises(BudgetExceededError):
@@ -614,24 +608,53 @@ def test_trie_budget_raises_only_where_the_exploration_would(monkeypatch):
         with pytest.raises(BudgetExceededError):
             suffix_inner_dfa(base, "c", n)
         assert bool(asked) == asks
-    assert suffix_inner_dfa(semi_dyck(), "c", 3).n_states == 9
+    machine = suffix_inner_dfa(semi_dyck(), "c", 3)
+    assert machine == ref.cylinder_trie_dfa(semi_dyck(), "c", 3, False).minimized()
+    assert machine.n_states == 5
+
+
+def test_trie_budget_holds_a_suffix_trie_that_never_reaches_its_second_state(monkeypatch):
+    # 15 trie words and outer fill a budget of 16; when every verdict leads
+    # to outer's absorbing state the other one is never reached, and the
+    # machine builds, as the exploration did; one verdict at the deepest
+    # level that reaches it is the one state too many
+    monkeypatch.setattr(automata, "STATE_BUDGET", 16)
+    monkeypatch.setattr(approximations, "STATE_BUDGET", 16)
+    for build, outer in ((suffix_inner_dfa, False), (suffix_outer_dfa, True)):
+        base = LanguageOracle("constant", AB, lambda w: outer)
+        assert build(base, "c", 4) == ref.cylinder_trie_dfa(base, "c", 4, outer).minimized()
+        one = LanguageOracle("one", AB, lambda w: (w == "bbb") != outer)
+        with pytest.raises(BudgetExceededError, match="^automaton exceeds 16 reachable states$"):
+            build(one, "c", 4)
 
 
 def _fresh_letter(base):
     return next(ch for ch in "cdz" if ch not in base.alphabet)
 
 
+def minimized_raw_trie(base, letter, n, outer, suffix):
+    """The hand-indexed suffix trie or the explored tail trie, minimized."""
+    if suffix:
+        return ref.cylinder_trie_dfa(base, letter, n, outer).minimized()
+    return ref.tail_trie_dfa(base, letter, n, outer)
+
+
+both_tries = pytest.mark.parametrize("suffix", [True, False], ids=["suffix", "prefix"])
+
+
+@both_tries
 @pytest.mark.parametrize(
     "spec",
     ["dyck", "majority:2", "kemp", "pal", "primitive", "o3", "goldstine",
      "coprefix:a=ab,b=a", "diagonal"],
 )
-def test_tail_trie_is_the_minimized_raw_trie(spec):
+def test_extension_trie_is_the_minimized_raw_trie(spec, suffix):
     base = load_oracle(spec)
     letter = _fresh_letter(base)
     for n in range(9):
         for outer in (False, True):
-            assert _tail_trie_dfa(base, letter, n, outer) == ref.tail_trie_dfa(base, letter, n, outer)
+            machine = _extension_trie_dfa(base, letter, n, outer, suffix)
+            assert machine == minimized_raw_trie(base, letter, n, outer, suffix)
 
 
 def stepped_dfa_reader(machine):
@@ -651,12 +674,14 @@ def reader_dfas(draw):
     return Dfa(alphabet, n, delta, 0, draw(st.sets(st.integers(0, n - 1))))
 
 
+@both_tries
 @settings(max_examples=80, deadline=None)
-@given(reader_dfas(), st.integers(0, 6))
-def test_tail_trie_over_a_stepped_reader_is_the_minimized_raw_trie(machine, n):
+@given(machine=reader_dfas(), n=st.integers(0, 6))
+def test_extension_trie_over_a_stepped_reader_is_the_minimized_raw_trie(suffix, machine, n):
     base = stepped_dfa_reader(machine)
     for outer in (False, True):
-        assert _tail_trie_dfa(base, "z", n, outer) == ref.tail_trie_dfa(base, "z", n, outer)
+        built = _extension_trie_dfa(base, "z", n, outer, suffix)
+        assert built == minimized_raw_trie(base, "z", n, outer, suffix)
 
 
 def test_tail_trie_budget_counts_the_outer_state(monkeypatch):
@@ -666,10 +691,11 @@ def test_tail_trie_budget_counts_the_outer_state(monkeypatch):
     monkeypatch.setattr(approximations, "STATE_BUDGET", 16)
     unary = LanguageOracle("a-star", Alphabet("a"), lambda w: len(w) % 3 == 0)
     for outer in (False, True):
-        assert _tail_trie_dfa(unary, "c", 15, outer) == ref.tail_trie_dfa(unary, "c", 15, outer)
+        machine = _extension_trie_dfa(unary, "c", 15, outer, suffix=False)
+        assert machine == ref.tail_trie_dfa(unary, "c", 15, outer)
         base, asked = counting(unary)
         with pytest.raises(BudgetExceededError) as direct:
-            _tail_trie_dfa(base, "c", 16, outer)
+            _extension_trie_dfa(base, "c", 16, outer, suffix=False)
         assert asked == []
         # the raw exploration alone, past the trie-word pre-check
         monkeypatch.setattr(approximations, "STATE_BUDGET", 10 ** 6)
@@ -679,23 +705,31 @@ def test_tail_trie_budget_counts_the_outer_state(monkeypatch):
         assert str(direct.value) == str(raw.value) == "automaton exceeds 16 reachable states"
 
 
-def test_cylinder_trie_steps_each_word_once():
-    # each trie word but the root, 2^n - 2 words of lengths 1..n-1, is one
-    # step from its parent's reader state
+@both_tries
+def test_extension_trie_steps_each_node_once(suffix):
+    # a trie node is a (depth, reader state) pair; each node above the
+    # leaves is stepped once per base letter; a membership-only base, whose
+    # reader state is the word, is asked about each trie word once, in
+    # shortlex order
     steps = []
     dyck = semi_dyck().stepper
 
     def step(state, ch):
-        steps.append(ch)
+        steps.append((state, ch))
         return dyck.step(state, ch)
 
     base = LanguageOracle("dyck", AB, stepper=Stepper(dyck.start, step, dyck.accepting))
     for n in range(8):
+        nodes = [{reduce(dyck.step, w, dyck.start) for w in enumerate_words(AB, depth)}
+                 for depth in range(n - 1)]
         for outer in (False, True):
             del steps[:]
-            machine = _cylinder_trie_dfa(base, "c", n, outer)
-            assert machine == _cylinder_trie_dfa(semi_dyck(), "c", n, outer)
-            assert len(steps) == 2 ** max(n, 1) - 2
+            machine = _extension_trie_dfa(base, "c", n, outer, suffix)
+            assert machine == _extension_trie_dfa(semi_dyck(), "c", n, outer, suffix)
+            assert Counter(steps) == Counter((s, ch) for layer in nodes for s in layer for ch in "ab")
+            words, asked = counting(semi_dyck())
+            assert _extension_trie_dfa(words, "c", n, outer, suffix) == machine
+            assert asked == [w for length in range(n) for w in enumerate_words(AB, length)]
 
 
 @pytest.mark.parametrize("build", [suffix_extension_family, prefix_extension_family])

@@ -44,6 +44,8 @@ _GAP_CASES = [
     ("prefix-ext:dyck:c", ["18"], 2),
     # deep tail tries over a stepped base: 131,071 trie words at k=17
     ("prefix-ext:dyck:c", ["12,17"], 2),
+    # deep suffix tries over a stepped base, minimal at 47 and 62 states
+    ("suffix-ext:dyck:c", ["12,17"], 2),
 ]
 
 _CENSUS_CASES = [
