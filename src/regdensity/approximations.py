@@ -21,6 +21,7 @@ from .core import (
     BudgetExceededError,
     census_by_enumeration,
     check_enumeration_budget,
+    layers,
     member_counts,
     ratio_and_cesaro,
     reader,
@@ -207,9 +208,9 @@ def _trie_alphabet(base, letter, n):
 def _extension_trie_dfa(base, letter, n, outer, suffix):
     """The machine behind every extension sandwich, built minimal from a
     trie of the base words shorter than n.  The trie's nodes, the base
-    reader's states per depth, are asked in shortlex order of first words
-    and classed from the leaves up (Revuz 1992) by (acceptance, child
-    classes, fresh-letter class).  A word that outgrows the trie reaches
+    reader's ``layers`` up to depth n - 1, are asked in shortlex order of
+    first words and classed from the leaves up (Revuz 1992) by (acceptance,
+    child classes, fresh-letter class).  A word that outgrows the trie reaches
     class 0, the one state ``outer``, which is its own verdict, and a node
     keyed as class 0 joins it.
 
@@ -225,34 +226,30 @@ def _extension_trie_dfa(base, letter, n, outer, suffix):
     besides the states that ``_trie_alphabet`` counts, so the budget is
     checked again after the walk and raises where that exploration did."""
     alphabet, states = _trie_alphabet(base, letter, n)
-    start, step, member = reader(base)
-    symbols = base.alphabet.symbols
-    layers = []  # per depth, reader state -> (verdict, children; none at a leaf)
-    frontier = [start]
-    for depth in range(n):
-        leaf = depth + 1 == n
-        layer = {s: (member(s), () if leaf else tuple(step(s, ch) for ch in symbols))
-                 for s in frontier}
-        layers.append(layer)
-        frontier = dict.fromkeys(t for _, children in layer.values() for t in children)
-    outgrown = (0,) * len(symbols)  # a leaf's base letters lead to outer
+    stepper = reader(base)
+    # per depth, reader state -> (verdict, children; none at a leaf)
+    trie = [
+        {s: (stepper.accepting(s), children) for s, (_, children) in layer.items()}
+        for layer in layers(stepper, base.alphabet.symbols, n - 1)
+    ]
+    outgrown = (0,) * len(base.alphabet)  # a leaf's base letters lead to outer
     if suffix:
         keys = {(outer,) + outgrown + (0,): 0, (not outer,) + (1,) * len(alphabet): 1}
         if states == STATE_BUDGET and any(
-            verdict != outer for layer in layers for verdict, _ in layer.values()
+            verdict != outer for layer in trie for verdict, _ in layer.values()
         ):
             raise BudgetExceededError("automaton exceeds %d reachable states" % STATE_BUDGET)
     else:
         keys = {(outer,) + outgrown: 0}
     below = {}
-    for layer in reversed(layers):
+    for layer in reversed(trie):
         classes = {}
         for s, (verdict, children) in layer.items():
             grown = tuple(below[t] for t in children) or outgrown
             key = (outer,) + grown + (int(verdict != outer),) if suffix else (verdict,) + grown
             classes[s] = keys.setdefault(key, len(keys))
         below = classes
-    root = below[start] if n > 0 else 0
+    root = below[stepper.start] if n > 0 else 0
     fresh = () if suffix else (root,)
     keys = list(keys)
     return build_dfa(

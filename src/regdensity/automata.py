@@ -344,26 +344,24 @@ def shortlex_least_member(dfa, min_length=-1):
     )
 
 
-def _factor_language_dfa(dfa):
-    """DFA of the factor language: all factors of all accepted words."""
-    useful = dfa.useful_states()
-    transitions = {}
-    for q in useful:
-        for a, t in enumerate(dfa.delta[q]):
-            if t in useful:
-                transitions.setdefault((q, a), set()).add(t)
-    nfa = Nfa(dfa.alphabet, dfa.n_states, transitions, useful, useful)
-    return nfa.determinize()
-
-
 def has_forbidden_word(dfa):
     """Shortest (then shortlex-least) word w with L ∩ A*wA* = ∅, or None.
 
     None means the language is dense: every word occurs as a factor of some
-    member.
+    member.  Along a factor of a member every state is useful, so w is the
+    least word that takes the set of useful states to the empty set in
+    their subset machine, where a letter keeps only the useful targets.
     """
-    factors = _factor_language_dfa(dfa)
-    return shortlex_least_member(factors.complement())
+    useful = frozenset(dfa.useful_states())
+    delta = dfa.delta
+    letters = range(len(dfa.alphabet))
+    subsets = build_dfa(
+        dfa.alphabet,
+        useful,
+        lambda subset: [frozenset([delta[q][a] for q in subset]) & useful for a in letters],
+        lambda subset: not subset,
+    )
+    return shortlex_least_member(subsets)
 
 
 def language_infinite(dfa):

@@ -196,33 +196,38 @@ def census_by_enumeration(oracle, max_length, budget=None):
 
 def member_counts(oracle, max_length):
     """Members of each length 0..max_length.  A thin oracle counts its thin
-    words, |thin_n| or |A|^n - |thin_n|; any other is read over its
-    reader's states (see ``count_by_states``), which asks a word reader
-    about each word once, in shortlex order.  Unguarded: callers check the
-    budget."""
+    words, |thin_n| or |A|^n - |thin_n|; any other sums acceptance over its
+    reader's ``layers``, which ask a word reader about each word once, in
+    shortlex order.  Unguarded: callers check the budget."""
     thin = oracle.thin
     if thin is None:
-        return count_by_states(reader(oracle), oracle.alphabet.symbols, max_length)
+        stepper = reader(oracle)
+        return [
+            sum(m for state, (m, _) in layer.items() if stepper.accepting(state))
+            for layer in layers(stepper, oracle.alphabet.symbols, max_length)
+        ]
     size = len(oracle.alphabet)
     counts = [sum(1 for _ in thin.words(n)) for n in range(max_length + 1)]
     return counts if thin.members else [size ** n - c for n, c in enumerate(counts)]
 
 
-def count_by_states(stepper, symbols, max_length):
-    """Members of each length 0..max_length, read from a stepper's states:
-    one map per length from state to the number of words that reach it.
+def layers(stepper, symbols, max_length):
+    """The stepper's states, length by length for lengths 0..max_length.
+
+    Each length yields a dict from every state that some word of that
+    length reaches to (the number of such words, its successors per letter
+    of ``symbols``); the states at max_length are not stepped and have no
+    successors.  Each state of a layer is stepped once per letter, and a
+    layer lists its states in shortlex order of their first words.
     Unguarded: callers check the budget."""
-    start, step, accepting = stepper
+    start, step, _ = stepper
     layer = {start: 1}
-    counts = []
     for length in range(max_length + 1):
-        counts.append(sum(m for state, m in layer.items() if accepting(state)))
-        if length == max_length:
-            break
-        grown = {}
-        for state, m in layer.items():
-            for ch in symbols:
-                after = step(state, ch)
-                grown[after] = grown.get(after, 0) + m
-        layer = grown
-    return counts
+        leaf = length == max_length
+        stepped = {state: (m, () if leaf else tuple([step(state, ch) for ch in symbols]))
+                   for state, m in layer.items()}
+        yield stepped
+        layer = {}
+        for m, children in stepped.values():
+            for after in children:
+                layer[after] = layer.get(after, 0) + m

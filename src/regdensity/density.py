@@ -270,25 +270,18 @@ def solve_exact(rows, rhs):
 
 
 def _class_period_and_levels(comp, count_rows):
-    """Period (gcd of BFS-level differences over internal edges) and levels."""
+    """Period (gcd of BFS-level differences over internal edges) and BFS
+    levels from the class's first state, read from ``explore`` over the
+    internal edges: a successor index that is new is one past the last."""
     comp_set = set(comp)
-    root = comp[0]
-    level = {root: 0}
-    queue = [root]
-    while queue:
-        nxt = []
-        for q in queue:
-            for t in count_rows[q]:
-                if t in comp_set and t not in level:
-                    level[t] = level[q] + 1
-                    nxt.append(t)
-        queue = nxt
-    g = 0
-    for q in comp:
-        for t in count_rows[q]:
-            if t in comp_set:
-                g = gcd(g, level[q] + 1 - level[t])
-    return (abs(g) if g else 1), level
+    order, rows = explore([comp[0]], lambda q: [t for t in count_rows[q] if t in comp_set])
+    level, g = [0], 0
+    for i, row in enumerate(rows):
+        for j in row:
+            if j == len(level):
+                level.append(level[i] + 1)
+            g = gcd(g, level[i] + 1 - level[j])
+    return g or 1, dict(zip(order, level))
 
 
 def _stationary(comp, count_rows, s):

@@ -28,10 +28,12 @@ class LanguageOracle:
     which censuses count and containment checks read where every
     counterexample lies on it.  ``membership`` must return exactly True or
     False: containment checks compare its results with True and False, so
-    a merely truthy value such as a count gives wrong answers.
+    a merely truthy value such as a count gives wrong answers.  Called on a
+    word, an oracle raises ValueError if the word has a letter outside its
+    alphabet.
     """
 
-    __slots__ = ("name", "alphabet", "membership", "stepper", "thin")
+    __slots__ = ("name", "alphabet", "membership", "stepper", "thin", "_letters")
 
     def __init__(self, name, alphabet, membership=None, stepper=None, thin=None):
         if (membership is None) == (stepper is None):
@@ -41,8 +43,11 @@ class LanguageOracle:
         self.membership = stepper.run if membership is None else membership
         self.stepper = stepper
         self.thin = thin
+        self._letters = frozenset(alphabet.symbols)
 
     def __call__(self, word):
+        if not self._letters.issuperset(word):
+            raise ValueError("word %r has letters outside %r" % (word, self.alphabet))
         return self.membership(word)
 
     def __repr__(self):
@@ -280,47 +285,45 @@ def staircase_word_prefix(length):
     return "".join(parts)[:length]
 
 
-def _runs(word):
-    return [(ch, len(list(g))) for ch, g in itertools.groupby(word)]
+def _s1_step(state, letter):
+    # a (b^i a^i)*: ("b", i) after a run of i b's, ("a", r) with r a's still
+    # owed, from one a owed at the start; None once dead
+    if state is None:
+        return None
+    run, k = state
+    if letter == "a":
+        return ("a", k - 1) if run == "b" or k else None
+    return ("b", k + 1) if run == "b" or not k else None
 
 
-def _s1_member(word):
-    # a (b^i a^i)*, parsed through maximal letter runs
-    if not word or any(ch not in "ab" for ch in word):
-        return False
-    runs = _runs(word)
-    if runs[0] != ("a", 1):
-        return False
-    if len(runs) % 2 == 0:
-        return False
-    for i in range(1, len(runs), 2):
-        (bc, blen), (ac, alen) = runs[i], runs[i + 1]
-        if bc != "b" or ac != "a" or blen != alen:
-            return False
-    return True
+def _s2_step(state, letter):
+    # (a^i b^2i)* a^+: ("a", j) after a run of j a's, ("b", r) with r b's
+    # still owed, 2j - 1 after the first b; None once dead
+    if state is None:
+        return None
+    run, k = state
+    if letter == "a":
+        return ("a", k + 1) if run == "a" or not k else None
+    return ("b", k - 1 if run == "b" else 2 * k - 1) if k else None
 
 
-def _s2_member(word):
-    # (a^i b^{2i})* a^+, parsed through maximal letter runs
-    if not word or any(ch not in "ab" for ch in word):
-        return False
-    runs = _runs(word)
-    if runs[0][0] != "a" or runs[-1][0] != "a":
-        return False
-    if len(runs) % 2 == 0:
-        return False
-    for i in range(0, len(runs) - 1, 2):
-        (ac, alen), (bc, blen) = runs[i], runs[i + 1]
-        if ac != "a" or bc != "b" or blen != 2 * alen:
-            return False
-    return True
+_KEMP_S1 = Stepper(("a", 1), _s1_step, lambda state: state == ("a", 0))
+_KEMP_S2 = Stepper(
+    ("a", 0), _s2_step, lambda state: state is not None and state[0] == "a" and state[1] > 0
+)
 
 
 def kemp_base():
-    """Union of the two run-length block languages behind the kemp oracle."""
-    return LanguageOracle(
-        "kemp-base", Alphabet("ab"), lambda w: _s1_member(w) or _s2_member(w)
+    """Union of the two run-length block languages behind the kemp oracle,
+    S1 = a (b^i a^i)* and S2 = (a^i b^2i)* a^+ for i >= 1, read side by
+    side: 2d + 1 reader states at each depth d >= 6."""
+    s1, s2 = _KEMP_S1, _KEMP_S2
+    both = Stepper(
+        (s1.start, s2.start),
+        lambda state, letter: (s1.step(state[0], letter), s2.step(state[1], letter)),
+        lambda state: s1.accepting(state[0]) or s2.accepting(state[1]),
     )
+    return LanguageOracle("kemp-base", Alphabet("ab"), stepper=both)
 
 
 def kemp():

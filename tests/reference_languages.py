@@ -1,8 +1,9 @@
 """Word-at-a-time definitions of the stepped languages, kept as test oracles.
 
-The library defines dyck, counteq, majority, o3, o4, goldstine and every
-alphabet extension by their steppers; the predicates below define the
-same languages directly on words, independently of those steppers.
+The library defines dyck, counteq, majority, o3, o4, goldstine, the kemp
+base and every alphabet extension by their steppers; the predicates below
+define the same languages directly on words, independently of those
+steppers.
 ``is_primitive`` decides primitivity from the prime divisors of the
 length, independently of the library's substring search.
 ``raw_window_dfa`` is the sliding-window machine that the non-palindrome
@@ -15,7 +16,9 @@ after minimization.  ``prefix_trie_by_reversal`` builds the prefix
 extension's sandwich machines the long way round: the suffix machine of
 the reversed base, reversed into an NFA, determinized and minimized.
 ``tail_trie_dfa`` builds them as a raw trie of the tail words, each decided
-from the base's start, and minimizes it.
+from the base's start, and minimizes it.  ``forbidden_word_by_factor_nfa``
+finds a forbidden word the long way round too: it determinizes the factor
+language's NFA and searches the complement.
 
 ``tuple_transition_monoid`` is the transition monoid on tuple state maps
 composed by ``itemgetter``, with an eager list of witness words, its left
@@ -27,7 +30,15 @@ compared against it.
 import re
 from operator import itemgetter
 
-from regdensity import Alphabet, BudgetExceededError, Dfa, LanguageOracle, Nfa, enumerate_words
+from regdensity import (
+    Alphabet,
+    BudgetExceededError,
+    Dfa,
+    LanguageOracle,
+    Nfa,
+    enumerate_words,
+    shortlex_least_member,
+)
 from regdensity.approximations import _matcher_rows, _trie_alphabet
 from regdensity.automata import build_dfa
 from regdensity.languages import staircase_word_prefix
@@ -351,6 +362,20 @@ def tail_trie_dfa(base, letter, n, outer):
         return state if type(state) is bool else base(state)
 
     return build_dfa(alphabet, outer, successors, accepting).minimized()
+
+
+def forbidden_word_by_factor_nfa(dfa):
+    """Shortest, then shortlex-least, word that is a factor of no member:
+    the least word outside the factor language, whose NFA has the useful
+    states, all initial and all accepting, and the transitions among them."""
+    useful = dfa.useful_states()
+    transitions = {}
+    for q in useful:
+        for a, t in enumerate(dfa.delta[q]):
+            if t in useful:
+                transitions.setdefault((q, a), set()).add(t)
+    factors = Nfa(dfa.alphabet, dfa.n_states, transitions, useful, useful).determinize()
+    return shortlex_least_member(factors.complement())
 
 
 def _then(first):

@@ -14,6 +14,7 @@ from regdensity import (
     Dfa,
     LanguageOracle,
     Nfa,
+    Stepper,
     census_by_enumeration,
     dfa_from_json,
     dfa_to_json,
@@ -197,6 +198,14 @@ def test_count_words_matches_enumeration(machine, max_length):
     by_matrix = machine.count_words(max_length)
     by_enumeration = census_by_enumeration(oracle_of(machine), max_length)
     assert by_matrix == by_enumeration
+    # the census of the machine's own stepper sums acceptance over its layers
+    stepper = Stepper(
+        machine.initial,
+        lambda q, ch: machine.delta[q][machine.alphabet.rank(ch)],
+        machine.accepting.__contains__,
+    )
+    stepped = LanguageOracle("dfa", machine.alphabet, stepper=stepper)
+    assert census_by_enumeration(stepped, max_length) == by_matrix
 
 
 def test_count_words_examples():
@@ -251,6 +260,27 @@ def test_forbidden_word_brute_cross_check():
         word = "".join(tup)
         if ABC.shortlex_key(word) < ABC.shortlex_key(found):
             assert is_factor_of_member(word, ends_c, 7)
+
+
+@st.composite
+def dfas_with_empty_and_universal(draw):
+    """Random 1-8-state machines: as drawn, with the last state made a
+    rejecting sink, accepting nothing, or accepting every word."""
+    machine = draw(dfas(max_states=8))
+    n, delta, accepting = machine.n_states, list(machine.delta), machine.accepting
+    kind = draw(st.sampled_from(("drawn", "sink", "none", "all")))
+    if kind == "sink":
+        delta[-1] = [n - 1] * len(machine.alphabet)
+        accepting = accepting - {n - 1}
+    elif kind != "drawn":
+        accepting = range(n) if kind == "all" else ()
+    return Dfa(machine.alphabet, n, delta, 0, accepting)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dfas_with_empty_and_universal())
+def test_forbidden_word_matches_the_factor_nfa_route(machine):
+    assert has_forbidden_word(machine) == ref.forbidden_word_by_factor_nfa(machine)
 
 
 def test_forbidden_word_empty_language_is_epsilon():
@@ -322,7 +352,14 @@ def test_every_exploration_stops_at_the_state_budget(monkeypatch):
     big = Dfa(AB, 11, [[(q + 1) % 11, q] for q in range(11)], 0, {0})
     # the subsets {0}, {1}, ..., {10} and the empty one: 12 reachable states
     cycle = Nfa(AB, 11, {(q, 0): {(q + 1) % 11} for q in range(11)}, {0}, {0})
-    for operation in (big.minimized, big.reachable_states, cycle.determinize):
+    # all states useful: the full set, then {0}, {1}, ..., {10} under a and b
+    shift = Dfa(AB, 11, [[(q + 1) % 11, 0] for q in range(11)], 0, {0})
+    for operation in (
+        big.minimized,
+        big.reachable_states,
+        cycle.determinize,
+        lambda: has_forbidden_word(shift),
+    ):
         with pytest.raises(BudgetExceededError):
             operation()
     with pytest.raises(BudgetExceededError):

@@ -1,6 +1,7 @@
 """Tests for alphabets, shortlex enumeration, and exact censuses."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from regdensity import (
     enumerate_words,
     ratio_and_cesaro,
 )
-from regdensity.languages import majority, primitive, semi_dyck
+from regdensity.core import Stepper, layers, reader
+from regdensity.languages import kemp, majority, o3, palindromes, primitive, semi_dyck
 
 
 def test_alphabet_validation():
@@ -109,3 +111,29 @@ def test_census_budget_guard():
         census_by_enumeration(semi_dyck(), 30)
     with pytest.raises(BudgetExceededError):
         census_by_enumeration(semi_dyck(), 8, budget=100)
+
+
+@pytest.mark.parametrize(
+    "oracle, max_length",
+    [(semi_dyck(), 10), (majority(2), 10), (o3(), 6), (kemp(), 7), (palindromes(), 8)],
+    ids=lambda case: getattr(case, "name", str(case)),
+)
+def test_layers_step_each_state_once_per_letter_and_count_every_word(oracle, max_length):
+    steps = []
+    start, step, accepting = reader(oracle)
+
+    def counted(state, ch):
+        steps.append((state, ch))
+        return step(state, ch)
+
+    symbols = oracle.alphabet.symbols
+    walk = layers(Stepper(start, counted, accepting), symbols, max_length)
+    for length, layer in enumerate(walk):
+        # a layer is stepped before it is yielded, the last one not at all
+        leaf = length == max_length
+        assert Counter(steps) == Counter((s, ch) for s in layer for ch in symbols if not leaf)
+        for s, (_, children) in layer.items():
+            assert children == (() if leaf else tuple(step(s, ch) for ch in symbols))
+        assert sum(m for m, _ in layer.values()) == len(symbols) ** length
+        del steps[:]
+    assert length == max_length

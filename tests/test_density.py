@@ -4,7 +4,7 @@ import importlib
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +100,40 @@ def test_recurrent_classes_even_lengths():
     assert states == (0, 1)
     assert period == 2
     assert stationary == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+
+
+@st.composite
+def phased_dfas(draw):
+    """Machines whose states fall into p phases, state q in phase q mod p,
+    with every letter moving phase i to phase i + 1 mod p: every closed
+    walk has a length divisible by p, so every class has a period that p
+    divides."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(p, 12))
+    phase = [range(i, n, p) for i in range(p)]
+    delta = [[draw(st.sampled_from(phase[(q + 1) % p])) for _ in range(2)] for q in range(n)]
+    return Dfa(AB, n, delta, 0, draw(st.sets(st.integers(0, n - 1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dfas(12), phased_dfas()))
+def test_class_period_and_levels_from_closed_walks(machine):
+    # the words of length k lead from a class's first state exactly to
+    # ``reached``: its period is the gcd of the lengths k <= n^2 that lead
+    # back, and each state's level is the least k that reaches it
+    chain, classes, _ = density_module._analyse(machine)
+    for comp, _ in classes:
+        root = comp[0]
+        reached, period, distance = {root}, 0, {root: 0}
+        for k in range(1, len(comp) ** 2 + 1):
+            reached = {t for q in reached for t in chain.count_rows[q]}
+            if root in reached:
+                period = gcd(period, k)
+            for q in reached:
+                distance.setdefault(q, k)
+        assert set(distance) == set(comp)
+        found = density_module._class_period_and_levels(comp, chain.count_rows)
+        assert found == (period, distance)
 
 
 @settings(max_examples=30, deadline=None)

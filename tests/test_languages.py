@@ -32,8 +32,6 @@ from regdensity import languages
 from reference_languages import is_primitive as is_primitive_by_divisors
 from regdensity.cli import load_family, load_oracle
 from regdensity.languages import (
-    _s1_member,
-    _s2_member,
     dyck_count,
     majority_count,
     o3_count,
@@ -106,7 +104,7 @@ def test_kemp_membership():
 
 
 def test_kemp_sub_oracles():
-    s1, s2 = _s1_member, _s2_member
+    s1, s2 = languages._KEMP_S1.run, languages._KEMP_S2.run
     assert s1("a") and s2("a")
     assert s1("aba") and not s2("aba")
     assert s2("abba") and not s1("abba")
@@ -316,12 +314,15 @@ def test_module_counter_and_oracle_complement():
     assert negated("ba") and not negated("ab")
 
 
+CLI_ORACLES = (
+    "dyck", "counteq:a,b", "pal", "o3", "o4", "goldstine", "kemp", "majority:2",
+    "primitive", "coprefix:a=ab,b=a", "suffix-ext:dyck:c", "diagonal",
+)
+
+
 @pytest.mark.parametrize(
     "kind, spec",
-    [("oracle", spec) for spec in (
-        "dyck", "counteq:a,b", "pal", "o3", "o4", "goldstine", "kemp", "majority:2",
-        "primitive", "coprefix:a=ab,b=a", "suffix-ext:dyck:c", "diagonal",
-    )]
+    [("oracle", spec) for spec in CLI_ORACLES]
     + [("family", spec) for spec in (
         "modk", "pal", "goldstine", "o3", "o4",
         "suffix-ext:dyck:c", "prefix-ext:dyck:c", "infix-ext:dyck:c",
@@ -334,3 +335,16 @@ def test_membership_answers_exact_bools(kind, spec):
     max_length = 6 if len(oracle.alphabet) <= 3 else 4
     for word in words_up_to(oracle.alphabet, max_length):
         assert type(oracle.membership(word)) is bool, word
+
+
+@pytest.mark.parametrize("spec", CLI_ORACLES + ("prefix-ext:primitive:c",))
+def test_words_with_foreign_letters_are_refused(spec):
+    # a stepper or a word predicate reads an unknown letter as some other
+    # one, or fails on it with a KeyError: the oracle refuses the word first
+    oracle = load_family(spec).target if spec.startswith("prefix") else load_oracle(spec)
+    first = oracle.alphabet.symbols[0]
+    foreign = next(ch for ch in "cz" if ch not in oracle.alphabet)
+    assert type(oracle(first * 2)) is bool
+    for word in (foreign, first + foreign, foreign * 2 + first):
+        with pytest.raises(ValueError, match="outside"):
+            oracle(word)

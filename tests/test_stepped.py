@@ -20,7 +20,6 @@ from regdensity import (
     goldstine,
     infix_extension,
     kemp,
-    kemp_base,
     majority,
     o3,
     o4,
@@ -129,7 +128,7 @@ def test_oracle_needs_exactly_one_definition():
 
 
 def test_extensions_of_word_walked_bases_are_stepped():
-    for whole in (palindromes(), primitive(), kemp_base()):
+    for whole in (palindromes(), primitive()):
         assert whole.stepper is None and whole.complement().stepper is None
         for extend in (suffix_extension, prefix_extension, infix_extension):
             assert extend(whole, "c").stepper is not None
