@@ -139,6 +139,8 @@ def check_enumeration_budget(alphabet_size, max_length, budget, what):
     """Refuse to enumerate ``alphabet_size ** max_length`` words past the
     budget (default: the enumeration budget); the power is not computed
     once max_length alone shows it past the budget."""
+    if max_length < 0:
+        raise ValueError("max_length must be non-negative")
     if budget is None:
         budget = DEFAULT_ENUMERATION_BUDGET
     past = alphabet_size > 1 and max_length >= budget.bit_length()

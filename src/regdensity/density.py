@@ -10,12 +10,12 @@ values.  ``density`` reads the Cesàro value from that analysis;
 ``natural_density`` adds the class periods and, only when their lcm c
 exceeds 1, the c-step chain for the per-residue limits.  The chain is kept
 as integer letter counts (each row sums to the alphabet size s), and every
-linear system is solved exactly by sparse integer elimination in Markowitz
-pivot order.  Arithmetic stays on Python ints until a value is reported:
-the back-substitution carries integer numerator/denominator pairs, and each
-weighted sum of Fractions (a transient state's value, a class's accepting
-mass, a residue limit) is accumulated over a running common denominator and
-normalised once, by ``_weighted_sum``.
+linear system is solved exactly by sparse integer elimination, each pivot
+taken in a row of fewest nonzeros.  Arithmetic stays on Python ints until a
+value is reported: the back-substitution carries integer numerator/
+denominator pairs, and each weighted sum of Fractions (a transient state's
+value, a class's accepting mass, a residue limit) is accumulated over a
+running common denominator and normalised once, by ``_weighted_sum``.
 """
 
 from dataclasses import dataclass
@@ -119,52 +119,13 @@ def _integer_rows(rows, rhs):
     return out
 
 
-def _move(buckets, key, old, new):
-    """Move ``key`` from count bucket ``old`` to count bucket ``new``."""
-    if old != new:
-        buckets[old].discard(key)
-        buckets.setdefault(new, set()).add(key)
-
-
-def _markowitz_pivot(mat, col_rows, row_buckets, col_buckets):
-    """The active entry (i, j) of least Markowitz cost
-    (row nonzeros − 1)·(column nonzeros − 1).
-
-    An entry alone in its row or column costs 0 and is taken at once.
-    Otherwise rows and columns are examined in increasing nonzero count k;
-    once every row and column of count k has been seen, each unseen entry
-    costs at least k², so the search stops as soon as the best cost is that
-    low.
-    """
-    for j in col_buckets.get(1, ()):
-        return next(iter(col_rows[j])), j
-    for i in row_buckets.get(1, ()):
-        return i, next(iter(mat[i]))
-    best = None
-    k = 2
-    while True:
-        for j in col_buckets.get(k, ()):
-            for i in col_rows[j]:
-                cost = (len(mat[i]) - 1) * (k - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-        for i in row_buckets.get(k, ()):
-            for j in mat[i]:
-                cost = (k - 1) * (len(col_rows[j]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-        if best is not None and best[0] <= k * k:
-            return best[1], best[2]
-        k += 1
-
-
 def solve_exact(rows, rhs):
     """Solve the square rational system rows·x = rhs exactly.
 
     Each row is a mapping {column: int} holding its nonzero entries, and
     each right-hand side an int or a Fraction.  Rows are scaled once to
-    integers and reduced by sparse elimination: the pivot minimises the
-    Markowitz cost (row nonzeros − 1)·(column nonzeros − 1), and each
+    integers and reduced by sparse elimination: each pivot is taken in a
+    row of fewest nonzeros, at its column of fewest active rows, and each
     updated row is divided by the gcd of its entries.  Back-substitution
     runs on integer numerator/denominator pairs with one gcd per unknown,
     and the solution is returned as reduced Fractions.  Raises
@@ -177,33 +138,30 @@ def solve_exact(rows, rhs):
     system = _integer_rows(rows, rhs)
     mat = [entries for entries, _ in system]
     b = [value for _, value in system]
+    # col_rows[j]: the active rows holding column j; buckets[k]: the active
+    # rows of k nonzeros.  An empty column never gains an entry, so it
+    # leaves an empty row by the last pivot, and bucket 0 shows it.
     col_rows = [set() for _ in range(n)]
+    buckets = [set() for _ in range(n + 1)]
     for i, entries in enumerate(mat):
         for j in entries:
             col_rows[j].add(i)
-    row_buckets = {}
-    for i, entries in enumerate(mat):
-        row_buckets.setdefault(len(entries), set()).add(i)
-    col_buckets = {}
-    for j, members in enumerate(col_rows):
-        col_buckets.setdefault(len(members), set()).add(j)
+        buckets[len(entries)].add(i)
     pivots = []
     work = 0
     for _ in range(n):
-        if row_buckets.get(0) or col_buckets.get(0):
+        if buckets[0]:
             raise ArithmeticError("singular linear system")
-        r, c = _markowitz_pivot(mat, col_rows, row_buckets, col_buckets)
+        k = 1
+        while not buckets[k]:
+            k += 1
+        r = buckets[k].pop()
         pivot_row = mat[r]
+        c = min(pivot_row, key=lambda j: len(col_rows[j]))
         pivot = pivot_row[c]
         pb = b[r]
-        row_buckets[len(pivot_row)].discard(r)
-        col_buckets[len(col_rows[c])].discard(c)
         for j in pivot_row:
-            if j != c:
-                members = col_rows[j]
-                _move(col_buckets, j, len(members), len(members) - 1)
-                members.discard(r)
-        col_rows[c].discard(r)
+            col_rows[j].discard(r)
         for i in col_rows[c]:
             entries = mat[i]
             old_len = len(entries)
@@ -219,15 +177,11 @@ def solve_exact(rows, rhs):
                 w = entries.get(j, 0) - factor * v
                 if w:
                     if j not in entries:
-                        members = col_rows[j]
-                        _move(col_buckets, j, len(members), len(members) + 1)
-                        members.add(i)
+                        col_rows[j].add(i)
                     entries[j] = w
                 elif j in entries:
                     del entries[j]
-                    members = col_rows[j]
-                    _move(col_buckets, j, len(members), len(members) - 1)
-                    members.discard(i)
+                    col_rows[j].discard(i)
             bi = mul * b[i] - factor * pb
             g = gcd(bi, *entries.values())
             if g > 1:
@@ -235,7 +189,9 @@ def solve_exact(rows, rhs):
                     entries[j] //= g
                 bi //= g
             b[i] = bi
-            _move(row_buckets, i, old_len, len(entries))
+            if len(entries) != old_len:
+                buckets[old_len].discard(i)
+                buckets[len(entries)].add(i)
             work += len(entries) + len(pivot_row)
         col_rows[c] = set()
         if work > _SOLVE_WORK_LIMIT:
@@ -400,8 +356,8 @@ def _step_counts(count_rows, vec):
 
 def _transient_power_rows(chain, transients, c):
     """Rows of the c-step count chain (each summing to s^c), computed only
-    for transient states."""
-    if chain.n > _POWER_STATE_LIMIT:
+    for transient states; the state limit applies only when there is one."""
+    if transients and chain.n > _POWER_STATE_LIMIT:
         raise BudgetExceededError(
             "c-step chain on %d states exceeds the supported size" % chain.n
         )

@@ -296,6 +296,20 @@ def test_verify_containment_errors():
         verify_containment(mod_counter_dfa(3), semi_dyck(), "inner", 30)
 
 
+def test_negative_max_length_is_refused():
+    # a negative length bound used to mean no bound at all: the inner check
+    # below never returned and the census came back empty
+    evens = Dfa(AB, 2, [[1, 1], [0, 0]], 0, {0})
+    with pytest.raises(ValueError):
+        census_by_enumeration(semi_dyck(), -1)
+    with pytest.raises(ValueError):
+        verify_containment(approximations.empty_language_dfa(AB), semi_dyck(), "inner", -1)
+    with pytest.raises(ValueError):
+        verify_containment(evens, semi_dyck().complement(), "outer", -1)
+    with pytest.raises(ValueError):
+        gap_report(family("goldstine"), [2], -1)
+
+
 def test_gap_report_structure():
     report = gap_report(family("goldstine"), [2, 4], 10)
     assert report.family == "goldstine"

@@ -159,6 +159,18 @@ def test_density_work_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert "work bound" in err
 
 
+def test_density_residue_work_budget_exit_code(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "evens.json"
+    path.write_text(json.dumps(dfa_to_json(mod_counter_dfa(2))))
+    code, out, _ = run_cli(capsys, "density", "--dfa", str(path))
+    assert code == 0 and "c=2" in out
+    monkeypatch.setattr(importlib.import_module("regdensity.density"), "_PHASE_WORK_LIMIT", 0)
+    code, out, err = run_cli(capsys, "density", "--dfa", str(path))
+    assert code == 3
+    assert out == ""
+    assert "work bound" in err
+
+
 def test_census_csv(capsys):
     code, out, _ = run_cli(capsys, "census", "--oracle", "dyck", "--max", "6")
     assert code == 0

@@ -251,6 +251,8 @@ def test_solve_exact_rational_entries():
 def test_solve_exact_singular_raises():
     with pytest.raises(ArithmeticError):
         solve_exact([{0: 1, 1: 1}, {0: 2, 1: 2}], [1, 2])
+    with pytest.raises(ArithmeticError):
+        solve_exact([{0: 1}, {0: 2}], [1, 2])  # column 1 is empty
 
 
 def test_solve_exact_rejects_a_column_outside_the_system():
@@ -300,7 +302,35 @@ coefficients = st.one_of(
 
 
 @st.composite
+def sparse_systems(draw, min_n):
+    """A diagonal plus 1-3 off-diagonal entries per row, sometimes with one
+    column emptied or one row repeated, so the pivot rule meets many row and
+    column counts and both ways a system can be singular."""
+    n = draw(st.integers(min_n, 60))
+    nonzero = st.sampled_from([v for v in range(-6, 7) if v])
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = draw(nonzero)
+        for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            if j != i:
+                row[j] = draw(nonzero)
+        rows.append(row)
+    shape = draw(st.sampled_from(["plain", "plain", "empty column", "repeated row"]))
+    if shape == "empty column":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    elif shape == "repeated row":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[i] = list(rows[j])
+    return rows, draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+
+
+@st.composite
 def square_systems(draw, max_n=12):
+    if draw(st.booleans()):
+        return draw(sparse_systems(min_n=max_n + 1))
     n = draw(st.integers(1, max_n))
     row = st.lists(coefficients, min_size=n, max_size=n)
     rows = draw(st.lists(row, min_size=n, max_size=n))
@@ -357,6 +387,40 @@ def test_solve_exact_work_budget(monkeypatch):
         natural_density(machine)
     monkeypatch.setattr(density_module, "_SOLVE_WORK_LIMIT", 10 ** 6)
     assert natural_density(machine) == expected
+
+
+def tail_then_cycle():
+    """0 -> 1 <-> 2 on both letters: one transient state before a 2-cycle,
+    so c = 2 and the residue work is c·n·(transients + 1) = 12."""
+    return Dfa(AB, 3, [[1, 1], [2, 2], [1, 1]], 0, {1})
+
+
+def test_residue_limit_work_budget(monkeypatch):
+    expected = natural_density(tail_then_cycle())
+    assert expected.modulus == 2
+    monkeypatch.setattr(density_module, "_PHASE_WORK_LIMIT", 11)
+    with pytest.raises(BudgetExceededError):
+        natural_density(tail_then_cycle())
+    monkeypatch.setattr(density_module, "_PHASE_WORK_LIMIT", 12)
+    assert natural_density(tail_then_cycle()) == expected
+
+
+def test_periodic_machine_without_transients_past_the_power_state_limit():
+    # The c-step chain is only built for transient states, so a periodic
+    # machine with none needs no state limit: a-edges form one even cycle
+    # and b-edges cross parity, so every state is recurrent with period 2.
+    rng = random.Random(600)
+    n = 600
+    assert n > density_module._POWER_STATE_LIMIT
+    delta = [[(q + 1) % n, (q + 1 + 2 * rng.randrange(n // 2)) % n] for q in range(n)]
+    machine = Dfa(AB, n, delta, 0, {q for q in range(n) if rng.random() < 0.5})
+    report = natural_density(machine)
+    assert report.modulus == 2
+    assert sum(report.accumulation_points) == 2 * report.density
+    assert report.natural_density is None
+    ratios, _ = ratio_and_cesaro(machine.count_words(201))
+    for length in (200, 201):
+        assert abs(ratios[length] - report.accumulation_points[length % 2]) < Fraction(1, 2 ** 40)
 
 
 def permuted(machine, perm):
