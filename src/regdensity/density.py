@@ -11,11 +11,11 @@ values.  ``density`` reads the Cesàro value from that analysis;
 exceeds 1, the c-step chain for the per-residue limits.  The chain is kept
 as integer letter counts (each row sums to the alphabet size s), and every
 linear system is solved exactly by sparse integer elimination, each pivot
-taken in a row of fewest nonzeros.  Arithmetic stays on Python ints until a
-value is reported: the back-substitution carries integer numerator/
-denominator pairs, and each weighted sum of Fractions (a transient state's
-value, a class's accepting mass, a residue limit) is accumulated over a
-running common denominator and normalised once, by ``_weighted_sum``.
+taken in a row of fewest nonzeros.  Arithmetic stays on Python ints: a
+class's stationary law is integer weights over their total, every other
+value a reduced (numerator, positive denominator) pair, and each weighted
+sum (a transient state's value, a class's accepting mass, a residue limit)
+is reduced once, by ``_weighted_sum``; only reported values become Fractions.
 """
 
 from dataclasses import dataclass
@@ -86,23 +86,23 @@ class UniformChain:
 
 
 def _weighted_sum(terms, divisor=1):
-    """Σ weight·value / divisor over (int weight, rational value) pairs, as
-    one Fraction.
+    """Σ weight·value / divisor over (int weight, value) terms, each value a
+    (numerator, positive denominator) pair, as a reduced such pair.
 
     The numerator accumulates over the lcm of the denominators seen so far;
     a term whose denominator already divides it adds without rescaling, and
-    the result is normalised once, when the Fraction is built.
+    the result is reduced once, by one gcd.  ``divisor`` must be positive.
     """
     num, den = 0, 1
-    for w, v in terms:
-        d = v.denominator
+    for w, (n, d) in terms:
         if d != den:
             m = d // gcd(den, d)
             if m != 1:
                 num *= m
                 den *= m
-        num += w * v.numerator * (den // d)
-    return Fraction(num, den * divisor)
+        num += w * n * (den // d)
+    g = gcd(num, den * divisor)
+    return num // g, den * divisor // g
 
 
 def _integer_rows(rows, rhs):
@@ -241,11 +241,12 @@ def _class_period_and_levels(comp, count_rows):
 
 
 def _stationary(comp, count_rows, s):
-    """Exact stationary distribution of the chain restricted to a closed class.
+    """Exact stationary law of a closed class as integer weights {q: w_q ≥ 0}
+    and their total > 0, π_q = w_q / total.
 
     The balance equations Σ_p c_pq·π_p = s·π_q have rank n − 1 on an
     irreducible class, so the first state's equation is replaced by the pin
-    π_root = 1; the sparse solution is then normalised to sum 1.
+    π_root = 1; the weights are the solution times its denominators' lcm.
     """
     comp = list(comp)
     comp_set = set(comp)
@@ -256,8 +257,7 @@ def _stationary(comp, count_rows, s):
                 col[t] += c
     if all(v == s for v in col.values()):
         # doubly stochastic on an irreducible class: uniform is stationary
-        share = Fraction(1, len(comp))
-        return {q: share for q in comp}
+        return dict.fromkeys(comp, 1), len(comp)
     pos = {q: i for i, q in enumerate(comp)}
     rows = [{i: -s} for i in range(len(comp))]
     for p in comp:
@@ -267,17 +267,18 @@ def _stationary(comp, count_rows, s):
     rows[0] = {0: 1}
     rhs = [1] + [0] * (len(comp) - 1)
     solution = solve_exact(rows, rhs)
-    total = _weighted_sum((1, v) for v in solution)
-    pi = {q: v / total for q, v in zip(comp, solution)}
-    if any(v < 0 for v in pi.values()) or sum(pi.values()) != 1:
+    scale = lcm(*(v.denominator for v in solution))
+    weights = {q: v.numerator * (scale // v.denominator) for q, v in zip(comp, solution)}
+    total = sum(weights.values())
+    if total <= 0 or any(w < 0 for w in weights.values()):
         raise ArithmeticError("stationary solve produced an invalid distribution")
-    return pi
+    return weights, total
 
 
 def _limit_vector(step_rows, scale, fixed, sccs):
-    """Harmonic extension of ``fixed``: scale·f_p = Σ_q c_pq·f_q on non-fixed
-    states, where ``step_rows[p]`` maps q to the integer count c_pq and each
-    such row sums to ``scale``.
+    """Harmonic extension of ``fixed`` (values as reduced pairs): scale·f_p =
+    Σ_q c_pq·f_q on non-fixed states, where ``step_rows[p]`` maps q to the
+    integer count c_pq and each such row sums to ``scale``.
 
     ``fixed`` must cover every recurrent state of the row graph; the
     transient ones among ``sccs``, the row graph's strongly-connected
@@ -285,8 +286,8 @@ def _limit_vector(step_rows, scale, fixed, sccs):
     order, so each system only involves one component.  A one-state
     component is the common case (every state of a trie): its value
     Σ_{q≠p} c_pq·f_q / (scale − c_pp) is built by ``_weighted_sum`` with a
-    single normalisation.  A larger component goes to ``solve_exact`` with
-    each right-hand side, the mass flowing out of it, built the same way.
+    single reduction.  A larger component goes to ``solve_exact``; each
+    row's right-hand side, the mass flowing out of it, is built the same way.
     """
     f = dict(fixed)
     for comp in sccs:
@@ -310,19 +311,20 @@ def _limit_vector(step_rows, scale, fixed, sccs):
                     row[pos[q]] = row.get(pos[q], 0) - c
                 else:
                     outside.append((c, f[q]))
-            rows.append(row)
-            rhs.append(_weighted_sum(outside))
+            num, den = _weighted_sum(outside)
+            rows.append({j: v * den for j, v in row.items()})
+            rhs.append(num)
         solution = solve_exact(rows, rhs)
         for q, v in zip(comp, solution):
-            f[q] = v
+            f[q] = v.numerator, v.denominator
     return f
 
 
 def _analyse(dfa):
     """The uniform chain of a DFA, its recurrent classes as (states,
-    stationary law) pairs in chain numbering, and the per-state Cesàro limit
-    of acceptance probability: one strongly-connected decomposition and one
-    transient solve."""
+    stationary weights, their total) triples in chain numbering, and the
+    per-state Cesàro limit of acceptance probability as reduced pairs: one
+    strongly-connected decomposition and one transient solve."""
     chain = UniformChain(dfa)
     rows = chain.count_rows
     sccs = strongly_connected_components(chain.successors())
@@ -331,9 +333,9 @@ def _analyse(dfa):
     for comp in sccs:
         comp_set = set(comp)
         if all(t in comp_set for q in comp for t in rows[q]):
-            pi = _stationary(comp, rows, chain.alphabet_size)
-            classes.append((comp, pi))
-            value = _weighted_sum((1, pi[q]) for q in comp if q in chain.accepting)
+            weights, total = _stationary(comp, rows, chain.alphabet_size)
+            classes.append((comp, weights, total))
+            value = _weighted_sum((weights[q], (1, total)) for q in comp if q in chain.accepting)
             fixed.update(dict.fromkeys(comp, value))
     cesaro = _limit_vector(rows, chain.alphabet_size, fixed, sccs)
     return chain, classes, cesaro
@@ -342,7 +344,7 @@ def _analyse(dfa):
 def density(dfa):
     """Exact Cesàro density of the language of a total DFA."""
     _, _, cesaro = _analyse(dfa)
-    return cesaro[0]
+    return Fraction(*cesaro[0])
 
 
 def _step_counts(count_rows, vec):
@@ -356,10 +358,10 @@ def _step_counts(count_rows, vec):
 
 def _transient_power_rows(chain, transients, c):
     """Rows of the c-step count chain (each summing to s^c), computed only
-    for transient states; the state limit applies only when there is one."""
-    if transients and chain.n > _POWER_STATE_LIMIT:
+    for transient states, the unknowns whose number the state limit bounds."""
+    if len(transients) > _POWER_STATE_LIMIT:
         raise BudgetExceededError(
-            "c-step chain on %d states exceeds the supported size" % chain.n
+            "c-step chain on %d transient states exceeds the supported size" % len(transients)
         )
     rows = []
     for p in transients:
@@ -383,13 +385,13 @@ def natural_density(dfa):
 
     phase_fixed = {}
     periods = []
-    for comp, pi in classes:
+    for comp, weights, total in classes:
         period, level = _class_period_and_levels(comp, chain.count_rows)
         periods.append(period)
         accepting_by_phase = [[] for _ in range(period)]
         for q in comp:
             if q in chain.accepting:
-                accepting_by_phase[level[q] % period].append((period, pi[q]))
+                accepting_by_phase[level[q] % period].append((period * weights[q], (1, total)))
         mass_by_phase = [_weighted_sum(terms) for terms in accepting_by_phase]
         for q in comp:
             phase_fixed[q] = mass_by_phase[level[q] % period]
@@ -400,7 +402,9 @@ def natural_density(dfa):
         f_phase = f_cesaro
     else:
         transients = [q for q in range(chain.n) if q not in phase_fixed]
-        if c * chain.n * (len(transients) + 1) > _PHASE_WORK_LIMIT:
+        # each entry is a count below s^c, so it costs its width in 64-bit words
+        width = 1 + c * (s - 1).bit_length() // 64
+        if c * chain.n * (len(transients) + 1) * width > _PHASE_WORK_LIMIT:
             raise BudgetExceededError(
                 "residue-limit computation with modulus %d on %d states exceeds "
                 "the supported work bound" % (c, chain.n)
@@ -416,14 +420,14 @@ def natural_density(dfa):
         limits.append(_weighted_sum(((w, f_phase[q]) for q, w in vec.items()), s ** k))
         vec = _step_counts(chain.count_rows, vec)
 
-    if sum(limits) != c * dens:
+    if _weighted_sum((1, v) for v in limits) != _weighted_sum([(c, dens)]):
         raise ArithmeticError("residue limits inconsistent with Cesàro density")
     natural = limits[0] if all(v == limits[0] for v in limits) else None
     return DensityReport(
-        density=dens,
-        natural_density=natural,
+        density=Fraction(*dens),
+        natural_density=None if natural is None else Fraction(*natural),
         modulus=c,
-        accumulation_points=tuple(limits),
+        accumulation_points=tuple(Fraction(*v) for v in limits),
     )
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from regdensity import Alphabet, approximations, dfa_to_json, mod_counter_dfa, random_dfa
+from regdensity import Alphabet, Dfa, approximations, dfa_to_json, mod_counter_dfa, random_dfa
 from regdensity.cli import main
 
 
@@ -169,6 +169,47 @@ def test_density_residue_work_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "work bound" in err
+
+
+def test_density_residue_count_growth_exits_3_at_once(tmp_path, capsys):
+    # state 0 reads letter i into a cycle of length 5, 7, 8, 9, 11 or 13 and
+    # every letter advances each cycle: c = 360,360, whose c-step counts run
+    # to ~931,000 bits
+    lengths = (5, 7, 8, 9, 11, 13)
+    starts = [1 + sum(lengths[:i]) for i in range(len(lengths))]
+    delta = [starts]
+    for start, length in zip(starts, lengths):
+        delta += [[start + (j + 1) % length] * 6 for j in range(length)]
+    path = tmp_path / "cycles.json"
+    path.write_text(json.dumps(dfa_to_json(Dfa(Alphabet("abcdef"), 54, delta, 0, starts))))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "density", "--dfa", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert "modulus 360360" in err and "work bound" in err
+
+
+def test_density_c_step_state_limit_exits_3_at_once(tmp_path, capsys):
+    # a random 600-state transient component (a follows a 600-cycle, b is a
+    # random map except on 60 states, where it exits to a 2-cycle): 600
+    # unknowns in the c-step system, past the state limit
+    rng = random.Random(600)
+    n = 600
+    order = list(range(n))
+    rng.shuffle(order)
+    cycle = {q: order[(i + 1) % n] for i, q in enumerate(order)}
+    exits = set(rng.sample(range(n), n // 10))
+    delta = [[cycle[q], n + rng.randrange(2) if q in exits else rng.randrange(n)] for q in range(n)]
+    delta += [[n + 1, n + 1], [n, n]]
+    accepting = {q for q in range(n) if rng.random() < 0.5} | {n}
+    machine = Dfa(Alphabet("ab"), n + 2, delta, 0, accepting)
+    path = tmp_path / "transient.json"
+    path.write_text(json.dumps(dfa_to_json(machine)))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "density", "--dfa", str(path))
+    assert time.perf_counter() - start < 10
+    assert code == 3 and out == ""
+    assert "600 transient states" in err
 
 
 def test_census_csv(capsys):

@@ -86,10 +86,11 @@ def recurrent_classes(machine):
     analysis, in the machine's own state numbering, ordered by states."""
     chain, classes, _ = density_module._analyse(machine)
     out = []
-    for comp, pi in classes:
+    for comp, weights, total in classes:
         period, _ = density_module._class_period_and_levels(comp, chain.count_rows)
         states = tuple(sorted(chain.original[q] for q in comp))
-        out.append((states, period, {chain.original[q]: v for q, v in pi.items()}))
+        law = {chain.original[q]: Fraction(w, total) for q, w in weights.items()}
+        out.append((states, period, law))
     return sorted(out, key=lambda cls: cls[0])
 
 
@@ -122,7 +123,7 @@ def test_class_period_and_levels_from_closed_walks(machine):
     # ``reached``: its period is the gcd of the lengths k <= n^2 that lead
     # back, and each state's level is the least k that reaches it
     chain, classes, _ = density_module._analyse(machine)
-    for comp, _ in classes:
+    for comp, _, _ in classes:
         root = comp[0]
         reached, period, distance = {root}, 0, {root: 0}
         for k in range(1, len(comp) ** 2 + 1):
@@ -149,14 +150,38 @@ def test_recurrent_classes_are_stationary(machine):
             assert all(t in states for t in machine.delta[q])
 
 
+def expected_solves(limit_calls):
+    """The ``solve_exact`` calls an analysis needs: one per closed class that
+    is not doubly stochastic, read from the chain rows and components of the
+    first ``_limit_vector`` call, plus one per transient component of more
+    than one state in each ``_limit_vector`` call."""
+    rows, scale, _, sccs = limit_calls[0]
+    stationary = 0
+    for comp in sccs:
+        if all(t in comp for q in comp for t in rows[q]):
+            inflow = Counter()
+            for q in comp:
+                inflow.update(rows[q])
+            stationary += any(inflow[q] != scale for q in comp)
+    transient = sum(
+        len(comp) > 1 and comp[0] not in fixed
+        for _, _, fixed, sccs in limit_calls
+        for comp in sccs
+    )
+    return stationary, transient
+
+
 def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
     calls = Counter()
+    limit_calls = []
 
     def counted(name):
         original = getattr(density_module, name)
 
         def wrapper(*args):
             calls[name] += 1
+            if name == "_limit_vector":
+                limit_calls.append(args)
             return original(*args)
 
         monkeypatch.setattr(density_module, name, wrapper)
@@ -166,25 +191,41 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
         "_limit_vector",
         "_class_period_and_levels",
         "_transient_power_rows",
+        "solve_exact",
     ):
         counted(name)
     rng = random.Random(7)
     machines = [starts_with_a(), evens(), mod_counter_dfa(3)]
     machines += [random_dfa(rng, n, AB) for n in (3, 5, 8, 20, 60)]
+    # a 2-state transient component 0 <-> 1 in front of a 2-cycle
+    machines.append(Dfa(AB, 4, [[1, 2], [0, 2], [3, 3], [2, 2]], 0, {2}))
     aperiodic = 0
+    solves = Counter()
     for machine in machines:
         calls.clear()
+        limit_calls.clear()
         density(machine)
-        # no residue work: no periods and no c-step rows
-        assert calls == {"strongly_connected_components": 1, "_limit_vector": 1}
+        # no residue work: no periods and no c-step rows; every exact solve
+        # goes through the one solver
+        stationary, transient = expected_solves(limit_calls)
+        solves.update(stationary=stationary, transient=transient)
+        assert calls == Counter(
+            strongly_connected_components=1,
+            _limit_vector=1,
+            solve_exact=stationary + transient,
+        )
         calls.clear()
+        limit_calls.clear()
         report = natural_density(machine)
         once = 1 if report.modulus == 1 else 2
         aperiodic += report.modulus == 1
         assert calls["strongly_connected_components"] == once
         assert calls["_limit_vector"] == once
         assert calls["_transient_power_rows"] == once - 1
+        assert calls["solve_exact"] == sum(expected_solves(limit_calls))
     assert 0 < aperiodic < len(machines)
+    # both kinds of system occur, so neither count is vacuous
+    assert solves["stationary"] > 0 and solves["transient"] > 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -374,9 +415,11 @@ def test_solve_exact_matches_bareiss_oracle(system):
     st.integers(1, 50),
 )
 def test_weighted_sum_matches_fraction_arithmetic(terms, divisor):
-    total = density_module._weighted_sum(terms, divisor)
-    assert type(total) is Fraction
-    assert total == sum(w * v for w, v in terms) / Fraction(divisor)
+    pairs = [(w, (v.numerator, v.denominator)) for w, v in terms]
+    num, den = density_module._weighted_sum(pairs, divisor)
+    assert type(num) is int and type(den) is int
+    assert den > 0 and gcd(num, den) == 1
+    assert Fraction(num, den) == sum(w * v for w, v in terms) / Fraction(divisor)
 
 
 def test_solve_exact_work_budget(monkeypatch):
@@ -421,6 +464,92 @@ def test_periodic_machine_without_transients_past_the_power_state_limit():
     ratios, _ = ratio_and_cesaro(machine.count_words(201))
     for length in (200, 201):
         assert abs(ratios[length] - report.accumulation_points[length % 2]) < Fraction(1, 2 ** 40)
+
+
+def test_stationary_validity_check(monkeypatch):
+    # a -> 0, b -> 1 from state 0 and both letters 1 -> 0: one class that is
+    # not doubly stochastic, with law (2/3, 1/3); a negated entry of the
+    # pinned solution makes a weight negative
+    machine = Dfa(AB, 2, [[0, 1], [0, 0]], 0, {0})
+    assert density(machine) == Fraction(2, 3)
+    solve = density_module.solve_exact
+
+    def negated(rows, rhs):
+        solution = solve(rows, rhs)
+        solution[-1] = -solution[-1]
+        return solution
+
+    monkeypatch.setattr(density_module, "solve_exact", negated)
+    with pytest.raises(ArithmeticError, match="stationary solve"):
+        density(machine)
+
+
+def test_residue_limits_consistency_check(monkeypatch):
+    # the second _limit_vector call is the phase vector; raising the initial
+    # state's value by 1 moves one residue limit but not the Cesàro density
+    expected = natural_density(tail_then_cycle())
+    assert expected.modulus == 2
+    limit_vector = density_module._limit_vector
+    vectors = []
+
+    def perturbed(*args):
+        f = limit_vector(*args)
+        vectors.append(f)
+        if len(vectors) == 2:
+            num, den = f[0]
+            f[0] = num + den, den
+        return f
+
+    monkeypatch.setattr(density_module, "_limit_vector", perturbed)
+    with pytest.raises(ArithmeticError, match="residue limits inconsistent"):
+        natural_density(tail_then_cycle())
+    assert len(vectors) == 2
+
+
+def test_c_step_state_limit_counts_transient_states():
+    # the 600-state period-2 machine above behind one transient state, which
+    # reads a into its state 0 and b into its state 1: one unknown in the
+    # c-step system, far below the state limit
+    rng = random.Random(600)
+    n = 600
+    delta = [[(q + 1) % n, (q + 1 + 2 * rng.randrange(n // 2)) % n] for q in range(n)]
+    accepting = {q + 1 for q in range(n) if rng.random() < 0.5}
+    delta = [[1, 2]] + [[t + 1 for t in row] for row in delta]
+    machine = Dfa(AB, n + 1, delta, 0, accepting)
+    report = natural_density(machine)
+    assert report.modulus == 2
+    assert sum(report.accumulation_points) == 2 * report.density
+    ratios, _ = ratio_and_cesaro(machine.count_words(201))
+    for length in (200, 201):
+        assert abs(ratios[length] - report.accumulation_points[length % 2]) < Fraction(1, 2 ** 40)
+
+
+def letter_cycles(lengths):
+    """State 0 reads letter i into cycle i; every letter advances each cycle
+    by one state, and each cycle's first state accepts.  The modulus is the
+    lcm of the lengths and state 0 is the one transient state."""
+    starts, n = [], 1
+    for length in lengths:
+        starts.append(n)
+        n += length
+    delta = [starts]
+    for start, length in zip(starts, lengths):
+        delta += [[start + (j + 1) % length] * len(lengths) for j in range(length)]
+    return Dfa(Alphabet("abcdef"[: len(lengths)]), n, delta, 0, set(starts))
+
+
+def test_residue_work_bound_charges_count_growth():
+    # c = 360,360 and c·n·(transients + 1) = 38,918,880 entries, under the
+    # bound, but the c-step counts run to c·log2(6) ≈ 931,000 bits each
+    machine = letter_cycles((5, 7, 8, 9, 11, 13))
+    assert machine.n_states == 54
+    assert density(machine) == sum(Fraction(1, 6 * n) for n in (5, 7, 8, 9, 11, 13))
+    with pytest.raises(BudgetExceededError, match="modulus 360360"):
+        natural_density(machine)
+    # small moduli keep the plain entry count: c = 6 over three letters
+    report = natural_density(letter_cycles((2, 3, 6)))
+    assert report.modulus == 6
+    assert sum(report.accumulation_points) == 6 * report.density
 
 
 def permuted(machine, perm):
