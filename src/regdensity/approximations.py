@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import isqrt
 from typing import Callable, Optional
 
 from .automata import STATE_BUDGET, Dfa, build_dfa, least_word, mod_counter_dfa
@@ -36,6 +35,7 @@ from .languages import (
     o4,
     palindromes,
     prefix_extension,
+    staircase_word_prefix,
     suffix_extension,
 )
 from .monoid import transition_monoid
@@ -115,14 +115,6 @@ def contains_factor_dfa(pattern, alphabet):
     return build_dfa(alphabet, 0, rows.__getitem__, lambda j: j == m)
 
 
-def _staircase_letter(j):
-    """Letter j (from 0) of the staircase word a b aa b aaa b ...: block i
-    ends with its b at position i(i+3)/2 - 1, that is where 8j + 17 is a
-    square."""
-    d = 8 * j + 17
-    return "b" if isqrt(d) ** 2 == d else "a"
-
-
 def goldstine_inner_dfa(k):
     """Words of the block language whose first k letters already diverge
     from the staircase word and whose last letter is b.
@@ -133,6 +125,8 @@ def goldstine_inner_dfa(k):
     """
     if k < 1:
         raise ValueError("prefix length must be at least 1")
+    # the explorer stops before the letters read reach the state budget
+    prefix = staircase_word_prefix(min(k, STATE_BUDGET))
 
     def successors(state):
         if type(state) is not tuple:
@@ -140,7 +134,7 @@ def goldstine_inner_dfa(k):
         j, diverged = state
         if j == k:
             return ("a", "b")
-        row = [(j + 1, diverged or ch != _staircase_letter(j)) for ch in "ab"]
+        row = [(j + 1, diverged or ch != prefix[j]) for ch in "ab"]
         return [None if t == (k, False) else t for t in row]
 
     return build_dfa(Alphabet("ab"), (0, False), successors, lambda state: state == "b")

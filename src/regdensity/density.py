@@ -8,25 +8,25 @@ bottom (recurrent) classes, whose stationary distributions are solved once,
 and the same decomposition orders the transient solve that propagates their
 values.  ``density`` reads the Cesàro value from that analysis;
 ``natural_density`` adds the class periods and, only when their lcm c
-exceeds 1, the c-step chain for the per-residue limits.  The chain is kept
+exceeds 1, the per-residue limits as one more harmonic extension on the
+same one-step chain, over its (state, phase) product.  The chain is kept
 as integer letter counts (each row sums to the alphabet size s), and every
 linear system is solved exactly by sparse integer elimination, each pivot
 taken in a row of fewest nonzeros.  Arithmetic stays on Python ints: a
 class's stationary law is integer weights over their total, every other
 value a reduced (numerator, positive denominator) pair, and each weighted
-sum (a transient state's value, a class's accepting mass, a residue limit)
-is reduced once, by ``_weighted_sum``; only reported values become Fractions.
+sum (a transient state's or product node's value, a class's accepting or
+phase mass) is reduced once, by ``_weighted_sum``; only reported values
+become Fractions.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .automata import explore, has_forbidden_word, strongly_connected_components
+from .automata import STATE_BUDGET, explore, has_forbidden_word, strongly_connected_components
 from .core import BudgetExceededError
 
-_POWER_STATE_LIMIT = 512
-_PHASE_WORK_LIMIT = 50_000_000
 _SOLVE_WORK_LIMIT = 4_000_000
 
 
@@ -80,9 +80,6 @@ class UniformChain:
         for row in count_rows:
             if sum(row.values()) != s:
                 raise AssertionError("chain row is not stochastic")
-
-    def successors(self):
-        return [list(row.keys()) for row in self.count_rows]
 
 
 def _weighted_sum(terms, divisor=1):
@@ -278,7 +275,9 @@ def _stationary(comp, count_rows, s):
 def _limit_vector(step_rows, scale, fixed, sccs):
     """Harmonic extension of ``fixed`` (values as reduced pairs): scale·f_p =
     Σ_q c_pq·f_q on non-fixed states, where ``step_rows[p]`` maps q to the
-    integer count c_pq and each such row sums to ``scale``.
+    integer count c_pq and each such row sums to ``scale``.  The row graph
+    is the letter-count chain for the Cesàro values, or its (state, phase)
+    product for the residue limits; scale is the alphabet size in both.
 
     ``fixed`` must cover every recurrent state of the row graph; the
     transient ones among ``sccs``, the row graph's strongly-connected
@@ -327,7 +326,7 @@ def _analyse(dfa):
     strongly-connected decomposition and one transient solve."""
     chain = UniformChain(dfa)
     rows = chain.count_rows
-    sccs = strongly_connected_components(chain.successors())
+    sccs = strongly_connected_components(rows)
     classes = []
     fixed = {}
     for comp in sccs:
@@ -347,43 +346,21 @@ def density(dfa):
     return Fraction(*cesaro[0])
 
 
-def _step_counts(count_rows, vec):
-    """One step of the count chain: the words of vec, each extended by a letter."""
-    nxt = {}
-    for q, w in vec.items():
-        for t, c in count_rows[q].items():
-            nxt[t] = nxt.get(t, 0) + w * c
-    return nxt
-
-
-def _transient_power_rows(chain, transients, c):
-    """Rows of the c-step count chain (each summing to s^c), computed only
-    for transient states, the unknowns whose number the state limit bounds."""
-    if len(transients) > _POWER_STATE_LIMIT:
-        raise BudgetExceededError(
-            "c-step chain on %d transient states exceeds the supported size" % len(transients)
-        )
-    rows = []
-    for p in transients:
-        vec = {p: 1}
-        for _ in range(c):
-            vec = _step_counts(chain.count_rows, vec)
-        rows.append(vec)
-    return rows
-
-
 def natural_density(dfa):
     """Density report with per-residue accumulation points.
 
     The modulus c is the least common multiple of the periods of the
     reachable recurrent classes; the natural density exists if and only if
-    the c residue limits coincide.
+    the c residue limits coincide.  They are one more harmonic extension on
+    the one-step chain, over its (state, phase) product: node (q, j) holds
+    the limit of acceptance along lengths ≡ j (mod c) from q, a letter takes
+    it to (t, j − 1 mod c), and a recurrent q is fixed at the accepting
+    mass of the phase its class reaches after j letters.
     """
     chain, classes, f_cesaro = _analyse(dfa)
-    s = chain.alphabet_size
     dens = f_cesaro[chain.initial]
 
-    phase_fixed = {}
+    phases = {}
     periods = []
     for comp, weights, total in classes:
         period, level = _class_period_and_levels(comp, chain.count_rows)
@@ -392,33 +369,38 @@ def natural_density(dfa):
         for q in comp:
             if q in chain.accepting:
                 accepting_by_phase[level[q] % period].append((period * weights[q], (1, total)))
-        mass_by_phase = [_weighted_sum(terms) for terms in accepting_by_phase]
+        masses = [_weighted_sum(terms) for terms in accepting_by_phase]
         for q in comp:
-            phase_fixed[q] = mass_by_phase[level[q] % period]
+            phases[q] = masses, level[q]
     c = lcm(*periods)
 
     if c == 1:
-        # one phase: the phase values are the Cesàro values
-        f_phase = f_cesaro
+        # one phase: the residue limit is the Cesàro value
+        limits = [dens]
     else:
-        transients = [q for q in range(chain.n) if q not in phase_fixed]
-        # each entry is a count below s^c, so it costs its width in 64-bit words
-        width = 1 + c * (s - 1).bit_length() // 64
-        if c * chain.n * (len(transients) + 1) * width > _PHASE_WORK_LIMIT:
+        if c > STATE_BUDGET:
             raise BudgetExceededError(
-                "residue-limit computation with modulus %d on %d states exceeds "
-                "the supported work bound" % (c, chain.n)
+                "residue limits with modulus %d exceed the %d-state budget" % (c, STATE_BUDGET)
             )
-        power = dict(zip(transients, _transient_power_rows(chain, transients, c)))
-        step_rows = [power.get(q, {}) for q in range(chain.n)]
-        sccs = strongly_connected_components([list(row.keys()) for row in step_rows])
-        f_phase = _limit_vector(step_rows, s ** c, phase_fixed, sccs)
 
-    vec = {chain.initial: 1}
-    limits = []
-    for k in range(c):
-        limits.append(_weighted_sum(((w, f_phase[q]) for q, w in vec.items()), s ** k))
-        vec = _step_counts(chain.count_rows, vec)
+        def step(node):
+            q, j = node
+            if q in phases:
+                return ()
+            return [(t, (j - 1) % c) for t in chain.count_rows[q]]
+
+        order, rows = explore([(chain.initial, j) for j in range(c)], step)
+        step_rows = []
+        fixed = {}
+        for i, ((q, j), row) in enumerate(zip(order, rows)):
+            # row lists the successors in count_rows[q]'s key order
+            step_rows.append(dict(zip(row, chain.count_rows[q].values())))
+            if q in phases:
+                masses, phase = phases[q]
+                fixed[i] = masses[(phase + j) % len(masses)]
+        sccs = strongly_connected_components(rows)
+        f = _limit_vector(step_rows, chain.alphabet_size, fixed, sccs)
+        limits = [f[j] for j in range(c)]
 
     if _weighted_sum((1, v) for v in limits) != _weighted_sum([(c, dens)]):
         raise ArithmeticError("residue limits inconsistent with Cesàro density")

@@ -25,22 +25,37 @@ composed by ``itemgetter``, with an eager list of witness words, its left
 Cayley rows composed element by generator and ``bracket`` composing one
 pair at a time; the library's monoid on bytes elements with BFS parents is
 compared against it.
+
+``natural_density_by_c_step`` computes the residue limits on the c-step
+count chain: the harmonic extension of the phase masses under the c-th
+power of the letter-count chain, read off along the first c steps of the
+initial state's count vector.  The library extends the phase masses over
+the (state, phase) product of the one-step chain instead.
 """
 
 import re
+from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 from regdensity import (
     Alphabet,
     BudgetExceededError,
     Dfa,
+    DensityReport,
     LanguageOracle,
     Nfa,
     enumerate_words,
     shortlex_least_member,
 )
 from regdensity.approximations import _matcher_rows, _trie_alphabet
-from regdensity.automata import build_dfa
+from regdensity.automata import build_dfa, strongly_connected_components
+from regdensity.density import (
+    _analyse,
+    _class_period_and_levels,
+    _limit_vector,
+    _weighted_sum,
+)
 from regdensity.languages import staircase_word_prefix
 from regdensity.monoid import DEFAULT_MONOID_BUDGET, AcceptSet
 
@@ -512,3 +527,58 @@ def tuple_transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
         )
     )
     return monoid, accept
+
+
+def _step_counts(count_rows, vec):
+    """One step of the count chain: the words of vec, each extended by a letter."""
+    nxt = {}
+    for q, w in vec.items():
+        for t, c in count_rows[q].items():
+            nxt[t] = nxt.get(t, 0) + w * c
+    return nxt
+
+
+def natural_density_by_c_step(dfa):
+    """``natural_density`` computed on the c-step count chain.
+
+    A recurrent state is fixed at the accepting mass of its own phase; a
+    transient state p solves s^c·f_p = Σ_q (P^c counts)_pq·f_q; the limit at
+    residue k is Σ_q (P^k counts)_{initial, q}·f_q / s^k.
+    """
+    chain, classes, f_cesaro = _analyse(dfa)
+    s = chain.alphabet_size
+    dens = f_cesaro[chain.initial]
+    phase_fixed = {}
+    periods = []
+    for comp, weights, total in classes:
+        period, level = _class_period_and_levels(comp, chain.count_rows)
+        periods.append(period)
+        accepting_by_phase = [[] for _ in range(period)]
+        for q in comp:
+            if q in chain.accepting:
+                accepting_by_phase[level[q] % period].append((period * weights[q], (1, total)))
+        mass_by_phase = [_weighted_sum(terms) for terms in accepting_by_phase]
+        for q in comp:
+            phase_fixed[q] = mass_by_phase[level[q] % period]
+    c = lcm(*periods)
+    step_rows = []
+    for p in range(chain.n):
+        vec = {}
+        if p not in phase_fixed:
+            vec = {p: 1}
+            for _ in range(c):
+                vec = _step_counts(chain.count_rows, vec)
+        step_rows.append(vec)
+    sccs = strongly_connected_components([list(row) for row in step_rows])
+    f_phase = _limit_vector(step_rows, s ** c, phase_fixed, sccs)
+    vec = {chain.initial: 1}
+    limits = []
+    for k in range(c):
+        limits.append(Fraction(*_weighted_sum((w, f_phase[q]) for q, w in vec.items())) / s ** k)
+        vec = _step_counts(chain.count_rows, vec)
+    return DensityReport(
+        density=Fraction(*dens),
+        natural_density=limits[0] if len(set(limits)) == 1 else None,
+        modulus=c,
+        accumulation_points=tuple(limits),
+    )

@@ -119,11 +119,6 @@ def test_goldstine_inner_is_the_hand_indexed_machine():
         assert machine.minimized() == ref.goldstine_inner_dfa(k).minimized()
 
 
-def test_staircase_letters_spell_the_staircase_word():
-    word = staircase_word_prefix(3000)
-    assert "".join(map(approximations._staircase_letter, range(3000))) == word
-
-
 def test_goldstine_inner_language_matches_definition():
     k = 3
     machine = goldstine_inner_dfa(k)

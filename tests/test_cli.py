@@ -8,7 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from regdensity import Alphabet, Dfa, approximations, dfa_to_json, mod_counter_dfa, random_dfa
+from regdensity import (
+    Alphabet,
+    Dfa,
+    approximations,
+    dfa_to_json,
+    mod_counter_dfa,
+    random_dfa,
+    ratio_and_cesaro,
+)
 from regdensity.cli import main
 
 
@@ -160,21 +168,32 @@ def test_density_work_budget_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_density_residue_work_budget_exit_code(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "evens.json"
-    path.write_text(json.dumps(dfa_to_json(mod_counter_dfa(2))))
-    code, out, _ = run_cli(capsys, "density", "--dfa", str(path))
-    assert code == 0 and "c=2" in out
-    monkeypatch.setattr(importlib.import_module("regdensity.density"), "_PHASE_WORK_LIMIT", 0)
+    # a walks the transient 3-cycle 0 -> 1 -> 2 -> 0 and b leaves it for the
+    # 2-cycle 3 <-> 4: the residue product's one 6-unknown component is the
+    # costliest solve, so just under its work the command exits 3 on it
+    machine = Dfa(Alphabet("ab"), 5, [[1, 3], [2, 3], [0, 4], [4, 4], [3, 3]], 0, {0, 3})
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(dfa_to_json(machine)))
+    density_module = importlib.import_module("regdensity.density")
+    limit = 0
+    while True:
+        monkeypatch.setattr(density_module, "_SOLVE_WORK_LIMIT", limit)
+        code, out, err = run_cli(capsys, "density", "--dfa", str(path))
+        if code == 0:
+            break
+        assert code == 3 and out == "" and "work bound" in err
+        limit += 1
+    assert "c=2" in out
+    monkeypatch.setattr(density_module, "_SOLVE_WORK_LIMIT", limit - 1)
     code, out, err = run_cli(capsys, "density", "--dfa", str(path))
-    assert code == 3
-    assert out == ""
-    assert "work bound" in err
+    assert code == 3 and out == ""
+    assert "6-unknown system exceeds the work bound" in err
 
 
-def test_density_residue_count_growth_exits_3_at_once(tmp_path, capsys):
+def test_density_modulus_past_the_state_budget_exits_3_at_once(tmp_path, capsys):
     # state 0 reads letter i into a cycle of length 5, 7, 8, 9, 11 or 13 and
-    # every letter advances each cycle: c = 360,360, whose c-step counts run
-    # to ~931,000 bits
+    # every letter advances each cycle: c = 360,360 phases of the initial
+    # state alone are past the state budget
     lengths = (5, 7, 8, 9, 11, 13)
     starts = [1 + sum(lengths[:i]) for i in range(len(lengths))]
     delta = [starts]
@@ -186,13 +205,13 @@ def test_density_residue_count_growth_exits_3_at_once(tmp_path, capsys):
     code, out, err = run_cli(capsys, "density", "--dfa", str(path))
     assert time.perf_counter() - start < 1
     assert code == 3 and out == ""
-    assert "modulus 360360" in err and "work bound" in err
+    assert "modulus 360360" in err and "200000-state budget" in err
 
 
-def test_density_c_step_state_limit_exits_3_at_once(tmp_path, capsys):
+def test_density_600_transient_states_at_c_2_answer(tmp_path, capsys):
     # a random 600-state transient component (a follows a 600-cycle, b is a
-    # random map except on 60 states, where it exits to a 2-cycle): 600
-    # unknowns in the c-step system, past the state limit
+    # random map except on 60 states, where it exits to a 2-cycle): 1,200
+    # (state, phase) unknowns in the residue product
     rng = random.Random(600)
     n = 600
     order = list(range(n))
@@ -205,11 +224,20 @@ def test_density_c_step_state_limit_exits_3_at_once(tmp_path, capsys):
     machine = Dfa(Alphabet("ab"), n + 2, delta, 0, accepting)
     path = tmp_path / "transient.json"
     path.write_text(json.dumps(dfa_to_json(machine)))
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "density", "--dfa", str(path))
-    assert time.perf_counter() - start < 10
-    assert code == 3 and out == ""
-    assert "600 transient states" in err
+    code, out, _ = run_cli(capsys, "density", "--dfa", str(path), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["modulus"] == 2 and report["natural_density"] is None
+    limits = [Fraction(v["num"], v["den"]) for v in report["accumulation_points"]]
+    # once in the 2-cycle a word's acceptance is fixed by its length's
+    # parity, so a ratio is off its residue limit by at most the share of
+    # words still in the transient states
+    inside = Dfa(Alphabet("ab"), n + 2, delta, 0, set(range(n)))
+    ratios, _ = ratio_and_cesaro(machine.count_words(201))
+    transient, _ = ratio_and_cesaro(inside.count_words(201))
+    for length in (200, 201):
+        assert abs(ratios[length] - limits[length % 2]) <= transient[length]
+    assert transient[200] < Fraction(1, 10 ** 4)
 
 
 def test_census_csv(capsys):

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -24,6 +25,8 @@ from regdensity import (
     ratio_and_cesaro,
     solve_exact,
 )
+
+import reference_languages as ref
 
 density_module = importlib.import_module("regdensity.density")
 
@@ -190,7 +193,7 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
         "strongly_connected_components",
         "_limit_vector",
         "_class_period_and_levels",
-        "_transient_power_rows",
+        "explore",
         "solve_exact",
     ):
         counted(name)
@@ -205,13 +208,15 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
         calls.clear()
         limit_calls.clear()
         density(machine)
-        # no residue work: no periods and no c-step rows; every exact solve
-        # goes through the one solver
+        # no residue work: no periods and no (state, phase) product; the
+        # chain is the one exploration, and every exact solve goes through
+        # the one solver
         stationary, transient = expected_solves(limit_calls)
         solves.update(stationary=stationary, transient=transient)
         assert calls == Counter(
             strongly_connected_components=1,
             _limit_vector=1,
+            explore=1,
             solve_exact=stationary + transient,
         )
         calls.clear()
@@ -221,7 +226,8 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
         aperiodic += report.modulus == 1
         assert calls["strongly_connected_components"] == once
         assert calls["_limit_vector"] == once
-        assert calls["_transient_power_rows"] == once - 1
+        # the chain, each class's levels and, past one phase, the product
+        assert calls["explore"] == 1 + calls["_class_period_and_levels"] + once - 1
         assert calls["solve_exact"] == sum(expected_solves(limit_calls))
     assert 0 < aperiodic < len(machines)
     # both kinds of system occur, so neither count is vacuous
@@ -434,27 +440,51 @@ def test_solve_exact_work_budget(monkeypatch):
 
 def tail_then_cycle():
     """0 -> 1 <-> 2 on both letters: one transient state before a 2-cycle,
-    so c = 2 and the residue work is c·n·(transients + 1) = 12."""
+    so c = 2."""
     return Dfa(AB, 3, [[1, 1], [2, 2], [1, 1]], 0, {1})
 
 
+def transient_triangle():
+    """a walks the transient 3-cycle 0 -> 1 -> 2 -> 0 and b leaves it for
+    the 2-cycle 3 <-> 4: the Cesàro solve has 3 unknowns, and the odd cycle
+    lifts to one 6-unknown component of the (state, phase) product."""
+    return Dfa(AB, 5, [[1, 3], [2, 3], [0, 4], [4, 4], [3, 3]], 0, {0, 3})
+
+
+def least_solve_limit(monkeypatch, run):
+    """The least ``_SOLVE_WORK_LIMIT`` under which ``run()`` completes."""
+    limit = 0
+    while True:
+        monkeypatch.setattr(density_module, "_SOLVE_WORK_LIMIT", limit)
+        try:
+            run()
+            return limit
+        except BudgetExceededError:
+            limit += 1
+
+
 def test_residue_limit_work_budget(monkeypatch):
-    expected = natural_density(tail_then_cycle())
-    assert expected.modulus == 2
-    monkeypatch.setattr(density_module, "_PHASE_WORK_LIMIT", 11)
-    with pytest.raises(BudgetExceededError):
-        natural_density(tail_then_cycle())
-    monkeypatch.setattr(density_module, "_PHASE_WORK_LIMIT", 12)
-    assert natural_density(tail_then_cycle()) == expected
+    # the product's solves run under the same work bound as the chain's
+    machine = transient_triangle()
+    expected = natural_density(machine)
+    assert expected.modulus == 2 and expected.natural_density is None
+    cesaro = least_solve_limit(monkeypatch, lambda: density(machine))
+    residue = least_solve_limit(monkeypatch, lambda: natural_density(machine))
+    assert cesaro < residue
+    monkeypatch.setattr(density_module, "_SOLVE_WORK_LIMIT", residue - 1)
+    assert density(machine) == expected.density
+    with pytest.raises(BudgetExceededError, match="6-unknown system"):
+        natural_density(machine)
+    monkeypatch.setattr(density_module, "_SOLVE_WORK_LIMIT", residue)
+    assert natural_density(machine) == expected
 
 
-def test_periodic_machine_without_transients_past_the_power_state_limit():
-    # The c-step chain is only built for transient states, so a periodic
-    # machine with none needs no state limit: a-edges form one even cycle
-    # and b-edges cross parity, so every state is recurrent with period 2.
+def test_large_periodic_machine_without_transients():
+    # Every state is recurrent, so each product node is fixed at its phase
+    # mass and the product has no unknowns: a-edges form one even cycle and
+    # b-edges cross parity, so the one class has period 2.
     rng = random.Random(600)
     n = 600
-    assert n > density_module._POWER_STATE_LIMIT
     delta = [[(q + 1) % n, (q + 1 + 2 * rng.randrange(n // 2)) % n] for q in range(n)]
     machine = Dfa(AB, n, delta, 0, {q for q in range(n) if rng.random() < 0.5})
     report = natural_density(machine)
@@ -485,8 +515,9 @@ def test_stationary_validity_check(monkeypatch):
 
 
 def test_residue_limits_consistency_check(monkeypatch):
-    # the second _limit_vector call is the phase vector; raising the initial
-    # state's value by 1 moves one residue limit but not the Cesàro density
+    # the second _limit_vector call is the product's; raising the value of
+    # (initial state, phase 0) by 1 moves one residue limit but not the
+    # Cesàro density
     expected = natural_density(tail_then_cycle())
     assert expected.modulus == 2
     limit_vector = density_module._limit_vector
@@ -506,10 +537,10 @@ def test_residue_limits_consistency_check(monkeypatch):
     assert len(vectors) == 2
 
 
-def test_c_step_state_limit_counts_transient_states():
+def test_large_periodic_class_behind_one_transient_state():
     # the 600-state period-2 machine above behind one transient state, which
-    # reads a into its state 0 and b into its state 1: one unknown in the
-    # c-step system, far below the state limit
+    # reads a into its state 0 and b into its state 1: two unknowns in the
+    # product, one per phase of the transient state
     rng = random.Random(600)
     n = 600
     delta = [[(q + 1) % n, (q + 1 + 2 * rng.randrange(n // 2)) % n] for q in range(n)]
@@ -538,18 +569,75 @@ def letter_cycles(lengths):
     return Dfa(Alphabet("abcdef"[: len(lengths)]), n, delta, 0, set(starts))
 
 
-def test_residue_work_bound_charges_count_growth():
-    # c = 360,360 and c·n·(transients + 1) = 38,918,880 entries, under the
-    # bound, but the c-step counts run to c·log2(6) ≈ 931,000 bits each
+def test_letter_cycles_residue_limits_are_exact():
+    # a word of length k ≥ 1 is accepted iff its first letter i picks a
+    # cycle whose length divides k − 1, so the ratio is the same at every
+    # length of a residue class
+    lengths = (5, 7, 8, 9, 11)
+    report = natural_density(letter_cycles(lengths))
+    assert report.modulus == 27720
+    expected = [sum((k - 1) % n == 0 for n in lengths) for k in range(27720)]
+    assert report.accumulation_points == tuple(Fraction(v, 5) for v in expected)
+    assert report.natural_density is None
+    assert report.density == sum(Fraction(1, 5 * n) for n in lengths)
+
+
+def test_modulus_past_the_state_budget_raises_before_exploring(monkeypatch):
+    # c = 360,360 needs more (state, phase) starts than the state budget
+    # allows, so the product is never explored
     machine = letter_cycles((5, 7, 8, 9, 11, 13))
     assert machine.n_states == 54
     assert density(machine) == sum(Fraction(1, 6 * n) for n in (5, 7, 8, 9, 11, 13))
+    starts = []
+    explore = density_module.explore
+
+    def recorded(initial, successors):
+        starts.append(list(initial))
+        return explore(initial, successors)
+
+    monkeypatch.setattr(density_module, "explore", recorded)
     with pytest.raises(BudgetExceededError, match="modulus 360360"):
         natural_density(machine)
-    # small moduli keep the plain entry count: c = 6 over three letters
+    # the chain and the six classes' levels, all from single chain states
+    assert len(starts) == 7 and all(len(initial) == 1 for initial in starts)
+    # small moduli are explored: c = 6 over three letters
     report = natural_density(letter_cycles((2, 3, 6)))
     assert report.modulus == 6
     assert sum(report.accumulation_points) == 6 * report.density
+
+
+def test_residue_pairs_past_the_explorer_budget():
+    # c = 72,072 is under the state budget, but the transient state and the
+    # five cycles' first states give 6·72,072 (state, phase) pairs
+    machine = letter_cycles((7, 8, 9, 11, 13))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="exceeds 200000 reachable states"):
+        natural_density(machine)
+    assert time.perf_counter() - start < 5
+
+
+@st.composite
+def transient_periodic_dfas(draw):
+    """A transient component drained into a c-cycle, c = 2..7: a walks a
+    cycle through the n transient states, b maps into them except on the
+    exit states, where it enters the cycle; both letters advance the cycle."""
+    n = draw(st.integers(1, 12))
+    c = draw(st.integers(2, 7))
+    order = draw(st.permutations(range(n)))
+    after = {q: order[(i + 1) % n] for i, q in enumerate(order)}
+    exits = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    delta = [
+        [after[q], n + draw(st.integers(0, c - 1)) if q in exits else draw(st.integers(0, n - 1))]
+        for q in range(n)
+    ]
+    delta += [[n + (i + 1) % c] * 2 for i in range(c)]
+    return Dfa(AB, n + c, delta, 0, draw(st.sets(st.integers(0, n + c - 1))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(dfas(14), phased_dfas(), transient_periodic_dfas()))
+def test_natural_density_matches_the_c_step_chain(machine):
+    assert natural_density(machine) == ref.natural_density_by_c_step(machine)
 
 
 def permuted(machine, perm):
