@@ -13,6 +13,7 @@ built or read.
 """
 
 import json
+from operator import add
 
 from .core import Alphabet, BudgetExceededError, LengthCensus
 
@@ -165,21 +166,23 @@ class Dfa:
     # -- Counting ------------------------------------------------------------
 
     def count_words(self, max_length):
-        """Exact number of accepted words at each length 0..max_length."""
+        """Exact number of accepted words at each length 0..max_length,
+        counted backwards: a_n(q), the accepted words of length n read from
+        a reachable state q, starts at the acceptance indicator, a_{n+1}(q) =
+        Σ_a a_n(δ(q, a)) is one gather per letter, and counts[n] = a_n(q_0)."""
         if max_length < 0:
             raise ValueError("max_length must be non-negative")
-        delta = self.delta
-        vec = [0] * self.n_states
-        vec[self.initial] = 1
-        counts = [sum(vec[q] for q in self.accepting)]
+        order, rows = explore([self.initial], self.delta.__getitem__)
+        first, *rest = zip(*rows)
+        vec = [int(q in self.accepting) for q in order]
+        counts = [vec[0]]
         for _ in range(max_length):
-            nxt = [0] * self.n_states
-            for p, x in enumerate(vec):
-                if x:
-                    for t in delta[p]:
-                        nxt[t] += x
-            vec = nxt
-            counts.append(sum(vec[q] for q in self.accepting))
+            get = vec.__getitem__
+            nxt = map(get, first)
+            for column in rest:
+                nxt = map(add, nxt, map(get, column))
+            vec = list(nxt)
+            counts.append(vec[0])
         return LengthCensus(len(self.alphabet), counts)
 
 

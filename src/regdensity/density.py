@@ -125,7 +125,7 @@ def solve_exact(rows, rhs):
     row of fewest nonzeros, at its column of fewest active rows, and each
     updated row is divided by the gcd of its entries.  Back-substitution
     runs on integer numerator/denominator pairs with one gcd per unknown,
-    and the solution is returned as reduced Fractions.  Raises
+    and returns them, reduced with positive denominators.  Raises
     ArithmeticError on a singular system and BudgetExceededError past
     ``_SOLVE_WORK_LIMIT`` entry updates.
     """
@@ -219,7 +219,7 @@ def solve_exact(rows, rhs):
             g = -g
         xn[c] = num // g
         xd[c] = den // g
-    return [Fraction(a, b) for a, b in zip(xn, xd)]
+    return list(zip(xn, xd))
 
 
 def _class_period_and_levels(comp, count_rows):
@@ -264,8 +264,8 @@ def _stationary(comp, count_rows, s):
     rows[0] = {0: 1}
     rhs = [1] + [0] * (len(comp) - 1)
     solution = solve_exact(rows, rhs)
-    scale = lcm(*(v.denominator for v in solution))
-    weights = {q: v.numerator * (scale // v.denominator) for q, v in zip(comp, solution)}
+    scale = lcm(*(d for _, d in solution))
+    weights = {q: n * (scale // d) for q, (n, d) in zip(comp, solution)}
     total = sum(weights.values())
     if total <= 0 or any(w < 0 for w in weights.values()):
         raise ArithmeticError("stationary solve produced an invalid distribution")
@@ -285,8 +285,10 @@ def _limit_vector(step_rows, scale, fixed, sccs):
     order, so each system only involves one component.  A one-state
     component is the common case (every state of a trie): its value
     Σ_{q≠p} c_pq·f_q / (scale − c_pp) is built by ``_weighted_sum`` with a
-    single reduction.  A larger component goes to ``solve_exact``; each
-    row's right-hand side, the mass flowing out of it, is built the same way.
+    single reduction.  A larger component whose edges out all reach one
+    value takes that value, which solves every row since each sums to
+    scale; any other goes to ``solve_exact``, each row's right-hand side,
+    the mass flowing out of it, built the same way.
     """
     f = dict(fixed)
     for comp in sccs:
@@ -300,6 +302,10 @@ def _limit_vector(step_rows, scale, fixed, sccs):
             )
             continue
         pos = {q: i for i, q in enumerate(comp)}
+        boundary = {f[q] for p in comp for q in step_rows[p] if q not in pos}
+        if len(boundary) == 1:
+            f.update(dict.fromkeys(comp, boundary.pop()))
+            continue
         rows = []
         rhs = []
         for p in comp:
@@ -313,9 +319,7 @@ def _limit_vector(step_rows, scale, fixed, sccs):
             num, den = _weighted_sum(outside)
             rows.append({j: v * den for j, v in row.items()})
             rhs.append(num)
-        solution = solve_exact(rows, rhs)
-        for q, v in zip(comp, solution):
-            f[q] = v.numerator, v.denominator
+        f.update(zip(comp, solve_exact(rows, rhs)))
     return f
 
 

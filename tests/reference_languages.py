@@ -31,6 +31,10 @@ count chain: the harmonic extension of the phase masses under the c-th
 power of the letter-count chain, read off along the first c steps of the
 initial state's count vector.  The library extends the phase masses over
 the (state, phase) product of the one-step chain instead.
+
+``count_words_by_push`` counts accepted words forwards, pushing the number
+of words that reach each state along every edge, one length at a time; the
+library counts backwards from the accepting states by per-letter gathers.
 """
 
 import re
@@ -44,6 +48,7 @@ from regdensity import (
     Dfa,
     DensityReport,
     LanguageOracle,
+    LengthCensus,
     Nfa,
     enumerate_words,
     shortlex_least_member,
@@ -582,3 +587,23 @@ def natural_density_by_c_step(dfa):
         modulus=c,
         accumulation_points=tuple(limits),
     )
+
+
+def count_words_by_push(dfa, max_length):
+    """``Dfa.count_words`` computed forwards over every state: the number of
+    words of each length reaching each state, pushed along every edge."""
+    if max_length < 0:
+        raise ValueError("max_length must be non-negative")
+    delta = dfa.delta
+    vec = [0] * dfa.n_states
+    vec[dfa.initial] = 1
+    counts = [sum(vec[q] for q in dfa.accepting)]
+    for _ in range(max_length):
+        nxt = [0] * dfa.n_states
+        for p, x in enumerate(vec):
+            if x:
+                for t in delta[p]:
+                    nxt[t] += x
+        vec = nxt
+        counts.append(sum(vec[q] for q in dfa.accepting))
+    return LengthCensus(len(dfa.alphabet), counts)

@@ -214,6 +214,29 @@ def test_count_words_examples():
     assert evens().count_words(4).counts[4] == 16
 
 
+@settings(max_examples=80, deadline=None)
+@given(dfas_with_unreachable_states(), st.integers(0, 60))
+def test_count_words_matches_the_push_reference(machine, max_length):
+    assert machine.count_words(max_length) == ref.count_words_by_push(machine, max_length)
+
+
+def test_count_words_one_reachable_state_and_one_letter():
+    # one state, accepting or not, alone or behind unreachable ones
+    assert Dfa(AB, 1, [[0, 0]], 0, {0}).count_words(5).counts == [1, 2, 4, 8, 16, 32]
+    assert Dfa(AB, 1, [[0, 0]], 0, set()).count_words(3).counts == [0, 0, 0, 0]
+    assert Dfa(ABC, 3, [[1, 2, 0], [1, 1, 1], [0, 0, 2]], 1, {1}).count_words(3).counts == [
+        1, 3, 9, 27
+    ]
+    assert Dfa(Alphabet("a"), 1, [[0]], 0, {0}).count_words(4).counts == [1] * 5
+    # a unary 3-cycle entered at its last state accepts lengths 1 mod 3
+    cycle = Dfa(Alphabet("a"), 3, [[1], [2], [0]], 2, {0})
+    assert cycle.count_words(7).counts == [0, 1, 0, 0, 1, 0, 0, 1]
+    for machine in (cycle, Dfa(AB, 1, [[0, 0]], 0, {0})):
+        assert machine.count_words(0).counts == ref.count_words_by_push(machine, 0).counts
+        with pytest.raises(ValueError):
+            machine.count_words(-1)
+
+
 @settings(max_examples=25, deadline=None)
 @given(dfas(max_states=5, alphabets=("ab",)), dfas(max_states=5, alphabets=("ab",)))
 def test_union_intersection_cardinalities(x, y):

@@ -240,6 +240,40 @@ def test_density_600_transient_states_at_c_2_answer(tmp_path, capsys):
     assert transient[200] < Fraction(1, 10 ** 4)
 
 
+@pytest.mark.parametrize(
+    "machine, expected",
+    [
+        # a swaps the transient pair 0 <-> 1; b leaves 0 for the 3-cycle
+        # 2 -> 3 -> 4 at 2 and leaves 1 for it one phase on, at 3
+        (
+            Dfa(Alphabet("ab"), 5, [[1, 2], [0, 3], [3, 3], [4, 4], [2, 2]], 0, {0, 2}),
+            "density=1/3 natural=BOT c=3 acc=[0:4/21,1:16/21,2:1/21]\n",
+        ),
+        # a walks the transient triangle 0 -> 1 -> 2 -> 0; b and c leave it
+        # for the 4-cycle 3 -> 4 -> 5 -> 6 at three of its four phases
+        (
+            Dfa(
+                Alphabet("abc"),
+                7,
+                [[1, 3, 1], [2, 5, 2], [0, 0, 6], [4, 4, 4], [5, 5, 5], [6, 6, 6], [3, 3, 3]],
+                0,
+                {1, 3, 4},
+            ),
+            "density=1/2 natural=BOT c=4 acc=[0:486/793,1:649/793,2:307/793,3:144/793]\n",
+        ),
+    ],
+    ids=["c3", "c4"],
+)
+def test_density_transient_component_into_a_long_cycle(tmp_path, capsys, machine, expected):
+    # exits at different phases make every residue limit depend on the
+    # direction a letter moves the phase, which c = 2 cannot tell apart
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps(dfa_to_json(machine)))
+    code, out, _ = run_cli(capsys, "density", "--dfa", str(path))
+    assert code == 0
+    assert out == expected
+
+
 def test_census_csv(capsys):
     code, out, _ = run_cli(capsys, "census", "--oracle", "dyck", "--max", "6")
     assert code == 0

@@ -157,8 +157,9 @@ def expected_solves(limit_calls):
     """The ``solve_exact`` calls an analysis needs: one per closed class that
     is not doubly stochastic, read from the chain rows and components of the
     first ``_limit_vector`` call, plus one per transient component of more
-    than one state in each ``_limit_vector`` call."""
-    rows, scale, _, sccs = limit_calls[0]
+    than one state whose edges out reach more than one value, in each
+    ``_limit_vector`` call (its arguments and the values it returned)."""
+    (rows, scale, _, sccs), _ = limit_calls[0]
     stationary = 0
     for comp in sccs:
         if all(t in comp for q in comp for t in rows[q]):
@@ -167,8 +168,10 @@ def expected_solves(limit_calls):
                 inflow.update(rows[q])
             stationary += any(inflow[q] != scale for q in comp)
     transient = sum(
-        len(comp) > 1 and comp[0] not in fixed
-        for _, _, fixed, sccs in limit_calls
+        len(comp) > 1
+        and comp[0] not in fixed
+        and len({f[q] for p in comp for q in step_rows[p] if q not in comp}) > 1
+        for (step_rows, _, fixed, sccs), f in limit_calls
         for comp in sccs
     )
     return stationary, transient
@@ -183,9 +186,10 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
 
         def wrapper(*args):
             calls[name] += 1
+            result = original(*args)
             if name == "_limit_vector":
-                limit_calls.append(args)
-            return original(*args)
+                limit_calls.append((args, result))
+            return result
 
         monkeypatch.setattr(density_module, name, wrapper)
 
@@ -200,8 +204,12 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
     rng = random.Random(7)
     machines = [starts_with_a(), evens(), mod_counter_dfa(3)]
     machines += [random_dfa(rng, n, AB) for n in (3, 5, 8, 20, 60)]
-    # a 2-state transient component 0 <-> 1 in front of a 2-cycle
+    # a 2-state transient component 0 <-> 1 in front of a 2-cycle: one
+    # value outside, so only the (state, phase) product needs a solve
     machines.append(Dfa(AB, 4, [[1, 2], [0, 2], [3, 3], [2, 2]], 0, {2}))
+    # 0 <-> 1 again, feeding an accepting and a rejecting sink: the Cesàro
+    # pass alone solves
+    machines.append(Dfa(AB, 4, [[1, 2], [0, 3], [2, 2], [3, 3]], 0, {2}))
     aperiodic = 0
     solves = Counter()
     for machine in machines:
@@ -282,15 +290,25 @@ def test_convergence_of_counts_to_reported_limits():
             assert abs(ratios[n] - report.accumulation_points[d]) <= Fraction(1, 2 ** 10)
 
 
+def as_fractions(solution):
+    """The solver's (numerator, denominator) pairs as Fractions, after
+    checking that each pair is reduced with a positive denominator."""
+    for pair in solution:
+        assert type(pair) is tuple and all(type(v) is int for v in pair)
+        num, den = pair
+        assert den > 0 and gcd(num, den) == 1
+    return [Fraction(*pair) for pair in solution]
+
+
 def test_solve_exact_small_system():
-    x = solve_exact([{0: 2, 1: 1}, {0: 1, 1: 3}], [5, 10])
+    x = as_fractions(solve_exact([{0: 2, 1: 1}, {0: 1, 1: 3}], [5, 10]))
     assert x == [Fraction(1), Fraction(3)]
 
 
 def test_solve_exact_rational_entries():
     rows = [{0: 3, 1: 2}, {0: 1, 1: 4}]
     rhs = [Fraction(7, 6), Fraction(9, 4)]
-    x = solve_exact(rows, rhs)
+    x = as_fractions(solve_exact(rows, rhs))
     assert rows[0][0] * x[0] + rows[0][1] * x[1] == rhs[0]
     assert rows[1][0] * x[0] + rows[1][1] * x[1] == rhs[1]
 
@@ -408,9 +426,7 @@ def test_solve_exact_matches_bareiss_oracle(system):
         with pytest.raises(ArithmeticError):
             solve_exact(int_rows, int_rhs)
         return
-    solution = solve_exact(int_rows, int_rhs)
-    assert solution == expected
-    assert all(type(v) is Fraction for v in solution)
+    assert as_fractions(solve_exact(int_rows, int_rhs)) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -506,7 +522,8 @@ def test_stationary_validity_check(monkeypatch):
 
     def negated(rows, rhs):
         solution = solve(rows, rhs)
-        solution[-1] = -solution[-1]
+        num, den = solution[-1]
+        solution[-1] = -num, den
         return solution
 
     monkeypatch.setattr(density_module, "solve_exact", negated)
