@@ -13,7 +13,7 @@ built or read.
 """
 
 import json
-from operator import add
+from operator import add, ne
 
 from .core import Alphabet, BudgetExceededError, LengthCensus
 
@@ -131,15 +131,13 @@ class Dfa:
     def minimized(self):
         """The unique minimal DFA, states renumbered canonically.
 
-        Moore refinement over the reachable states: each round keys a state
-        by its block and its successors' blocks, read through one successor
+        Moore refinement in ``explore``'s order: each round keys a state by
+        its block and its successors' blocks, read through one successor
         column per letter, and numbers the keys by first occurrence.
         """
-        reach = sorted(self.reachable_states())
-        pos = {q: i for i, q in enumerate(reach)}
-        rows = [self.delta[q] for q in reach]
-        cols = [[pos[row[a]] for row in rows] for a in range(len(self.alphabet))]
-        block = [1 if q in self.accepting else 0 for q in reach]
+        order, rows = explore([self.initial], self.delta.__getitem__)
+        cols = list(zip(*rows))
+        block = [1 if q in self.accepting else 0 for q in order]
         n_blocks = len(set(block))
         while True:
             sigs = {}
@@ -151,16 +149,12 @@ class Dfa:
             if len(sigs) == n_blocks:
                 break
             n_blocks = len(sigs)
-        rep_delta = {}
-        for i in range(len(reach)):
-            if block[i] not in rep_delta:
-                rep_delta[block[i]] = [block[col[i]] for col in cols]
-        acc_blocks = frozenset(block[pos[q]] for q in reach if q in self.accepting)
+        rep = dict(zip(block, range(len(block))))  # one state of each block
         return build_dfa(
             self.alphabet,
-            block[pos[self.initial]],
-            rep_delta.__getitem__,
-            acc_blocks.__contains__,
+            rep[block[0]],
+            lambda i: [rep[block[j]] for j in rows[i]],
+            lambda i: order[i] in self.accepting,
         )
 
     # -- Counting ------------------------------------------------------------
@@ -305,30 +299,28 @@ def equivalent(x, y):
     return find_difference_witness(x, y) is None
 
 
-def find_difference_witness(x, y):
-    """Shortlex-least word accepted by exactly one of the two DFAs, if any."""
+def _product_search(x, y, bad):
+    """Shortlex-least word that takes the two DFAs to a state pair whose
+    verdicts (in x, in y) are ``bad``, or None."""
     if x.alphabet != y.alphabet:
         raise ValueError("alphabet mismatch")
     return least_word(
         (x.initial, y.initial),
         _pair_successors(x, y),
         x.alphabet.symbols,
-        lambda pq: (pq[0] in x.accepting) != (pq[1] in y.accepting),
+        lambda pq: bad(pq[0] in x.accepting, pq[1] in y.accepting),
         None,
     )
 
 
+def find_difference_witness(x, y):
+    """Shortlex-least word accepted by exactly one of the two DFAs, if any."""
+    return _product_search(x, y, ne)
+
+
 def is_subset(x, y):
     """Does L(x) ⊆ L(y) hold?  Decided on the reachable product only."""
-    if x.alphabet != y.alphabet:
-        raise ValueError("alphabet mismatch")
-    return least_word(
-        (x.initial, y.initial),
-        _pair_successors(x, y),
-        x.alphabet.symbols,
-        lambda pq: pq[0] in x.accepting and pq[1] not in y.accepting,
-        None,
-    ) is None
+    return _product_search(x, y, lambda in_x, in_y: in_x and not in_y) is None
 
 
 def shortlex_least_member(dfa, min_length=-1):
@@ -385,54 +377,48 @@ def strongly_connected_components(successors):
     """Tarjan's algorithm, iterative.  Returns SCCs in reverse topological
     order (every component precedes the components that can reach it)."""
     n = len(successors)
-    index = [0] * n
+    index = [0] * n  # 0 until visited
     low = [0] * n
     on_stack = [False] * n
-    visited = [False] * n
     stack = []
     sccs = []
-    counter = [1]
+    counter = 1
     for root in range(n):
-        if visited[root]:
+        if index[root]:
             continue
         work = [(root, iter(successors[root]))]
-        visited[root] = True
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = counter
+        counter += 1
         stack.append(root)
         on_stack[root] = True
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if not visited[w]:
-                    visited[w] = True
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                if not index[w]:
+                    index[w] = low[w] = counter
+                    counter += 1
                     stack.append(w)
                     on_stack[w] = True
                     work.append((w, iter(successors[w])))
-                    advanced = True
                     break
                 elif on_stack[w]:
                     if index[w] < low[v]:
                         low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
     return sccs
 
 

@@ -212,7 +212,7 @@ def check_o3o4():
         )
     )
     ratio18 = Fraction(o3_count(18), 3 ** 18)
-    # exact value 71152482/387420489 ~ 0.1837: the stated 1/10 bound is not
+    # exact value 23717494/129140163 ~ 0.1837: the stated 1/10 bound is not
     # attainable at length 18, so this item reports honestly red
     items.append(
         _item(

@@ -102,39 +102,28 @@ def _weighted_sum(terms, divisor=1):
     return num // g, den * divisor // g
 
 
-def _integer_rows(rows, rhs):
-    """Each equation as ({column: int}, int): the integer row scaled by the
-    denominator of its right-hand side, zero entries dropped."""
-    n = len(rows)
-    out = []
-    for row, b in zip(rows, rhs):
-        for j in row:
-            if not 0 <= j < n:
-                raise ValueError("column %r outside a %d-unknown system" % (j, n))
-        d = b.denominator
-        out.append(({j: v * d for j, v in row.items() if v}, b.numerator))
-    return out
-
-
 def solve_exact(rows, rhs):
-    """Solve the square rational system rows·x = rhs exactly.
+    """Solve the square integer system rows·x = rhs exactly.
 
-    Each row is a mapping {column: int} holding its nonzero entries, and
-    each right-hand side an int or a Fraction.  Rows are scaled once to
-    integers and reduced by sparse elimination: each pivot is taken in a
-    row of fewest nonzeros, at its column of fewest active rows, and each
-    updated row is divided by the gcd of its entries.  Back-substitution
-    runs on integer numerator/denominator pairs with one gcd per unknown,
-    and returns them, reduced with positive denominators.  Raises
-    ArithmeticError on a singular system and BudgetExceededError past
-    ``_SOLVE_WORK_LIMIT`` entry updates.
+    Each row is a mapping {column: int}, whose zero entries are dropped, and
+    each right-hand side an int.  Rows are reduced by sparse elimination:
+    each pivot is taken in a row of fewest nonzeros, at its column of fewest
+    active rows, and each updated row is divided by the gcd of its entries.
+    Back-substitution runs on integer numerator/denominator pairs with one
+    gcd per unknown, and returns the solution as such pairs, reduced with
+    positive denominators.  Raises ArithmeticError on a singular system and
+    BudgetExceededError past ``_SOLVE_WORK_LIMIT`` entry updates.
     """
     n = len(rows)
     if len(rhs) != n:
         raise ValueError("need one right-hand side per row")
-    system = _integer_rows(rows, rhs)
-    mat = [entries for entries, _ in system]
-    b = [value for _, value in system]
+    mat = []
+    for row in rows:
+        for j in row:
+            if not 0 <= j < n:
+                raise ValueError("column %r outside a %d-unknown system" % (j, n))
+        mat.append({j: v for j, v in row.items() if v})
+    b = list(rhs)
     # col_rows[j]: the active rows holding column j; buckets[k]: the active
     # rows of k nonzeros.  An empty column never gains an entry, so it
     # leaves an empty row by the last pivot, and bucket 0 shows it.

@@ -138,9 +138,6 @@ def dyck_count(length):
 
 def majority_count(length, m=1):
     """Words over {a, b} with strictly more than m times as many a's as b's."""
-    if m == 1:
-        central = comb(length, length // 2) if length % 2 == 0 else 0
-        return (2 ** length - central) // 2
     return sum(comb(length, j) for j in range(length + 1) if length - j > m * j)
 
 

@@ -397,6 +397,50 @@ def test_language_infinite_examples():
     assert language_infinite(evens()) and is_coinfinite(evens())
 
 
+@st.composite
+def graphs(draw):
+    """Successor lists on 1-60 nodes, each of out-degree 0-3; a target may
+    repeat or be the node itself."""
+    n = draw(st.integers(1, 60))
+    return [draw(st.lists(st.integers(0, n - 1), max_size=3)) for _ in range(n)]
+
+
+def reachable_from(graph, start):
+    seen = {start}
+    queue = [start]
+    for v in queue:
+        for w in graph[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_strongly_connected_components_match_mutual_reachability(graph):
+    n = len(graph)
+    comps = automata.strongly_connected_components(graph)
+    where = {v: k for k, comp in enumerate(comps) for v in comp}
+    assert sorted(v for comp in comps for v in comp) == list(range(n))
+    reach = [reachable_from(graph, v) for v in range(n)]
+    for u in range(n):
+        for v in range(n):
+            assert (where[u] == where[v]) == (v in reach[u] and u in reach[v])
+    # reverse topological order: an edge stays in its component or goes to
+    # an earlier one
+    assert all(where[w] <= where[v] for v in range(n) for w in graph[v])
+
+
+def test_strongly_connected_components_of_long_paths_and_cycles():
+    n = 100_000
+    path = [[v + 1] for v in range(n - 1)] + [[]]
+    assert automata.strongly_connected_components(path) == [[v] for v in reversed(range(n))]
+    cycle = [[(v + 1) % n] for v in range(n)]
+    (comp,) = automata.strongly_connected_components(cycle)
+    assert sorted(comp) == list(range(n))
+
+
 def test_shortlex_least_member_examples():
     all_words = Dfa(AB, 1, [[0, 0]], 0, {0})
     assert shortlex_least_member(all_words, 2) == "aaa"

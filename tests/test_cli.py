@@ -354,6 +354,13 @@ def test_gap_json_and_bad_k(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("ks", ["2,,4", "3,", ",", ""])
+def test_gap_rejects_an_empty_k_element(capsys, ks):
+    code, out, err = run_cli(capsys, "gap", "--family", "modk", "--k", ks, "--max", "4")
+    assert code == 2 and out == ""
+    assert "--k needs a comma-separated integer list" in err
+
+
 def test_gap_extension_families(capsys):
     code, out, _ = run_cli(
         capsys, "gap", "--family", "infix-ext:dyck:c", "--k", "1", "--max", "6"

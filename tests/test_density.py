@@ -305,12 +305,9 @@ def test_solve_exact_small_system():
     assert x == [Fraction(1), Fraction(3)]
 
 
-def test_solve_exact_rational_entries():
-    rows = [{0: 3, 1: 2}, {0: 1, 1: 4}]
-    rhs = [Fraction(7, 6), Fraction(9, 4)]
-    x = as_fractions(solve_exact(rows, rhs))
-    assert rows[0][0] * x[0] + rows[0][1] * x[1] == rhs[0]
-    assert rows[1][0] * x[0] + rows[1][1] * x[1] == rhs[1]
+def test_solve_exact_takes_integer_right_hand_sides_only():
+    with pytest.raises(TypeError):
+        solve_exact([{0: 3, 1: 2}, {0: 1, 1: 4}], [Fraction(7, 6), 2])
 
 
 def test_solve_exact_singular_raises():
@@ -412,14 +409,14 @@ def square_systems(draw, max_n=12):
 @given(square_systems())
 def test_solve_exact_matches_bareiss_oracle(system):
     rows, rhs = system
-    # each equation scaled to integer entries, as the density engine builds
-    # them; the right-hand side stays an int or a Fraction
+    # each equation scaled to integer entries and an integer right-hand
+    # side, as the density engine builds them
     int_rows = []
     int_rhs = []
     for row, b in zip(rows, rhs):
-        scale = lcm(*(Fraction(v).denominator for v in row))
+        scale = lcm(*(Fraction(v).denominator for v in [*row, b]))
         int_rows.append({j: int(v * scale) for j, v in enumerate(row) if v})
-        int_rhs.append(b * scale)
+        int_rhs.append(int(b * scale))
     try:
         expected = bareiss_solve(rows, rhs)
     except ArithmeticError:

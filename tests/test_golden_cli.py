@@ -10,7 +10,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -127,6 +130,23 @@ def test_golden_set_matches_invocation_list():
 @pytest.mark.parametrize("case", _load(), ids=lambda case: " ".join(case["argv"]))
 def test_cli_output_matches_golden_digest(case):
     assert digest(case["argv"]) == case["sha256"]
+
+
+def test_golden_digests_hold_under_fixed_hash_seeds():
+    # string hashing is randomised per process; output must not depend on it
+    here = pathlib.Path(__file__).parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    replay = (
+        "import json, test_golden_cli as g;"
+        "print(json.dumps([g.digest(case['argv']) for case in g._load()]))"
+    )
+    expected = [case["sha256"] for case in _load()]
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", replay], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(done.stdout) == expected, "PYTHONHASHSEED=%s" % seed
 
 
 if __name__ == "__main__":
