@@ -33,6 +33,18 @@ class UsageError(ValueError):
     pass
 
 
+def strict_int(text):
+    """``int(text)`` for an optional ``-`` and ASCII digits only: ``int``
+    alone also takes ``1_0``, spaces, a plus sign and non-ASCII digits."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("invalid literal for int() with base 10: %r" % text)
+    return int(text)
+
+
+strict_int.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def fraction_json(value):
     if value is None:
         return None
@@ -70,7 +82,7 @@ def load_dfa(source):
         return even_length_dfa(ab)
     if source.startswith("modk:"):
         try:
-            k = int(source.split(":", 1)[1])
+            k = strict_int(source.split(":", 1)[1])
         except ValueError:
             raise UsageError("modk builtin needs an integer, got %r" % source) from None
         try:
@@ -130,7 +142,7 @@ def load_oracle(spec):
                 raise UsageError("counteq needs two letters, e.g. counteq:a,b")
             return languages.count_eq(letters[0], letters[1])
         if spec.startswith("majority:"):
-            return languages.majority(int(spec.split(":", 1)[1]))
+            return languages.majority(strict_int(spec.split(":", 1)[1]))
         if spec.startswith("coprefix:"):
             morphism, seed = _parse_morphism(spec.split(":", 1)[1])
             return languages.coprefix(morphism, seed)
@@ -264,7 +276,7 @@ def cmd_gap(args, out):
         fam, inner=_k_errors_as_usage(fam.inner), outer=_k_errors_as_usage(fam.outer)
     )
     try:
-        ks = [int(part) for part in args.k.split(",")]
+        ks = [strict_int(part) for part in args.k.split(",")]
     except ValueError:
         raise UsageError("--k needs a comma-separated integer list") from None
     report = approximations.gap_report(fam, ks, args.max, budget=args.budget)
@@ -389,12 +401,12 @@ def build_parser():
 
     census_p = sub.add_parser("census", help="exact census of a language oracle")
     census_p.add_argument("--oracle", required=True)
-    census_p.add_argument("--max", type=int, required=True)
+    census_p.add_argument("--max", type=strict_int, required=True)
 
     gap_p = sub.add_parser("gap", help="approximation gap sweep for a family")
     gap_p.add_argument("--family", required=True)
     gap_p.add_argument("--k", required=True, help="comma-separated parameter list")
-    gap_p.add_argument("--max", type=int, required=True, help="containment check length")
+    gap_p.add_argument("--max", type=strict_int, required=True, help="containment check length")
 
     monoid_p = sub.add_parser("monoid", help="transition monoid report of a DFA")
     monoid_p.add_argument("--dfa", required=True)
@@ -406,7 +418,7 @@ def build_parser():
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
     for p in (census_p, gap_p, monoid_p):
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--budget", type=strict_int, default=None)
     return parser
 
 

@@ -155,23 +155,6 @@ def o3_count(length):
     return 2 * eq_pairs - center
 
 
-def o4_count(length):
-    """Words over a 4-letter alphabet where one designated pair of letters
-    (or the other) occurs equally often."""
-    eq_one = 0
-    for i in range(length // 2 + 1):
-        rest = length - 2 * i
-        eq_one += _multinomial3(i, i, rest) * 2 ** rest
-    both = 0
-    if length % 2 == 0:
-        for i in range(length // 2 + 1):
-            k = length // 2 - i
-            both += factorial(length) // (
-                factorial(i) ** 2 * factorial(k) ** 2
-            )
-    return 2 * eq_one - both
-
-
 # -- concrete oracles --------------------------------------------------------
 
 def _difference_stepper(moves, accepting):

@@ -6,8 +6,10 @@ composition is left-to-right ("read u, then v").  The elements are
 enumerated breadth-first, and each new element records its BFS parent, the
 element and letter it was first reached from; its shortlex-least witness
 word is read off that parent chain.  The right Cayley graph is recorded
-while the elements are enumerated (Froidure & Pin), and each left Cayley
-row is derived from its parent's row through the right Cayley graph.
+while the elements are enumerated (Froidure & Pin), as one column per
+letter: ``columns[a][i]`` is the index of element_i·a.  The left Cayley
+graph is one column per generator too, each entry derived from its
+element's BFS parent through the right Cayley graph.
 
 Green's relations need no pass of Tarjan's algorithm over the elements
 (East, Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups").
@@ -40,16 +42,18 @@ def _transformation(images):
 
 
 def _operand(second):
-    """``second`` in the form the maps from ``_then`` take: a bytes element
-    padded to the 256-byte table of ``bytes.translate``."""
+    """``second`` as ``_composition`` takes it: a bytes element padded to
+    the 256-byte table of ``bytes.translate``."""
     return second.ljust(256, b"\0") if type(second) is bytes else second
 
 
-def _then(first):
-    """The map t -> 'apply first, then t', for t given by ``_operand``."""
-    if type(first) is bytes:
-        return first.translate
-    return itemgetter(*first)  # more than BYTE_STATES states, so never one index
+def _composition(n):
+    """The function (first, second) -> 'apply first, then second' on the
+    elements of the monoid of an n-state DFA, for second given by
+    ``_operand``: ``bytes.translate`` on bytes elements."""
+    if n <= BYTE_STATES:
+        return bytes.translate
+    return lambda first, second: itemgetter(*first)(second)  # n > 256 indices: a tuple
 
 
 class Monoid:
@@ -62,23 +66,24 @@ class Monoid:
         "identity",
         "generators",
         "minimal_dfa",
+        "_compose",
         "_parent",
         "_letter",
-        "_right",
+        "_columns",
         "_left",
     )
 
-    def __init__(self, alphabet, elements, index, identity, generators, minimal_dfa, parent,
-                 letter, right):
+    def __init__(self, alphabet, elements, index, minimal_dfa, parent, letter, columns, compose):
         self.alphabet = alphabet
         self.elements = elements
         self.index = index
-        self.identity = identity
-        self.generators = generators
+        self.identity = 0
+        self.generators = [column[0] for column in columns]
         self.minimal_dfa = minimal_dfa
+        self._compose = compose
         self._parent = parent
         self._letter = letter
-        self._right = right
+        self._columns = columns
         self._left = None
 
     def __len__(self):
@@ -86,7 +91,7 @@ class Monoid:
 
     def compose(self, i, j):
         """Index of the transformation 'apply element i, then element j'."""
-        return self.index[_then(self.elements[i])(_operand(self.elements[j]))]
+        return self.index[self._compose(self.elements[i], _operand(self.elements[j]))]
 
     def witness(self, i):
         """The shortlex-least word evaluating to element i: the letters on
@@ -103,41 +108,50 @@ class Monoid:
         """The first (x, y) in index order with x·middle·y in ``goal``, or
         None.  For each x, p·y with p = x·middle is read in index order as
         p·parent(y) followed by letter(y) on the right Cayley graph."""
-        right, parent, letter = self._right, self._parent, self._letter
         size = len(self.elements)
+        parents, steps = self._parent[1:], [self._columns[a] for a in self._letter[1:]]
         products = [0] * size
         for x in range(size):
             p = self.compose(x, middle)
             if p in goal:
                 return x, self.identity
             products[0] = p
-            for y in range(1, size):
-                products[y] = py = right[products[parent[y]]][letter[y]]
+            for y, j, step in zip(range(1, size), parents, steps):
+                products[y] = py = step[products[j]]
                 if py in goal:
                     return x, y
         return None
 
     def right_cayley(self):
         """right_cayley()[i][g] = index of element_i · generator_g."""
-        return self._right
+        return list(zip(*self._columns))
 
-    def left_cayley(self):
-        """left_cayley()[i][g] = index of generator_g · element_i.
+    def _left_columns(self):
+        """_left_columns()[g][i] = index of generator_g · element_i.
 
-        Row i is derived from its BFS parent j, i = j·a, as
-        g·i = (g·j)·a: one right Cayley step per generator."""
+        Entry i is derived from its BFS parent j, i = j·a, as
+        g·i = (g·j)·a: one right Cayley step."""
         if self._left is None:
-            right = self._right
-            left = [right[self.identity]]  # g·1 = g
-            for j, a in zip(self._parent[1:], self._letter[1:]):
-                left.append(tuple([right[gj][a] for gj in left[j]]))
+            parents, steps = self._parent[1:], [self._columns[a] for a in self._letter[1:]]
+            left = []
+            for g in self.generators:  # g·1 = g
+                column = [g]
+                append = column.append
+                for j, step in zip(parents, steps):
+                    append(step[column[j]])
+                left.append(column)
             self._left = left
         return self._left
 
+    def left_cayley(self):
+        """left_cayley()[i][g] = index of generator_g · element_i."""
+        return list(zip(*self._left_columns()))
+
     def element_of_word(self, word):
+        columns, rank = self._columns, self.alphabet.rank
         e = self.identity
         for ch in word:
-            e = self._right[e][self.alphabet.rank(ch)]
+            e = columns[rank(ch)][e]
         return e
 
 
@@ -156,54 +170,43 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
     Elements are discovered breadth-first with letters in alphabet order, so
     the parent chain each element records, the element and letter it was
     first reached from, spells its shortlex-least witness, and element
-    indices increase in shortlex order of the witnesses.  Row i of the right
-    Cayley graph is recorded when element i leaves the frontier; left rows
-    and witnesses are derived from the parents when asked for.  Elements are
-    ``bytes`` state maps, extended by a letter with one ``bytes.translate``,
-    up to BYTE_STATES states, and tuples above.
+    indices increase in shortlex order of the witnesses.  Entry i of each
+    letter's right Cayley column is appended when element i leaves the
+    frontier; the left columns and witnesses are derived from the parents
+    when asked for.  Elements are ``bytes`` state maps, extended by a letter
+    with one ``bytes.translate``, up to BYTE_STATES states, and tuples above.
     """
     minimal = dfa.minimized()
     n = minimal.n_states
+    compose = _composition(n)
     identity = _transformation(range(n))
     elements = [identity]
     index = {identity: 0}
     parent = [0]  # the identity's parent and letter are never read
     letter = [0]
-    right = []
+    columns = [[] for _ in minimal.alphabet.symbols]
     letter_maps = [
-        (a, _operand(_transformation([minimal.delta[q][a] for q in range(n)])))
+        (a, columns[a].append, _operand(_transformation([minimal.delta[q][a] for q in range(n)])))
         for a in range(len(minimal.alphabet))
     ]
     find = index.get
+    new_element, new_parent, new_letter = elements.append, parent.append, letter.append
     for frontier, element in enumerate(elements):  # elements grows while it is read
-        then = _then(element)
-        row = []
-        for a, letter_map in letter_maps:
-            composed = then(letter_map)
+        for a, record, letter_map in letter_maps:
+            composed = compose(element, letter_map)
             target = find(composed)
             if target is None:
-                if len(elements) >= budget:
+                target = len(elements)
+                if target >= budget:
                     raise BudgetExceededError(
                         "transition monoid exceeds %d elements" % budget
                     )
-                target = len(elements)
                 index[composed] = target
-                elements.append(composed)
-                parent.append(frontier)
-                letter.append(a)
-            row.append(target)
-        right.append(tuple(row))  # tuples of ints drop out of the cycle collector
-    monoid = Monoid(
-        minimal.alphabet,
-        elements,
-        index,
-        0,
-        list(right[0]),
-        minimal,
-        parent,
-        letter,
-        right,
-    )
+                new_element(composed)
+                new_parent(frontier)
+                new_letter(a)
+            record(target)
+    monoid = Monoid(minimal.alphabet, elements, index, minimal, parent, letter, columns, compose)
     accept = AcceptSet(
         frozenset(
             i
@@ -244,11 +247,11 @@ def _members(assignment):
     return tuple(frozenset(g) for g in groups)
 
 
-def _keyed_classes(edges, key):
+def _keyed_classes(columns, key):
     """Class ids by least member, and each class's least member, for a
-    ``key`` that edges keep exactly inside a class: each class is a forward
-    DFS from its least member along the edges that keep its key."""
-    assignment = [-1] * len(edges)
+    ``key`` that the edges of Cayley ``columns`` keep exactly inside a class:
+    each class is a DFS from its least member along the edges keeping it."""
+    assignment = [-1] * len(key)
     roots = []
     for root, k in enumerate(key):
         if assignment[root] < 0:
@@ -256,7 +259,9 @@ def _keyed_classes(edges, key):
             roots.append(root)
             stack = [root]
             while stack:
-                for t in edges[stack.pop()]:
+                v = stack.pop()
+                for column in columns:
+                    t = column[v]
                     if assignment[t] < 0 and key[t] == k:
                         assignment[t] = c
                         stack.append(t)
@@ -274,7 +279,7 @@ def _component_ids(successors):
 
 def green_classes(monoid):
     """Green's classes of ``monoid`` from its image orbit and Cayley graphs."""
-    right, left = monoid.right_cayley(), monoid.left_cayley()
+    right, left = monoid._columns, monoid._left_columns()
     delta, letters = monoid.minimal_dfa.delta, range(len(monoid.alphabet))
     _, steps = explore(
         [frozenset(range(monoid.minimal_dfa.n_states))],
@@ -290,7 +295,7 @@ def green_classes(monoid):
     # R-class: the left edges of each least member span the R-quotient.
     # Right edges that leave an R-class leave its J-class (stability), so
     # the J-classes are the SCCs of this quotient.
-    quotient = [[r_class[t] for t in left[x]] for x in r_roots]
+    quotient = [[r_class[column[x]] for column in left] for x in r_roots]
     j_of_r = _component_ids(quotient)
     j_class = [j_of_r[r] for r in r_class]
     l_class, _ = _keyed_classes(left, j_class)  # stability again, on the left

@@ -3,7 +3,7 @@
 The library defines dyck, counteq, majority, o3, o4, goldstine, the kemp
 base and every alphabet extension by their steppers; the predicates below
 define the same languages directly on words, independently of those
-steppers.
+steppers.  ``o4_count`` counts the o4 words of a length in closed form.
 ``is_primitive`` decides primitivity from the prime divisors of the
 length, independently of the library's substring search.
 ``raw_window_dfa`` is the sliding-window machine that the non-palindrome
@@ -23,8 +23,8 @@ language's NFA and searches the complement.
 ``tuple_transition_monoid`` is the transition monoid on tuple state maps
 composed by ``itemgetter``, with an eager list of witness words, its left
 Cayley rows composed element by generator and ``bracket`` composing one
-pair at a time; the library's monoid on bytes elements with BFS parents is
-compared against it.
+pair at a time; the library's monoid on bytes elements with BFS parents and
+per-letter Cayley columns is compared against it.
 
 ``natural_density_by_c_step`` computes the residue limits on the c-step
 count chain: the harmonic extension of the phase masses under the c-th
@@ -39,7 +39,7 @@ library counts backwards from the accepting states by per-letter gathers.
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 from operator import itemgetter
 
 from regdensity import (
@@ -61,7 +61,7 @@ from regdensity.density import (
     _limit_vector,
     _weighted_sum,
 )
-from regdensity.languages import staircase_word_prefix
+from regdensity.languages import _multinomial3, staircase_word_prefix
 from regdensity.monoid import DEFAULT_MONOID_BUDGET, AcceptSet
 
 
@@ -88,6 +88,23 @@ def o3(w):
 
 def o4(w):
     return w.count("x") == w.count("X") or w.count("y") == w.count("Y")
+
+
+def o4_count(length):
+    """Words over a 4-letter alphabet where one designated pair of letters
+    (or the other) occurs equally often."""
+    eq_one = 0
+    for i in range(length // 2 + 1):
+        rest = length - 2 * i
+        eq_one += _multinomial3(i, i, rest) * 2 ** rest
+    both = 0
+    if length % 2 == 0:
+        for i in range(length // 2 + 1):
+            k = length // 2 - i
+            both += factorial(length) // (
+                factorial(i) ** 2 * factorial(k) ** 2
+            )
+    return 2 * eq_one - both
 
 
 def goldstine(word):

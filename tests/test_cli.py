@@ -361,6 +361,47 @@ def test_gap_rejects_an_empty_k_element(capsys, ks):
     assert "--k needs a comma-separated integer list" in err
 
 
+# int() alone takes each of these: digit separators, surrounding spaces, a
+# plus sign and non-ASCII digits (ARABIC-INDIC DIGIT THREE)
+LOOSE_INTEGERS = ["1_0", " 3", "+3", "٣"]
+
+
+@pytest.mark.parametrize("text", LOOSE_INTEGERS)
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        (["gap", "--family", "modk", "--k", "{}", "--max", "3"],
+         "--k needs a comma-separated integer list"),
+        (["gap", "--family", "modk", "--k", "2,{}", "--max", "3"],
+         "--k needs a comma-separated integer list"),
+        (["density", "--dfa", "modk:{}"], "modk builtin needs an integer"),
+        (["census", "--oracle", "majority:{}", "--max", "3"], "invalid literal for int()"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_loose_integer_spellings_are_usage_errors(capsys, template, message, text):
+    code, out, err = run_cli(capsys, *[part.format(text) for part in template])
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", LOOSE_INTEGERS)
+@pytest.mark.parametrize(
+    "template",
+    [
+        ["census", "--oracle", "dyck", "--max", "{}"],
+        ["monoid", "--dfa", "modk:3", "--budget", "{}"],
+    ],
+    ids=["max", "budget"],
+)
+def test_loose_integer_options_are_refused_by_the_parser(capsys, template, text):
+    with pytest.raises(SystemExit) as exit_info:
+        main([part.format(text) for part in template])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert "invalid int value" in captured.err
+
+
 def test_gap_extension_families(capsys):
     code, out, _ = run_cli(
         capsys, "gap", "--family", "infix-ext:dyck:c", "--k", "1", "--max", "6"

@@ -89,6 +89,9 @@ _OTHER_CASES = [
     ["census", "--oracle", "dyck", "--max", "30"],
     ["census", "--oracle", "pal", "--max", "7", "--budget", "100"],
     ["monoid", "--dfa", "modk:7", "--budget", "3"],
+    # tuple elements: a minimal DFA above 256 states, in and one past budget
+    ["monoid", "--dfa", "modk:300"],
+    ["monoid", "--dfa", "modk:300", "--budget", "299"],
     # bad k before an over-budget walk: exit 2
     ["gap", "--family", "goldstine", "--k", "0,1", "--max", "30"],
 ]

@@ -29,13 +29,12 @@ from regdensity import (
     suffix_extension,
 )
 from regdensity import languages
-from reference_languages import is_primitive as is_primitive_by_divisors
+from reference_languages import is_primitive as is_primitive_by_divisors, o4_count
 from regdensity.cli import load_family, load_oracle
 from regdensity.languages import (
     dyck_count,
     majority_count,
     o3_count,
-    o4_count,
     primitive_count,
     staircase_word_prefix,
 )

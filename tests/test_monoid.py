@@ -15,6 +15,7 @@ from regdensity import (
     density,
     green_classes,
     is_primitive,
+    majority_escape_witness,
     mod_counter_dfa,
     nonprimitive_witness,
     random_dfa,
@@ -436,14 +437,49 @@ def test_monoid_matches_tuple_reference(machine):
     assert accept == expected_accept
 
 
-@pytest.mark.parametrize("states, kind", [(256, bytes), (300, tuple)])
-def test_budget_is_exact_on_both_element_kinds(states, kind):
-    machine = saturating_counter_dfa(states)
-    monoid, _ = transition_monoid(machine, budget=states)
-    assert len(monoid) == states
+@pytest.mark.parametrize(
+    "machine, kind",
+    [
+        (saturating_counter_dfa(256), bytes),
+        (saturating_counter_dfa(300), tuple),
+        (starts_with_a(), bytes),
+        (mod_counter_dfa(300), tuple),
+    ],
+    ids=["256-bytes", "300-tuple", "starts-a-bytes", "modk-300-tuple"],
+)
+def test_budget_is_exact_on_both_element_kinds(machine, kind):
+    size = len(ref.tuple_transition_monoid(machine)[0])
+    monoid, _ = transition_monoid(machine, budget=size)
+    assert len(monoid) == size
     assert all(type(element) is kind for element in monoid.elements)
-    with pytest.raises(BudgetExceededError):
-        transition_monoid(machine, budget=states - 1)
+    for build in (transition_monoid, ref.tuple_transition_monoid):
+        with pytest.raises(BudgetExceededError) as raised:
+            build(machine, budget=size - 1)
+        assert str(raised.value) == "transition monoid exceeds %d elements" % (size - 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_dfas(), st.data())
+def test_monoid_reads_match_tuple_reference(machine, data):
+    """bracket, element_of_word and the escape witness read the Cayley
+    columns; the reference composes tuples pair by pair."""
+    try:
+        monoid, _ = transition_monoid(machine, budget=120)
+    except BudgetExceededError:
+        assume(False)
+    expected, expected_accept = ref.tuple_transition_monoid(machine)
+    size = len(monoid)
+    middle = data.draw(st.integers(0, size - 1))
+    goal = data.draw(st.sets(st.integers(0, size - 1), max_size=3))
+    assert monoid.bracket(middle, goal) == expected.bracket(middle, goal)
+    word = data.draw(st.text(alphabet=machine.alphabet.symbols, max_size=12))
+    assert monoid.element_of_word(word) == expected.element_of_word(word)
+    if density(machine) != 0:
+        # majority_escape_witness spelled out on the reference monoid
+        block = "b" * (2 * len(expected.witnesses[-1]))
+        x, y = expected.bracket(expected.element_of_word(block), expected_accept.elements)
+        escape = expected.witnesses[x] + block + expected.witnesses[y]
+        assert majority_escape_witness(machine, 1) == escape
 
 
 def test_bracket_matches_pairwise_composition():
