@@ -11,11 +11,9 @@ from fractions import Fraction
 from math import comb
 
 from .approximations import (
-    ends_with_letter_dfa,
+    ApproxFamily,
     family,
-    goldstine_inner_dfa,
     majority_escape_witness,
-    nonpalindrome_window_dfa,
     suffix_extension_family,
     suffix_inner_dfa,
     verify_containment,
@@ -34,14 +32,12 @@ from .languages import (
     LanguageOracle,
     catalan,
     count_eq,
-    goldstine,
     is_primitive,
     kemp_base,
     majority,
     majority_count,
     o3,
     o3_count,
-    palindromes,
     primitive,
     primitive_count,
     semi_dyck,
@@ -75,6 +71,42 @@ def _equal(label, value, expected):
 def _contained(label, cex):
     """A containment claim: its counterexample, or None if it holds."""
     return _item(label, cex is None, cex or "ok")
+
+
+def _sandwich(prefix, fam, ks, max_length):
+    """Each k's inner machine of a family: its density against the family's
+    claim, and its containment in the target up to a length."""
+    items = []
+    for k in ks:
+        machine = fam.inner(k)
+        items.append(_equal("%s-density-k%d" % (prefix, k), density(machine), fam.inner_claim(k)))
+        cex = verify_containment(machine, fam.target, "inner", max_length)
+        items.append(_contained("%s-containment-k%d" % (prefix, k), cex))
+    return items
+
+
+def _census(name, oracle, count, max_length):
+    """An oracle's brute-force census against its closed-form counter; the
+    detail shows the closed counts up to half the length."""
+    brute = census_by_enumeration(oracle, max_length)
+    closed = [count(n) for n in range(max_length + 1)]
+    half = max_length // 2
+    return _item(
+        "%s-counter-vs-brute-force" % name,
+        brute.counts == closed,
+        "counts[0..%d]=%s" % (half, closed[: half + 1]),
+    )
+
+
+def _draw(seed, non_null, null=0):
+    """Random 4-state machines over ab, drawn from a seeded generator until
+    the first ``non_null`` non-null and ``null`` null ones are found."""
+    rng = random.Random(seed)
+    found = ([], [])  # by is_null
+    while len(found[0]) < non_null or len(found[1]) < null:
+        machine = random_dfa(rng, 4, AB)
+        found[is_null(machine)].append(machine)
+    return found[0][:non_null], found[1][:null]
 
 
 # -- criteria -----------------------------------------------------------------
@@ -113,14 +145,9 @@ def check_textbook():
 
 
 def check_modk():
-    items = []
-    target = count_eq().complement()
-    for k in (3, 5, 7, 9):
-        machine = mod_counter_dfa(k)
-        items.append(_equal("modk-density-k%d" % k, density(machine), Fraction(k - 1, k)))
-        cex = verify_containment(machine, target, "inner", 12)
-        items.append(_contained("modk-containment-k%d" % k, cex))
-    return items
+    counters = ApproxFamily("modk", count_eq().complement(), inner=mod_counter_dfa,
+                            inner_claim=lambda k: Fraction(k - 1, k))
+    return _sandwich("modk", counters, (3, 5, 7, 9), 12)
 
 
 def check_dyck():
@@ -147,27 +174,13 @@ def check_dyck():
 
 
 def check_palindromes():
-    items = []
-    target = palindromes().complement()
-    for k in range(1, 7):
-        machine = nonpalindrome_window_dfa(k)
-        claim = 1 - Fraction(1, 2 ** k)
-        items.append(_equal("pal-inner-density-k%d" % k, density(machine), claim))
-        cex = verify_containment(machine, target, "inner", 14)
-        items.append(_contained("pal-inner-containment-k%d" % k, cex))
-    return items
+    return _sandwich("pal-inner", family("pal"), range(1, 7), 14)
 
 
 def check_goldstine():
-    items = []
-    target = goldstine()
-    for k in range(1, 11):
-        machine = goldstine_inner_dfa(k)
-        claim = Fraction(1, 2) - Fraction(1, 2 ** (k + 1))
-        items.append(_equal("goldstine-inner-density-k%d" % k, density(machine), claim))
-        cex = verify_containment(machine, target, "inner", 16)
-        items.append(_contained("goldstine-inner-containment-k%d" % k, cex))
-    outer_cex = verify_containment(ends_with_letter_dfa("b", AB), target, "outer", 16)
+    fam = family("goldstine")
+    items = _sandwich("goldstine-inner", fam, range(1, 11), 16)
+    outer_cex = verify_containment(fam.outer(1), fam.target, "outer", 16)  # one machine, any k
     items.append(_contained("goldstine-outer-containment", outer_cex))
 
     staircase = staircase_word_prefix(12)
@@ -176,7 +189,7 @@ def check_goldstine():
     for n in range(13):
         for word in enumerate_words(AB, n):
             via_copref = word not in prefixes and word.endswith("b")
-            if via_copref != target(word):
+            if via_copref != fam.target(word):
                 mismatch = word
                 break
         if mismatch:
@@ -202,15 +215,7 @@ def check_o3o4():
                     "%s (= (2k-1)/k^2, <= 2/k)" % format_fraction(d),
                 )
             )
-    brute = census_by_enumeration(o3(), 12)
-    closed = [o3_count(n) for n in range(13)]
-    items.append(
-        _item(
-            "o3-counter-vs-brute-force",
-            brute.counts == closed,
-            "counts[0..6]=%s" % closed[:7],
-        )
-    )
+    items.append(_census("o3", o3(), o3_count, 12))
     ratio18 = Fraction(o3_count(18), 3 ** 18)
     # exact value 23717494/129140163 ~ 0.1837: the stated 1/10 bound is not
     # attainable at length 18, so this item reports honestly red
@@ -268,16 +273,7 @@ def check_suffix_extension():
 
 
 def check_majority():
-    items = []
-    brute = census_by_enumeration(majority(1), 16)
-    closed = [majority_count(n, 1) for n in range(17)]
-    items.append(
-        _item(
-            "majority1-counter-vs-brute-force",
-            brute.counts == closed,
-            "counts[0..8]=%s" % closed[:9],
-        )
-    )
+    items = [_census("majority1", majority(1), majority_count, 16)]
     ratio20 = Fraction(majority_count(20, 1), 2 ** 20)
     formula = (1 - Fraction(comb(20, 10), 2 ** 20)) / 2
     items.append(
@@ -297,16 +293,7 @@ def check_majority():
             "ratio(24)=%s ~ %.4f, required <= 1/50" % (format_fraction(ratio24), float(ratio24)),
         )
     )
-    rng = random.Random(0x5EED)
-    non_null = []
-    null = []
-    while len(non_null) < 10 or len(null) < 5:
-        machine = random_dfa(rng, 4, AB)
-        if is_null(machine):
-            if len(null) < 5:
-                null.append(machine)
-        elif len(non_null) < 10:
-            non_null.append(machine)
+    non_null, null = _draw(0x5EED, 10, 5)
     escapes_ok = True
     for machine in non_null:
         witness = majority_escape_witness(machine, 1)
@@ -327,19 +314,10 @@ def check_majority():
 
 
 def check_primitive():
-    items = []
-    brute = census_by_enumeration(primitive(), 16)
-    closed = [primitive_count(n, 2) for n in range(17)]
-    items.append(
-        _item(
-            "primitive-counter-vs-brute-force",
-            brute.counts == closed,
-            "counts[0..8]=%s" % closed[:9],
-        )
-    )
+    items = [_census("primitive", primitive(), primitive_count, 16)]
     bound_ok = True
     for n in range(4, 17):
-        deficit = 2 ** n - primitive_count(n, 2)
+        deficit = 2 ** n - primitive_count(n)
         if deficit ** 2 > n * 2 ** (n + 4):
             bound_ok = False
     items.append(
@@ -357,14 +335,8 @@ def check_primitive():
             "(%s, %d)" % (word, power),
         )
     )
-    rng = random.Random(0xBEEF)
-    found = 0
     verified = True
-    while found < 10:
-        machine = random_dfa(rng, 4, AB)
-        if is_null(machine):
-            continue
-        found += 1
+    for machine in _draw(0xBEEF, 10)[0]:
         w, n = nonprimitive_witness(machine)
         for m in (1, 2):
             p = w * (m * n + 1)

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from functools import cache
 
 from . import approximations, languages
@@ -46,9 +47,27 @@ strict_int.__name__ = "int"  # argparse names the type in "invalid int value"
 
 
 def fraction_json(value):
-    if value is None:
-        return None
+    """A Fraction as JSON: ``json.dumps``' ``default`` hook for reports with fractions."""
     return {"num": value.numerator, "den": value.denominator}
+
+
+def _write_table(out, fmt, header, rows, **fields):
+    """Report rows as CSV or as one JSON object.
+
+    CSV is the header, then one line per row: a Fraction as p/q, None as an
+    empty cell.  JSON is the keyword ``fields`` plus ``rows``, each row keyed
+    by the header: a Fraction as {"num", "den"}, None as null.
+    """
+    if fmt == "json":
+        fields["rows"] = [dict(zip(header, row)) for row in rows]
+        out.write(json.dumps(fields, default=fraction_json, sort_keys=True) + "\n")
+    else:
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            # type(), not isinstance(): Fraction's ABC makes isinstance slow on ints
+            cells = ["" if v is None else format_fraction(v) if type(v) is Fraction else str(v)
+                     for v in row]
+            out.write(",".join(cells) + "\n")
 
 
 # -- input resolution ----------------------------------------------------------
@@ -193,12 +212,12 @@ def cmd_density(args, out):
     report = natural_density(load_dfa(args.dfa))
     if args.format == "json":
         payload = {
-            "density": fraction_json(report.density),
-            "natural_density": fraction_json(report.natural_density),
+            "density": report.density,
+            "natural_density": report.natural_density,
             "modulus": report.modulus,
-            "accumulation_points": [fraction_json(v) for v in report.accumulation_points],
+            "accumulation_points": report.accumulation_points,
         }
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
+        out.write(json.dumps(payload, default=fraction_json, sort_keys=True) + "\n")
     else:
         acc = ",".join(
             "%d:%s" % (d, format_fraction(v))
@@ -220,29 +239,8 @@ def cmd_census(args, out):
     oracle = load_oracle(args.oracle)
     census = census_by_enumeration(oracle, args.max, budget=args.budget)
     ratios, cesaro = ratio_and_cesaro(census)
-    if args.format == "json":
-        rows = [
-            {
-                "n": n,
-                "count": census.counts[n],
-                "ratio": fraction_json(ratios[n]),
-                "cesaro": fraction_json(cesaro[n]),
-            }
-            for n in range(len(census.counts))
-        ]
-        out.write(json.dumps({"oracle": oracle.name, "rows": rows}, sort_keys=True) + "\n")
-    else:
-        out.write("n,count,ratio,cesaro\n")
-        for n in range(len(census.counts)):
-            out.write(
-                "%d,%d,%s,%s\n"
-                % (
-                    n,
-                    census.counts[n],
-                    format_fraction(ratios[n]),
-                    "" if cesaro[n] is None else format_fraction(cesaro[n]),
-                )
-            )
+    rows = zip(range(len(census.counts)), census.counts, ratios, cesaro)
+    _write_table(out, args.format, ("n", "count", "ratio", "cesaro"), rows, oracle=oracle.name)
     return 0
 
 
@@ -281,35 +279,14 @@ def cmd_gap(args, out):
         raise UsageError("--k needs a comma-separated integer list") from None
     report = approximations.gap_report(fam, ks, args.max, budget=args.budget)
     failed = any(not row.containment_ok for row in report.rows)
-    if args.format == "json":
-        payload = {
-            "family": report.family,
-            "rows": [
-                {
-                    "k": row.k,
-                    "inner": fraction_json(row.inner_density),
-                    "outer": fraction_json(row.outer_density),
-                    "gap": fraction_json(row.gap),
-                    "containment": _containment_cell(row),
-                }
-                for row in report.rows
-            ],
-            "target_cesaro": [fraction_json(v) for v in report.target_cesaro],
-        }
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        out.write("k,inner,outer,gap,containment\n")
-        for row in report.rows:
-            out.write(
-                "%d,%s,%s,%s,%s\n"
-                % (
-                    row.k,
-                    format_fraction(row.inner_density),
-                    format_fraction(row.outer_density),
-                    format_fraction(row.gap),
-                    _containment_cell(row),
-                )
-            )
+    rows = [
+        (row.k, row.inner_density, row.outer_density, row.gap, _containment_cell(row))
+        for row in report.rows
+    ]
+    _write_table(
+        out, args.format, ("k", "inner", "outer", "gap", "containment"), rows,
+        family=report.family, target_cesaro=report.target_cesaro,
+    )
     return 1 if failed else 0
 
 
@@ -352,27 +329,23 @@ def cmd_check(args, out):
     results = run_criteria(only=args.only)
     if not results:
         raise UsageError("no criterion matches --only %r" % args.only)
-    all_ok = True
+    verdicts = [(name, all(item.passed for item in items), items) for name, items in results]
+    all_ok = all(ok for _, ok, _ in verdicts)
     if args.format == "json":
-        payload = []
-        for name, items in results:
-            ok = all(item.passed for item in items)
-            all_ok &= ok
-            payload.append(
-                {
-                    "criterion": name,
-                    "passed": ok,
-                    "items": [
-                        {"label": i.label, "passed": i.passed, "detail": i.detail}
-                        for i in items
-                    ],
-                }
-            )
+        payload = [
+            {
+                "criterion": name,
+                "passed": ok,
+                "items": [
+                    {"label": i.label, "passed": i.passed, "detail": i.detail}
+                    for i in items
+                ],
+            }
+            for name, ok, items in verdicts
+        ]
         out.write(json.dumps({"criteria": payload, "passed": all_ok}, sort_keys=True) + "\n")
     else:
-        for name, items in results:
-            ok = all(item.passed for item in items)
-            all_ok &= ok
+        for name, ok, items in verdicts:
             if ok:
                 out.write("PASS %s (%d checks)\n" % (name, len(items)))
             else:

@@ -64,7 +64,10 @@ class Alphabet:
             raise ValueError("symbol %r not in %r" % (symbol, self)) from None
 
     def ranks(self, word):
-        return tuple(self._rank[ch] for ch in word)
+        try:
+            return tuple(self._rank[ch] for ch in word)
+        except KeyError as missing:
+            self.rank(missing.args[0])  # a symbol outside raises rank's ValueError
 
     def shortlex_key(self, word):
         """Sort key realising shortlex order: length first, then letter ranks."""

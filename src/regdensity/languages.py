@@ -117,14 +117,14 @@ def _mobius(n):
     return result
 
 
-def primitive_count(length, alphabet_size=2):
-    """Number of primitive words of a given length (divisor inclusion-exclusion)."""
+def primitive_count(length):
+    """Number of primitive binary words of a given length (divisor inclusion-exclusion)."""
     if length == 0:
         return 0
     total = 0
     for d in range(1, length + 1):
         if length % d == 0:
-            total += _mobius(d) * alphabet_size ** (length // d)
+            total += _mobius(d) * 2 ** (length // d)
     return total
 
 
@@ -521,16 +521,9 @@ class DiagonalLanguage:
 
     def membership(self, word):
         key = self.alphabet.shortlex_key(word)
-        i = 0
-        while True:
-            while i >= len(self._picks):
-                self._extend_picks()
-            pick_key = self.alphabet.shortlex_key(self._picks[i])
-            if pick_key == key:
-                return True
-            if key < pick_key:
-                return False
-            i += 1
+        while not self._picks or self.alphabet.shortlex_key(self._picks[-1]) < key:
+            self._extend_picks()
+        return word in self._picks
 
 
 def diagonal():

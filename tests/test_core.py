@@ -15,7 +15,15 @@ from regdensity import (
     ratio_and_cesaro,
 )
 from regdensity.core import Stepper, layers, reader
-from regdensity.languages import kemp, majority, o3, palindromes, primitive, semi_dyck
+from regdensity.languages import (
+    DiagonalLanguage,
+    kemp,
+    majority,
+    o3,
+    palindromes,
+    primitive,
+    semi_dyck,
+)
 
 
 def test_alphabet_validation():
@@ -26,9 +34,12 @@ def test_alphabet_validation():
     with pytest.raises(ValueError):
         Alphabet(["ab"])
     a = Alphabet("ba")
-    assert a.rank("b") == 0 and a.rank("a") == 1
-    with pytest.raises(ValueError):
-        a.rank("c")
+    assert a.rank("b") == 0 and a.rank("a") == 1 and a.ranks("ab") == (1, 0)
+    # a symbol outside raises rank's ValueError from every lookup by rank,
+    # and from the diagonal language, which compares shortlex keys
+    for call in (a.rank, a.ranks, a.shortlex_key, DiagonalLanguage().membership):
+        with pytest.raises(ValueError, match="'c' not in"):
+            call("c")
 
 
 def test_shortlex_uses_declaration_order_not_ascii():

@@ -82,6 +82,9 @@ _OTHER_CASES = [
     ["monoid", "--dfa", "starts:b"],
     # the whole suite: exit 1 on the two knowingly-red items, with every detail
     ["check", "--format", "json"],
+    # the default CSV rendering: a PASS line, and a FAIL line with exit 1
+    ["check", "--only", "goldstine"],
+    ["check", "--only", "majority"],
     # over budget: exit 3, nothing on stdout
     ["gap", "--family", "goldstine", "--k", "1,0", "--max", "30"],
     ["gap", "--family", "pal", "--k", "2", "--max", "9", "--budget", "500"],

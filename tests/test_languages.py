@@ -145,7 +145,7 @@ def test_primitivity_matches_prime_divisor_oracle(letters, bound):
 def test_counters_match_brute_force_binary():
     for oracle, counter, bound in (
         (semi_dyck(), dyck_count, 14),
-        (primitive(), lambda n: primitive_count(n, 2), 14),
+        (primitive(), primitive_count, 14),
         (majority(1), lambda n: majority_count(n, 1), 14),
         (majority(2), lambda n: majority_count(n, 2), 12),
     ):
