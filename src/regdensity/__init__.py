@@ -19,9 +19,7 @@ from .automata import (
     equivalent,
     find_difference_witness,
     has_forbidden_word,
-    is_coinfinite,
     is_subset,
-    language_infinite,
     mod_counter_dfa,
     random_dfa,
     shortlex_least_member,
@@ -56,7 +54,6 @@ from .languages import (
     suffix_extension,
 )
 from .monoid import (
-    AcceptSet,
     GreenClasses,
     Monoid,
     green_classes,

@@ -480,7 +480,7 @@ def majority_escape_witness(dfa, m=1):
     monoid, accept = transition_monoid(dfa)
     radius = len(monoid.witness(len(monoid) - 1))  # BFS order is shortlex
     block = "b" * (2 * radius)
-    found = monoid.bracket(monoid.element_of_word(block), accept.elements)
+    found = monoid.bracket(monoid.element_of_word(block), accept)
     if found is None:
         raise AssertionError("dense language must absorb an all-b block")
     x, y = found

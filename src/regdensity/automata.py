@@ -359,20 +359,6 @@ def has_forbidden_word(dfa):
     return shortlex_least_member(subsets)
 
 
-def language_infinite(dfa):
-    """True iff the language is infinite (a useful state lies on a cycle)."""
-    useful = dfa.useful_states()
-    for comp in strongly_connected_components(dfa.delta):
-        q = comp[0]
-        if any(p in useful for p in comp) and (len(comp) > 1 or q in dfa.delta[q]):
-            return True
-    return False
-
-
-def is_coinfinite(dfa):
-    return language_infinite(dfa.complement())
-
-
 def strongly_connected_components(successors):
     """Tarjan's algorithm, iterative.  Returns SCCs in reverse topological
     order (every component precedes the components that can reach it)."""

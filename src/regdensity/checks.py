@@ -30,8 +30,8 @@ from .density import density, is_dense, is_null, natural_density
 from .languages import (
     DiagonalLanguage,
     LanguageOracle,
-    catalan,
     count_eq,
+    dyck_count,
     is_primitive,
     kemp_base,
     majority,
@@ -83,6 +83,16 @@ def _sandwich(prefix, fam, ks, max_length):
         cex = verify_containment(machine, fam.target, "inner", max_length)
         items.append(_contained("%s-containment-k%d" % (prefix, k), cex))
     return items
+
+
+def _disagreement(first, second, max_length):
+    """The shortlex-least word over ab of length at most ``max_length`` on
+    which the two predicates differ, or None."""
+    for n in range(max_length + 1):
+        for word in enumerate_words(AB, n):
+            if first(word) != second(word):
+                return word
+    return None
 
 
 def _census(name, oracle, count, max_length):
@@ -153,12 +163,10 @@ def check_modk():
 def check_dyck():
     items = []
     census = census_by_enumeration(semi_dyck(), 20)
-    catalan_ok = all(census.counts[2 * n] == catalan(n) for n in range(11))
-    odd_ok = all(census.counts[n] == 0 for n in range(1, 21, 2))
     items.append(
         _item(
             "dyck-catalan-counts",
-            catalan_ok and odd_ok,
+            census.counts == [dyck_count(n) for n in range(21)],
             "counts[0..8]=%s" % census.counts[:9],
         )
     )
@@ -185,18 +193,8 @@ def check_goldstine():
 
     staircase = staircase_word_prefix(12)
     prefixes = {staircase[:i] for i in range(13)}
-    mismatch = None
-    for n in range(13):
-        for word in enumerate_words(AB, n):
-            via_copref = word not in prefixes and word.endswith("b")
-            if via_copref != fam.target(word):
-                mismatch = word
-                break
-        if mismatch:
-            break
-    items.append(
-        _item("goldstine-coprefix-identity", mismatch is None, mismatch or "ok")
-    )
+    mismatch = _disagreement(lambda w: w not in prefixes and w.endswith("b"), fam.target, 12)
+    items.append(_contained("goldstine-coprefix-identity", mismatch))
     return items
 
 
@@ -345,21 +343,17 @@ def check_primitive():
     items.append(
         _item("nonprimitive-witness-random", verified, "10 witnesses verified")
     )
-    square_identity_ok = True
-    for length in range(1, 11):
-        for word in enumerate_words(AB, length):
-            splits = any(
-                is_primitive(word[:i]) and is_primitive(word[i:])
-                for i in range(1, length)
-            )
-            unary = len(set(word)) == 1
-            expected = (length == 2) if unary else length >= 2
-            if splits != expected:
-                square_identity_ok = False
+
+    def splits(word):
+        return any(is_primitive(word[:i]) and is_primitive(word[i:]) for i in range(1, len(word)))
+
+    def expected(word):
+        return len(word) == 2 if len(set(word)) == 1 else len(word) >= 2
+
     items.append(
         _item(
             "primitive-square-identity",
-            square_identity_ok,
+            _disagreement(splits, expected, 10) is None,
             "two-primitive products = non-powers plus squares, lengths <= 10",
         )
     )
@@ -420,11 +414,7 @@ def check_diagonal():
             "lengths=%s" % lengths,
         )
     )
-    consistent = True
-    for n in range(6):
-        for word in enumerate_words(AB, n):
-            if program.membership(word) != (word in accepted):
-                consistent = False
+    consistent = _disagreement(program.membership, accepted.__contains__, 5) is None
     items.append(_item("diagonal-membership-consistent", consistent, "all words <= 5"))
     first = accepted[0]
     escaped = program.escaped_machine(0)

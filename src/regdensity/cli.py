@@ -211,12 +211,7 @@ def load_family(spec):
 def cmd_density(args, out):
     report = natural_density(load_dfa(args.dfa))
     if args.format == "json":
-        payload = {
-            "density": report.density,
-            "natural_density": report.natural_density,
-            "modulus": report.modulus,
-            "accumulation_points": report.accumulation_points,
-        }
+        payload = dataclasses.asdict(report)
         out.write(json.dumps(payload, default=fraction_json, sort_keys=True) + "\n")
     else:
         acc = ",".join(
@@ -302,12 +297,12 @@ def cmd_monoid(args, out):
         for name, assignment in zip("JRLH", (greens.j_class, greens.r_class, greens.l_class,
                                              greens.h_class))
     }
-    minimal_accept = sorted(i for i in accept.elements if greens.j_class[i] in greens.j_minimal)
+    minimal_accept = sorted(i for i in accept if greens.j_class[i] in greens.j_minimal)
     if args.format == "json":
         payload = {
             "elements": len(monoid),
             "green": counts,
-            "accept_set": sorted(accept.elements),
+            "accept_set": sorted(accept),
             "j_minimal_accept": minimal_accept,
             "status": "NULL-LANGUAGE" if null_language else "ok",
             "witness": None if witness is None else {"word": witness[0], "power": witness[1]},
@@ -316,7 +311,7 @@ def cmd_monoid(args, out):
     else:
         out.write("|M|=%d\n" % len(monoid))
         out.write("green: J=%(J)d R=%(R)d L=%(L)d H=%(H)d\n" % counts)
-        out.write("S=[%s]\n" % ",".join(str(i) for i in sorted(accept.elements)))
+        out.write("S=[%s]\n" % ",".join(str(i) for i in sorted(accept)))
         out.write("J-minimal-S=[%s]\n" % ",".join(str(i) for i in minimal_accept))
         if null_language:
             out.write("status=NULL-LANGUAGE\n")

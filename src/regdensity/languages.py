@@ -9,7 +9,7 @@ import itertools
 from math import comb, factorial
 from operator import add
 
-from .automata import Dfa, is_coinfinite, shortlex_least_member
+from .automata import Dfa, shortlex_least_member
 from .core import Alphabet, BudgetExceededError, Stepper, ThinSide, reader
 
 # how far the diagonal language may go: machines enumerated, and the length
@@ -498,9 +498,12 @@ class DiagonalLanguage:
                 )
             machine = next(self._stream)
             self._machines_examined += 1
-            if not is_coinfinite(machine):
+            rejected = machine.complement()
+            # an n-state machine rejects infinitely many words iff it rejects
+            # one of at least n letters, whose run repeats a state
+            if shortlex_least_member(rejected, min_length=machine.n_states - 1) is None:
                 continue
-            pick = shortlex_least_member(machine.complement(), min_length=floor)
+            pick = shortlex_least_member(rejected, min_length=floor)
             if pick is None:
                 raise AssertionError("co-infinite machine must reject a longer word")
             self._picks.append(pick)

@@ -24,6 +24,7 @@ stays linear in the number of monoid elements.
 """
 
 from dataclasses import dataclass
+from itertools import compress, count
 from operator import itemgetter
 
 from .automata import explore, strongly_connected_components
@@ -126,21 +127,25 @@ class Monoid:
         """right_cayley()[i][g] = index of element_i · generator_g."""
         return list(zip(*self._columns))
 
-    def _left_columns(self):
-        """_left_columns()[g][i] = index of generator_g · element_i.
+    def _along(self, firsts, columns):
+        """Values down the BFS tree, one list per first value: value 0 is the
+        first, and element i = j·a, with j its BFS parent and a its letter,
+        takes columns[a][value j].  The columns are looked up once for all."""
+        parents, steps = self._parent[1:], [columns[a] for a in self._letter[1:]]
+        walks = []
+        for first in firsts:
+            values = [first]
+            append = values.append
+            for j, step in zip(parents, steps):
+                append(step[values[j]])
+            walks.append(values)
+        return walks
 
-        Entry i is derived from its BFS parent j, i = j·a, as
-        g·i = (g·j)·a: one right Cayley step."""
+    def _left_columns(self):
+        """_left_columns()[g][i] = index of generator_g · element_i, read
+        down the BFS tree as g·i = (g·j)·a for i = j·a: g·1 = g."""
         if self._left is None:
-            parents, steps = self._parent[1:], [self._columns[a] for a in self._letter[1:]]
-            left = []
-            for g in self.generators:  # g·1 = g
-                column = [g]
-                append = column.append
-                for j, step in zip(parents, steps):
-                    append(step[column[j]])
-                left.append(column)
-            self._left = left
+            self._left = self._along(self.generators, self._columns)
         return self._left
 
     def left_cayley(self):
@@ -155,17 +160,10 @@ class Monoid:
         return e
 
 
-@dataclass(frozen=True)
-class AcceptSet:
-    """Monoid elements whose transformation sends the initial state into the
-    accepting set; their preimage under the evaluation morphism is the
-    language itself."""
-
-    elements: frozenset
-
-
 def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
-    """Monoid of the minimal DFA plus its accept set.
+    """Monoid of the minimal DFA plus its accept set: the frozenset of the
+    indices of the elements that send the initial state into the accepting
+    set, whose preimage under the evaluation morphism is the language.
 
     Elements are discovered breadth-first with letters in alphabet order, so
     the parent chain each element records, the element and letter it was
@@ -207,14 +205,8 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
                 new_letter(a)
             record(target)
     monoid = Monoid(minimal.alphabet, elements, index, minimal, parent, letter, columns, compose)
-    accept = AcceptSet(
-        frozenset(
-            i
-            for i, el in enumerate(elements)
-            if el[minimal.initial] in minimal.accepting
-        )
-    )
-    return monoid, accept
+    images = map(itemgetter(minimal.initial), elements)  # of the initial state
+    return monoid, frozenset(compress(count(), map(minimal.accepting.__contains__, images)))
 
 
 @dataclass(frozen=True)
@@ -285,9 +277,7 @@ def green_classes(monoid):
         [frozenset(range(monoid.minimal_dfa.n_states))],
         lambda subset: [frozenset([delta[q][a] for q in subset]) for a in letters],
     )
-    image = [0]  # im(p·a) = im(p)·a, read along the BFS parents
-    for p, a in zip(monoid._parent[1:], monoid._letter[1:]):
-        image.append(steps[image[p]][a])
+    (image,) = monoid._along([0], list(zip(*steps)))  # im(p·a) = im(p)·a, down the BFS tree
     component = _component_ids(steps)
     r_class, r_roots = _keyed_classes(right, [component[v] for v in image])
 
@@ -323,7 +313,7 @@ def idempotent_power(monoid, element):
     raise AssertionError("finite monoid must reach an idempotent power")
 
 
-def nonprimitive_witness(dfa, budget=DEFAULT_MONOID_BUDGET):
+def nonprimitive_witness(dfa):
     """A pair (w, n) with w**(m*n+1) accepted and non-primitive for all m >= 1.
 
     Requires a non-null language.  The word w evaluates to a J-minimal
@@ -333,7 +323,7 @@ def nonprimitive_witness(dfa, budget=DEFAULT_MONOID_BUDGET):
     """
     if density(dfa) == 0:
         raise ValueError("language is null: no non-primitive member is guaranteed")
-    monoid, accept = transition_monoid(dfa, budget=budget)
+    monoid, accept = transition_monoid(dfa)
     return witness_in_monoid(dfa, monoid, accept, green_classes(monoid))
 
 
@@ -342,7 +332,7 @@ def witness_in_monoid(dfa, monoid, accept, greens):
     monoid, accept set and Green classes are already built."""
     minimal_ids = set(greens.j_minimal)
     candidates = [
-        i for i in accept.elements if greens.j_class[i] in minimal_ids
+        i for i in accept if greens.j_class[i] in minimal_ids
     ]
     if not candidates:
         raise AssertionError("non-null language must meet a J-minimal element")

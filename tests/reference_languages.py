@@ -62,7 +62,7 @@ from regdensity.density import (
     _weighted_sum,
 )
 from regdensity.languages import _multinomial3, staircase_word_prefix
-from regdensity.monoid import DEFAULT_MONOID_BUDGET, AcceptSet
+from regdensity.monoid import DEFAULT_MONOID_BUDGET
 
 
 def dyck(word):
@@ -415,6 +415,17 @@ def forbidden_word_by_factor_nfa(dfa):
     return shortlex_least_member(factors.complement())
 
 
+def language_infinite(dfa):
+    """True iff the language is infinite: a useful state lies on a cycle,
+    read off the strongly connected components."""
+    useful = dfa.useful_states()
+    for comp in strongly_connected_components(dfa.delta):
+        q = comp[0]
+        if any(p in useful for p in comp) and (len(comp) > 1 or q in dfa.delta[q]):
+            return True
+    return False
+
+
 def _then(first):
     """The map t -> 'apply first, then t' on transformation tuples."""
     if len(first) == 1:
@@ -541,12 +552,8 @@ def tuple_transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
         minimal,
         right,
     )
-    accept = AcceptSet(
-        frozenset(
-            i
-            for i, el in enumerate(elements)
-            if el[minimal.initial] in minimal.accepting
-        )
+    accept = frozenset(
+        i for i, el in enumerate(elements) if el[minimal.initial] in minimal.accepting
     )
     return monoid, accept
 

@@ -5,13 +5,14 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regdensity import (
     Alphabet,
     BudgetExceededError,
     Dfa,
+    DiagonalLanguage,
     LanguageOracle,
     Nfa,
     Stepper,
@@ -21,9 +22,7 @@ from regdensity import (
     equivalent,
     find_difference_witness,
     has_forbidden_word,
-    is_coinfinite,
     is_subset,
-    language_infinite,
     mod_counter_dfa,
     random_dfa,
     shortlex_least_member,
@@ -389,12 +388,27 @@ def test_every_exploration_stops_at_the_state_budget(monkeypatch):
         mod_counter_dfa(4).union(mod_counter_dfa(3))
 
 
-def test_language_infinite_examples():
-    all_words = Dfa(AB, 1, [[0, 0]], 0, {0})
-    assert language_infinite(all_words) and not is_coinfinite(all_words)
-    eps_only = Dfa(AB, 2, [[1, 1], [1, 1]], 0, {0})
-    assert not language_infinite(eps_only) and is_coinfinite(eps_only)
-    assert language_infinite(evens()) and is_coinfinite(evens())
+def escaped_by_the_diagonal(machine):
+    """Does the diagonal procedure pick a word against ``machine`` when its
+    enumeration holds that one machine?  It skips a machine it reads as
+    co-finite, and the exhausted enumeration then stops it."""
+    program = DiagonalLanguage()
+    program._stream = iter([machine])
+    try:
+        return program.escaped_machine(0) is machine
+    except StopIteration:
+        return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(dfas(8, ("a", "ab", "abc")))
+@example(Dfa(AB, 1, [[0, 0]], 0, {0}))  # every word: co-finite
+@example(Dfa(AB, 2, [[1, 1], [1, 1]], 0, {0}))  # the empty word only
+@example(evens())
+# rejects just the words of one letter: finitely many, of n - 2 letters
+@example(Dfa(AB, 3, [[1, 1], [2, 2], [2, 2]], 0, {0, 2}))
+def test_coinfinite_by_the_pumping_bound_matches_the_scc_reference(machine):
+    assert escaped_by_the_diagonal(machine) == ref.language_infinite(machine.complement())
 
 
 @st.composite

@@ -1,6 +1,8 @@
 """Tests for the concrete language oracles and their counters."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -293,6 +295,26 @@ def test_diagonal_language_properties():
     assert first == "a"
     machine = program.escaped_machine(0)
     assert not machine.accepts(first)
+
+
+def _digest(value):
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def test_diagonal_picks_and_escaped_machines_are_pinned():
+    # the picks through length 255, the machines examined and every escaped
+    # machine as (states, delta, accepting), pinned as digests
+    program = DiagonalLanguage()
+    words = program.accepted_words_up_to(255)
+    escaped = [
+        [m.n_states, [list(row) for row in m.delta], sorted(m.accepting)]
+        for m in program._escaped_machines
+    ]
+    assert program._machines_examined == 278 and len(escaped) == 256
+    assert [len(w) for w in words] == list(range(1, 256))
+    assert words[28] == "b" * 29 and escaped[28] == [2, [[1, 0], [1, 1]], [1]]
+    assert _digest(words) == "06cca95d2aaa0fc44ab3f59a410b1438dad8b77caf98f2e5e558c7713b80e77b"
+    assert _digest(escaped) == "6dc6e333d178db3372a011b1590d1115bbd8560c23bf43329dc1e3ab57f4e6f9"
 
 
 def test_diagonal_budget_errors(monkeypatch):
