@@ -8,21 +8,25 @@ bottom (recurrent) classes, whose stationary distributions are solved once,
 and the same decomposition orders the transient solve that propagates their
 values.  ``density`` reads the Cesàro value from that analysis;
 ``natural_density`` adds the class periods and, only when their lcm c
-exceeds 1, the per-residue limits as one more harmonic extension on the
-same one-step chain, over its (state, phase) product.  The chain is kept
-as integer letter counts (each row sums to the alphabet size s), and every
+exceeds 1 and the initial state is transient, the per-residue limits: the
+factors Φ_d of x^c − 1 split them into one harmonic extension on the
+transient states per d > 1 that divides a period, φ(d) unknowns a state,
+and Ramanujan sums put the blocks back together.  The chain is kept as
+integer letter counts (each row sums to the alphabet size s), and every
 linear system is solved exactly by sparse integer elimination, each pivot
 taken in a row of fewest nonzeros.  Arithmetic stays on Python ints: a
 class's stationary law is integer weights over their total, every other
 value a reduced (numerator, positive denominator) pair, and each weighted
-sum (a transient state's or product node's value, a class's accepting or
-phase mass) is reduced once, by ``_weighted_sum``; only reported values
-become Fractions.
+sum (a transient state's or block node's value, a class's accepting mass)
+is reduced once, by ``_weighted_sum``; only reported values become
+Fractions.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
+from operator import add
 
 from .automata import STATE_BUDGET, explore, has_forbidden_word, strongly_connected_components
 from .core import BudgetExceededError
@@ -264,9 +268,9 @@ def _stationary(comp, count_rows, s):
 def _limit_vector(step_rows, scale, fixed, sccs):
     """Harmonic extension of ``fixed`` (values as reduced pairs): scale·f_p =
     Σ_q c_pq·f_q on non-fixed states, where ``step_rows[p]`` maps q to the
-    integer count c_pq and each such row sums to ``scale``.  The row graph
-    is the letter-count chain for the Cesàro values, or its (state, phase)
-    product for the residue limits; scale is the alphabet size in both.
+    integer weight c_pq.  The row graph is the letter-count chain for the
+    Cesàro values, whose rows sum to scale, or a residue block's, whose
+    weights may be negative; scale is the alphabet size in both.
 
     ``fixed`` must cover every recurrent state of the row graph; the
     transient ones among ``sccs``, the row graph's strongly-connected
@@ -274,10 +278,12 @@ def _limit_vector(step_rows, scale, fixed, sccs):
     order, so each system only involves one component.  A one-state
     component is the common case (every state of a trie): its value
     Σ_{q≠p} c_pq·f_q / (scale − c_pp) is built by ``_weighted_sum`` with a
-    single reduction.  A larger component whose edges out all reach one
-    value takes that value, which solves every row since each sums to
-    scale; any other goes to ``solve_exact``, each row's right-hand side,
-    the mass flowing out of it, built the same way.
+    single reduction.  A larger component whose edges out reach only 0, or
+    only one value while each of its rows sums to scale, takes that value,
+    which solves every row; any other goes to ``solve_exact``, each row's
+    right-hand side, the mass flowing out of it, built the same way.  The
+    systems are nonsingular: scale exceeds the spectral radius of the
+    counts among non-fixed states, times a root of unity in a block.
     """
     f = dict(fixed)
     for comp in sccs:
@@ -292,8 +298,10 @@ def _limit_vector(step_rows, scale, fixed, sccs):
             continue
         pos = {q: i for i, q in enumerate(comp)}
         boundary = {f[q] for p in comp for q in step_rows[p] if q not in pos}
-        if len(boundary) == 1:
-            f.update(dict.fromkeys(comp, boundary.pop()))
+        if boundary <= {(0, 1)} or (
+            len(boundary) == 1 and all(sum(step_rows[p].values()) == scale for p in comp)
+        ):
+            f.update(dict.fromkeys(comp, boundary.pop() if boundary else (0, 1)))
             continue
         rows = []
         rhs = []
@@ -339,61 +347,178 @@ def density(dfa):
     return Fraction(*cesaro[0])
 
 
+def _moebius_terms(d):
+    """(e, μ(d/e)) for each divisor e of d with d/e squarefree."""
+    terms, n, r = [(d, 1)], d, 2
+    while n > 1:
+        if r * r > n:
+            r = n
+        if n % r == 0:
+            terms += [(e // r, -m) for e, m in terms]
+            while n % r == 0:
+                n //= r
+        r += 1
+    return terms
+
+
+def _cyclotomic(terms):
+    """Coefficients of the cyclotomic polynomial Φ_d, d > 1, lowest first,
+    from ``_moebius_terms(d)``: the power series Π_e (1 − x^e)^μ(d/e) cut at
+    its degree φ(d) = Σ_e μ(d/e)·e.  Φ_d is monic with constant term 1."""
+    phi = sum(m * e for e, m in terms)
+    a = [1] + [0] * phi
+    for e, m in terms:
+        if m == 1:
+            for i in range(phi, e - 1, -1):
+                a[i] -= a[i - e]
+        else:
+            for i in range(e, phi + 1):
+                a[i] += a[i - e]
+    return a
+
+
+def _block_value(d, terms, chain, transient, where, phased):
+    """The initial state's value in residue block d, as φ(d) reduced pairs,
+    lowest power first.
+
+    Block d holds each transient state's generating function of residue
+    limits, X_q = Σ_{j<c} L(q, j)·x^j / c, mod Φ_d = Σ_k a_k·x^k.  A letter
+    shifts the phase: s·X_q = x·Σ_t c_qt·X_t, that is s·x⁻¹·X_q = Σ_t
+    c_qt·X_t, where x⁻¹ ≡ −Σ_{k≥1} a_k·x^(k−1) since a_0 = 1.  So node
+    (q, k) has the row s·X_q[k] = s·a_k·X_q[0] + Σ_t c_qt·X_t[k − 1] for
+    k ≥ 1, and s·X_q[0] = −Σ_t c_qt·X_t[φ − 1].  A recurrent t of level ℓ
+    in a class of period p, with accepting weight A[i] in phase i and
+    weight total T, is fixed at Σ_{j<p} A[(ℓ + j) mod p]·x^j / T, which is
+    0 mod Φ_d unless d divides p: the class's weights folded mod x^d − 1,
+    rotated by ℓ and reduced mod Φ_d, once per (class, ℓ mod d), each
+    reduction charged to the solve's work bound.
+    """
+    a = _cyclotomic(terms)
+    phi = len(a) - 1
+    tail = [(j, v) for j, v in enumerate(a[:phi]) if v]
+    s = chain.alphabet_size
+    pos = {q: i * phi for i, q in enumerate(transient)}
+    step_rows = []
+    for q in transient:
+        step_rows.append({})
+        step_rows += [{pos[q]: s * a[k]} if a[k] else {} for k in range(1, phi)]
+    fixed, slots, folded, work = {}, {}, {}, 0
+    for q in transient:
+        rows = step_rows[pos[q] : pos[q] + phi]
+        for t, cnt in chain.count_rows[q].items():
+            if t in pos:
+                base = pos[t]
+            else:
+                index, level = where[t]
+                period, accepting, total = phased[index]
+                if period % d:
+                    continue
+                key = index, level % d
+                if key not in slots:
+                    work += (d - phi) * len(tail)
+                    if work > _SOLVE_WORK_LIMIT:
+                        raise BudgetExceededError(
+                            "residue block %d exceeds the work bound %d" % (d, _SOLVE_WORK_LIMIT)
+                        )
+                    if index not in folded:
+                        folded[index] = [sum(accepting[r::d]) for r in range(d)]
+                    poly = folded[index][key[1] :] + folded[index][: key[1]]
+                    for i in range(d - 1, phi - 1, -1):
+                        if poly[i]:
+                            for j, v in tail:
+                                poly[i - phi + j] -= poly[i] * v
+                    slots[key] = slot = len(step_rows)
+                    for k in range(phi):
+                        g = gcd(poly[k], total)
+                        fixed[slot + k] = poly[k] // g, total // g
+                    step_rows += [{} for _ in range(phi)]
+                base = slots[key]
+            row = rows[0]
+            row[base + phi - 1] = row.get(base + phi - 1, 0) - cnt
+            for k in range(1, phi):
+                row = rows[k]
+                row[base + k - 1] = row.get(base + k - 1, 0) + cnt
+    f = _limit_vector(step_rows, s, fixed, strongly_connected_components(step_rows))
+    start = pos[chain.initial]
+    for node in range(start, start + phi):
+        if _weighted_sum([(s, f[node])]) != _weighted_sum(
+            (w, f[j]) for j, w in step_rows[node].items()
+        ):
+            raise ArithmeticError("residue limits inconsistent with block %d's rows" % d)
+    return [f[node] for node in range(start, start + phi)]
+
+
 def natural_density(dfa):
     """Density report with per-residue accumulation points.
 
     The modulus c is the least common multiple of the periods of the
     reachable recurrent classes; the natural density exists if and only if
-    the c residue limits coincide.  They are one more harmonic extension on
-    the one-step chain, over its (state, phase) product: node (q, j) holds
-    the limit of acceptance along lengths ≡ j (mod c) from q, a letter takes
-    it to (t, j − 1 mod c), and a recurrent q is fixed at the accepting
-    mass of the phase its class reaches after j letters.
+    the c residue limits coincide.  When the initial state is recurrent they
+    are its class's accepting masses per phase, read from its level.
+    Otherwise x^c − 1 = Π_{d|c} Φ_d splits the generating function of the
+    limits into one block per d: block 1 is the Cesàro value, each d > 1
+    that divides some class's period is one exact solve of φ(d) unknowns
+    per transient state (``_block_value``), and the other blocks are 0.
+    Block d adds a d-periodic g_d to the limits, L_j = Cesàro + Σ_d g_d[j
+    mod d]: from the initial state's value y in block d, g_d[i] = Σ_e
+    μ(d/e)·e·Σ_{k ≡ i mod e} y_k over the divisors e of d.  Its weights are
+    the Ramanujan sums, the coefficients of d times the idempotent that is 1
+    mod Φ_d and 0 mod every other Φ_e.  So Σ_{j<c} g_d[j mod d]·x^j is
+    c·y mod Φ_d and 0 mod every other factor.  Every block and the c
+    limits cost only their own size, never a system over all of x^c − 1.
+    The blocks' unknowns share the 200,000-state budget, as does c.
     """
     chain, classes, f_cesaro = _analyse(dfa)
     dens = f_cesaro[chain.initial]
 
-    phases = {}
-    periods = []
-    for comp, weights, total in classes:
+    where = {}
+    phased = []
+    for index, (comp, weights, total) in enumerate(classes):
         period, level = _class_period_and_levels(comp, chain.count_rows)
-        periods.append(period)
-        accepting_by_phase = [[] for _ in range(period)]
+        accepting = [0] * period
         for q in comp:
+            where[q] = index, level[q]
             if q in chain.accepting:
-                accepting_by_phase[level[q] % period].append((period * weights[q], (1, total)))
-        masses = [_weighted_sum(terms) for terms in accepting_by_phase]
-        for q in comp:
-            phases[q] = masses, level[q]
-    c = lcm(*periods)
+                accepting[level[q] % period] += weights[q]
+        phased.append((period, accepting, total))
+    c = lcm(*(period for period, _, _ in phased))
+    if c > STATE_BUDGET:
+        raise BudgetExceededError(
+            "residue limits with modulus %d exceed the %d-state budget" % (c, STATE_BUDGET)
+        )
 
-    if c == 1:
-        # one phase: the residue limit is the Cesàro value
-        limits = [dens]
+    if chain.initial in where:
+        # every reachable state is recurrent, so there is one class, of period c
+        ((_, accepting, total),) = phased
+        level = where[chain.initial][1]
+        limits = [_weighted_sum([(c * accepting[(level + j) % c], (1, total))]) for j in range(c)]
     else:
-        if c > STATE_BUDGET:
+        transient = [q for q in range(chain.n) if q not in where]
+        periods = {period for period, _, _ in phased}
+        blocks = sorted({d for p in periods for d in range(2, p + 1) if p % d == 0})
+        terms = [_moebius_terms(d) for d in blocks]
+        unknowns = len(transient) * sum(m * e for block in terms for e, m in block)
+        if unknowns > STATE_BUDGET:
             raise BudgetExceededError(
-                "residue limits with modulus %d exceed the %d-state budget" % (c, STATE_BUDGET)
+                "residue blocks of %d unknowns exceed the %d-state budget"
+                % (unknowns, STATE_BUDGET)
             )
-
-        def step(node):
-            q, j = node
-            if q in phases:
-                return ()
-            return [(t, (j - 1) % c) for t in chain.count_rows[q]]
-
-        order, rows = explore([(chain.initial, j) for j in range(c)], step)
-        step_rows = []
-        fixed = {}
-        for i, ((q, j), row) in enumerate(zip(order, rows)):
-            # row lists the successors in count_rows[q]'s key order
-            step_rows.append(dict(zip(row, chain.count_rows[q].values())))
-            if q in phases:
-                masses, phase = phases[q]
-                fixed[i] = masses[(phase + j) % len(masses)]
-        sccs = strongly_connected_components(rows)
-        f = _limit_vector(step_rows, chain.alphabet_size, fixed, sccs)
-        limits = [f[j] for j in range(c)]
+        parts = []
+        den = dens[1]
+        for d, block in zip(blocks, terms):
+            y = _block_value(d, block, chain, transient, where, phased)
+            scale = lcm(*(k for _, k in y))
+            ints = [n * (scale // k) for n, k in y]
+            part = [0] * d
+            for e, m in block:
+                fold = [m * e * sum(ints[r::e]) for r in range(e)]
+                part = list(map(add, part, fold * (d // e)))
+            parts.append((part, scale))
+            den = lcm(den, scale)
+        nums = [dens[0] * (den // dens[1])] * c
+        for part, scale in parts:
+            nums = list(map(add, nums, [v * (den // scale) for v in part] * (c // len(part))))
+        limits = [(n // g, den // g) for n, g in zip(nums, map(gcd, nums, repeat(den)))]
 
     if _weighted_sum((1, v) for v in limits) != _weighted_sum([(c, dens)]):
         raise ArithmeticError("residue limits inconsistent with Cesàro density")

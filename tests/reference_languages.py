@@ -29,8 +29,15 @@ per-letter Cayley columns is compared against it.
 ``natural_density_by_c_step`` computes the residue limits on the c-step
 count chain: the harmonic extension of the phase masses under the c-th
 power of the letter-count chain, read off along the first c steps of the
-initial state's count vector.  The library extends the phase masses over
-the (state, phase) product of the one-step chain instead.
+initial state's count vector.  ``natural_density_by_phase_product``
+extends the phase masses over the (state, phase) product of the one-step
+chain, n·c unknowns.  The library solves one block per cyclotomic factor
+of x^c − 1 instead.
+
+``residue_limits_by_berlekamp_massey`` reads the residue limits off
+``count_words`` alone: it recovers the rational generating function of each
+decimated ratio sequence b_{cm+r} by Berlekamp-Massey and takes its limit
+at x = 1, sharing no code with the density engine.
 
 ``count_words_by_push`` counts accepted words forwards, pushing the number
 of words that reach each state along every edge, one length at a time; the
@@ -54,7 +61,7 @@ from regdensity import (
     shortlex_least_member,
 )
 from regdensity.approximations import _matcher_rows, _trie_alphabet
-from regdensity.automata import build_dfa, strongly_connected_components
+from regdensity.automata import build_dfa, explore, strongly_connected_components
 from regdensity.density import (
     _analyse,
     _class_period_and_levels,
@@ -567,6 +574,25 @@ def _step_counts(count_rows, vec):
     return nxt
 
 
+def _phase_masses(chain, classes):
+    """The lcm c of the class periods and, for each recurrent state, its
+    class's limit of acceptance per phase, as reduced pairs, and its level:
+    p times the accepting stationary mass of each phase, for period p."""
+    phases = {}
+    periods = []
+    for comp, weights, total in classes:
+        period, level = _class_period_and_levels(comp, chain.count_rows)
+        periods.append(period)
+        accepting_by_phase = [[] for _ in range(period)]
+        for q in comp:
+            if q in chain.accepting:
+                accepting_by_phase[level[q] % period].append((period * weights[q], (1, total)))
+        masses = [_weighted_sum(terms) for terms in accepting_by_phase]
+        for q in comp:
+            phases[q] = masses, level[q]
+    return lcm(*periods), phases
+
+
 def natural_density_by_c_step(dfa):
     """``natural_density`` computed on the c-step count chain.
 
@@ -577,19 +603,8 @@ def natural_density_by_c_step(dfa):
     chain, classes, f_cesaro = _analyse(dfa)
     s = chain.alphabet_size
     dens = f_cesaro[chain.initial]
-    phase_fixed = {}
-    periods = []
-    for comp, weights, total in classes:
-        period, level = _class_period_and_levels(comp, chain.count_rows)
-        periods.append(period)
-        accepting_by_phase = [[] for _ in range(period)]
-        for q in comp:
-            if q in chain.accepting:
-                accepting_by_phase[level[q] % period].append((period * weights[q], (1, total)))
-        mass_by_phase = [_weighted_sum(terms) for terms in accepting_by_phase]
-        for q in comp:
-            phase_fixed[q] = mass_by_phase[level[q] % period]
-    c = lcm(*periods)
+    c, phases = _phase_masses(chain, classes)
+    phase_fixed = {q: masses[level % len(masses)] for q, (masses, level) in phases.items()}
     step_rows = []
     for p in range(chain.n):
         vec = {}
@@ -610,6 +625,98 @@ def natural_density_by_c_step(dfa):
         natural_density=limits[0] if len(set(limits)) == 1 else None,
         modulus=c,
         accumulation_points=tuple(limits),
+    )
+
+
+def natural_density_by_phase_product(dfa):
+    """``natural_density`` computed on the (state, phase) product of the
+    one-step chain: node (q, j) holds the limit of acceptance along lengths
+    ≡ j (mod c) from q, a letter takes it to (t, j − 1 mod c), and a
+    recurrent q is fixed at the accepting mass of the phase its class
+    reaches after j letters; the limits are the nodes (initial, j)."""
+    chain, classes, f_cesaro = _analyse(dfa)
+    dens = f_cesaro[chain.initial]
+    c, phases = _phase_masses(chain, classes)
+
+    def step(node):
+        q, j = node
+        if q in phases:
+            return ()
+        return [(t, (j - 1) % c) for t in chain.count_rows[q]]
+
+    order, rows = explore([(chain.initial, j) for j in range(c)], step)
+    step_rows = []
+    fixed = {}
+    for i, ((q, j), row) in enumerate(zip(order, rows)):
+        # row lists the successors in count_rows[q]'s key order
+        step_rows.append(dict(zip(row, chain.count_rows[q].values())))
+        if q in phases:
+            masses, phase = phases[q]
+            fixed[i] = masses[(phase + j) % len(masses)]
+    f = _limit_vector(step_rows, chain.alphabet_size, fixed, strongly_connected_components(rows))
+    limits = [Fraction(*f[j]) for j in range(c)]
+    return DensityReport(
+        density=Fraction(*dens),
+        natural_density=limits[0] if len(set(limits)) == 1 else None,
+        modulus=c,
+        accumulation_points=tuple(limits),
+    )
+
+
+def _berlekamp_massey(seq):
+    """The shortest connection polynomial C, C[0] = 1, with Σ_i C[i]·seq[k − i]
+    = 0 for every k ≥ deg C (Massey, 1969), over the rationals."""
+    conn, prev = [Fraction(1)], [Fraction(1)]
+    length, gap, last = 0, 1, Fraction(1)
+    for k, value in enumerate(seq):
+        discrepancy = value + sum(conn[i] * seq[k - i] for i in range(1, length + 1))
+        if discrepancy == 0:
+            gap += 1
+            continue
+        update = conn + [Fraction(0)] * max(0, len(prev) + gap - len(conn))
+        for i, v in enumerate(prev):
+            update[i + gap] -= discrepancy / last * v
+        if 2 * length <= k:
+            prev, length, last, gap = conn, k + 1 - length, discrepancy, 1
+        else:
+            gap += 1
+        conn = update
+    return conn[: length + 1] + [Fraction(0)] * (length + 1 - len(conn))
+
+
+def _limit_by_rational_reconstruction(seq):
+    """lim seq, for a convergent linearly recurrent sequence given by at
+    least twice its order of terms: its generating function is P/Q with
+    Q = C from Berlekamp-Massey, and the limit is lim_{x→1} (1 − x)·P/Q,
+    which is 0 unless Q = (1 − x)·R, and P(1)/R(1) if it is."""
+    conn = _berlekamp_massey(seq)
+    order = len(conn) - 1
+    numerator = [sum(conn[i] * seq[k - i] for i in range(k + 1)) for k in range(order)]
+    if sum(conn) != 0:
+        return Fraction(0)
+    # R's coefficients are the prefix sums of Q's
+    quotient, running = [], Fraction(0)
+    for v in conn[:order]:
+        running += v
+        quotient.append(running)
+    return sum(numerator) / sum(quotient)
+
+
+def residue_limits_by_berlekamp_massey(dfa, modulus):
+    """The limits of the acceptance ratios along each residue class of
+    lengths mod ``modulus``, from ``Dfa.count_words`` alone.
+
+    With n states the ratios b_k satisfy a linear recurrence of order at
+    most n, and so does each decimated sequence b_{cm+r}; for a modulus
+    that every recurrent class's period divides, each converges.  Each
+    limit is read off the rational generating function that
+    Berlekamp-Massey recovers from 2n + 2 terms of the decimated sequence.
+    """
+    terms = 2 * dfa.n_states + 2
+    census = dfa.count_words(modulus * terms)
+    ratios = [Fraction(count, census.alphabet_size ** k) for k, count in enumerate(census.counts)]
+    return tuple(
+        _limit_by_rational_reconstruction(ratios[r::modulus][:terms]) for r in range(modulus)
     )
 
 

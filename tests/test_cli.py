@@ -169,8 +169,8 @@ def test_density_work_budget_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_density_residue_work_budget_exit_code(tmp_path, capsys, monkeypatch):
     # a walks the transient 3-cycle 0 -> 1 -> 2 -> 0 and b leaves it for the
-    # 2-cycle 3 <-> 4: the residue product's one 6-unknown component is the
-    # costliest solve, so just under its work the command exits 3 on it
+    # 2-cycle 3 <-> 4: residue block 2's 3-unknown solve is the costliest,
+    # so just under its work the command exits 3 on it
     machine = Dfa(Alphabet("ab"), 5, [[1, 3], [2, 3], [0, 4], [4, 4], [3, 3]], 0, {0, 3})
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(dfa_to_json(machine)))
@@ -187,13 +187,13 @@ def test_density_residue_work_budget_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(density_module, "_SOLVE_WORK_LIMIT", limit - 1)
     code, out, err = run_cli(capsys, "density", "--dfa", str(path))
     assert code == 3 and out == ""
-    assert "6-unknown system exceeds the work bound" in err
+    assert "3-unknown system exceeds the work bound" in err
 
 
 def test_density_modulus_past_the_state_budget_exits_3_at_once(tmp_path, capsys):
     # state 0 reads letter i into a cycle of length 5, 7, 8, 9, 11 or 13 and
-    # every letter advances each cycle: c = 360,360 phases of the initial
-    # state alone are past the state budget
+    # every letter advances each cycle: c = 360,360 residue limits are past
+    # the state budget, so nothing is built
     lengths = (5, 7, 8, 9, 11, 13)
     starts = [1 + sum(lengths[:i]) for i in range(len(lengths))]
     delta = [starts]
@@ -208,36 +208,39 @@ def test_density_modulus_past_the_state_budget_exits_3_at_once(tmp_path, capsys)
     assert "modulus 360360" in err and "200000-state budget" in err
 
 
-def test_density_600_transient_states_at_c_2_answer(tmp_path, capsys):
-    # a random 600-state transient component (a follows a 600-cycle, b is a
-    # random map except on 60 states, where it exits to a 2-cycle): 1,200
-    # (state, phase) unknowns in the residue product
-    rng = random.Random(600)
-    n = 600
+@pytest.mark.parametrize(
+    "n, c, length", [(600, 2, 200), (400, 6, 300), (100, 30, 400)], ids=["600+2", "400+6", "100+30"]
+)
+def test_density_transient_states_into_a_cycle_answer(tmp_path, capsys, n, c, length):
+    # a random n-state transient component (a follows an n-cycle, b is a
+    # random map except on n/10 states, where it exits to a c-cycle): the
+    # (state, phase) product had n·c unknowns, and exited 3 on the work
+    # bound at 400 + 6 and 100 + 30; the residue blocks have n·(c − 1)
+    rng = random.Random(n)
     order = list(range(n))
     rng.shuffle(order)
     cycle = {q: order[(i + 1) % n] for i, q in enumerate(order)}
     exits = set(rng.sample(range(n), n // 10))
-    delta = [[cycle[q], n + rng.randrange(2) if q in exits else rng.randrange(n)] for q in range(n)]
-    delta += [[n + 1, n + 1], [n, n]]
+    delta = [[cycle[q], n + rng.randrange(c) if q in exits else rng.randrange(n)] for q in range(n)]
+    delta += [[n + (i + 1) % c] * 2 for i in range(c)]
     accepting = {q for q in range(n) if rng.random() < 0.5} | {n}
-    machine = Dfa(Alphabet("ab"), n + 2, delta, 0, accepting)
+    machine = Dfa(Alphabet("ab"), n + c, delta, 0, accepting)
     path = tmp_path / "transient.json"
     path.write_text(json.dumps(dfa_to_json(machine)))
     code, out, _ = run_cli(capsys, "density", "--dfa", str(path), "--format", "json")
     assert code == 0
     report = json.loads(out)
-    assert report["modulus"] == 2 and report["natural_density"] is None
+    assert report["modulus"] == c and report["natural_density"] is None
     limits = [Fraction(v["num"], v["den"]) for v in report["accumulation_points"]]
-    # once in the 2-cycle a word's acceptance is fixed by its length's
-    # parity, so a ratio is off its residue limit by at most the share of
-    # words still in the transient states
-    inside = Dfa(Alphabet("ab"), n + 2, delta, 0, set(range(n)))
-    ratios, _ = ratio_and_cesaro(machine.count_words(201))
-    transient, _ = ratio_and_cesaro(inside.count_words(201))
-    for length in (200, 201):
-        assert abs(ratios[length] - limits[length % 2]) <= transient[length]
-    assert transient[200] < Fraction(1, 10 ** 4)
+    # once in the c-cycle a word's acceptance is fixed by its length mod c,
+    # so a ratio is off its residue limit by at most the share of words
+    # still in the transient states
+    inside = Dfa(Alphabet("ab"), n + c, delta, 0, set(range(n)))
+    ratios, _ = ratio_and_cesaro(machine.count_words(length + c))
+    transient, _ = ratio_and_cesaro(inside.count_words(length + c))
+    for k in range(length, length + c):
+        assert abs(ratios[k] - limits[k % c]) <= transient[k]
+    assert transient[length] < Fraction(1, 10 ** 4)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regdensity import (
@@ -153,11 +153,22 @@ def test_recurrent_classes_are_stationary(machine):
             assert all(t in states for t in machine.delta[q])
 
 
+def solved(step_rows, scale, fixed, comp, f):
+    """Does ``_limit_vector`` hand this component to ``solve_exact``?  Not a
+    fixed or one-state one, nor one whose edges out reach only 0, or only
+    one value while each of its rows sums to scale."""
+    if len(comp) == 1 or comp[0] in fixed:
+        return False
+    boundary = {f[q] for p in comp for q in step_rows[p] if q not in comp}
+    if boundary <= {(0, 1)}:
+        return False
+    return len(boundary) > 1 or any(sum(step_rows[p].values()) != scale for p in comp)
+
+
 def expected_solves(limit_calls):
     """The ``solve_exact`` calls an analysis needs: one per closed class that
     is not doubly stochastic, read from the chain rows and components of the
-    first ``_limit_vector`` call, plus one per transient component of more
-    than one state whose edges out reach more than one value, in each
+    first ``_limit_vector`` call, plus one per component ``solved`` in each
     ``_limit_vector`` call (its arguments and the values it returned)."""
     (rows, scale, _, sccs), _ = limit_calls[0]
     stationary = 0
@@ -168,10 +179,8 @@ def expected_solves(limit_calls):
                 inflow.update(rows[q])
             stationary += any(inflow[q] != scale for q in comp)
     transient = sum(
-        len(comp) > 1
-        and comp[0] not in fixed
-        and len({f[q] for p in comp for q in step_rows[p] if q not in comp}) > 1
-        for (step_rows, _, fixed, sccs), f in limit_calls
+        solved(step_rows, scale, fixed, comp, f)
+        for (step_rows, scale, fixed, sccs), f in limit_calls
         for comp in sccs
     )
     return stationary, transient
@@ -180,6 +189,7 @@ def expected_solves(limit_calls):
 def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
     calls = Counter()
     limit_calls = []
+    periods = []
 
     def counted(name):
         original = getattr(density_module, name)
@@ -189,6 +199,8 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
             result = original(*args)
             if name == "_limit_vector":
                 limit_calls.append((args, result))
+            if name == "_class_period_and_levels":
+                periods.append(result[0])
             return result
 
         monkeypatch.setattr(density_module, name, wrapper)
@@ -205,20 +217,32 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
     machines = [starts_with_a(), evens(), mod_counter_dfa(3)]
     machines += [random_dfa(rng, n, AB) for n in (3, 5, 8, 20, 60)]
     # a 2-state transient component 0 <-> 1 in front of a 2-cycle: one
-    # value outside, so only the (state, phase) product needs a solve
+    # value outside, so only residue block 2, whose rows have negative
+    # weights, needs a solve
     machines.append(Dfa(AB, 4, [[1, 2], [0, 2], [3, 3], [2, 2]], 0, {2}))
     # 0 <-> 1 again, feeding an accepting and a rejecting sink: the Cesàro
     # pass alone solves
     machines.append(Dfa(AB, 4, [[1, 2], [0, 3], [2, 2], [3, 3]], 0, {2}))
+    # a transient triangle into a 4-cycle: blocks 2 and 4
+    machines.append(
+        Dfa(
+            Alphabet("abc"),
+            7,
+            [[1, 3, 1], [2, 5, 2], [0, 0, 6], [4, 4, 4], [5, 5, 5], [6, 6, 6], [3, 3, 3]],
+            0,
+            {1, 3, 4},
+        )
+    )
     aperiodic = 0
     solves = Counter()
+    most_blocks = 0
     for machine in machines:
         calls.clear()
         limit_calls.clear()
+        periods.clear()
         density(machine)
-        # no residue work: no periods and no (state, phase) product; the
-        # chain is the one exploration, and every exact solve goes through
-        # the one solver
+        # no residue work: no periods and no blocks; the chain is the one
+        # exploration, and every exact solve goes through the one solver
         stationary, transient = expected_solves(limit_calls)
         solves.update(stationary=stationary, transient=transient)
         assert calls == Counter(
@@ -230,14 +254,20 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
         calls.clear()
         limit_calls.clear()
         report = natural_density(machine)
-        once = 1 if report.modulus == 1 else 2
         aperiodic += report.modulus == 1
-        assert calls["strongly_connected_components"] == once
-        assert calls["_limit_vector"] == once
-        # the chain, each class's levels and, past one phase, the product
-        assert calls["explore"] == 1 + calls["_class_period_and_levels"] + once - 1
+        # with a transient initial state, one decomposition and one
+        # extension per block: per d > 1 that divides a class's period
+        (rows, _, fixed, _), _ = limit_calls[0]
+        blocks = {d for p in periods for d in range(2, p + 1) if p % d == 0}
+        passes = 1 + len(blocks) * (len(fixed) < len(rows))
+        most_blocks = max(most_blocks, passes - 1)
+        assert calls["strongly_connected_components"] == passes
+        assert calls["_limit_vector"] == passes
+        # the chain and each class's levels; the blocks explore nothing
+        assert calls["explore"] == 1 + calls["_class_period_and_levels"]
         assert calls["solve_exact"] == sum(expected_solves(limit_calls))
     assert 0 < aperiodic < len(machines)
+    assert most_blocks == 2
     # both kinds of system occur, so neither count is vacuous
     assert solves["stationary"] > 0 and solves["transient"] > 0
 
@@ -459,8 +489,8 @@ def tail_then_cycle():
 
 def transient_triangle():
     """a walks the transient 3-cycle 0 -> 1 -> 2 -> 0 and b leaves it for
-    the 2-cycle 3 <-> 4: the Cesàro solve has 3 unknowns, and the odd cycle
-    lifts to one 6-unknown component of the (state, phase) product."""
+    the 2-cycle 3 <-> 4: the Cesàro solve has 3 unknowns, and so has
+    residue block 2, which reads x as −1."""
     return Dfa(AB, 5, [[1, 3], [2, 3], [0, 4], [4, 4], [3, 3]], 0, {0, 3})
 
 
@@ -477,7 +507,8 @@ def least_solve_limit(monkeypatch, run):
 
 
 def test_residue_limit_work_budget(monkeypatch):
-    # the product's solves run under the same work bound as the chain's
+    # the residue block's solve runs under the same work bound as the
+    # chain's, and just under its work natural_density exits on it
     machine = transient_triangle()
     expected = natural_density(machine)
     assert expected.modulus == 2 and expected.natural_density is None
@@ -486,16 +517,16 @@ def test_residue_limit_work_budget(monkeypatch):
     assert cesaro < residue
     monkeypatch.setattr(density_module, "_SOLVE_WORK_LIMIT", residue - 1)
     assert density(machine) == expected.density
-    with pytest.raises(BudgetExceededError, match="6-unknown system"):
+    with pytest.raises(BudgetExceededError, match="3-unknown system"):
         natural_density(machine)
     monkeypatch.setattr(density_module, "_SOLVE_WORK_LIMIT", residue)
     assert natural_density(machine) == expected
 
 
 def test_large_periodic_machine_without_transients():
-    # Every state is recurrent, so each product node is fixed at its phase
-    # mass and the product has no unknowns: a-edges form one even cycle and
-    # b-edges cross parity, so the one class has period 2.
+    # Every state is recurrent, so the residue limits are the class's phase
+    # masses and no block is solved: a-edges form one even cycle and b-edges
+    # cross parity, so the one class has period 2.
     rng = random.Random(600)
     n = 600
     delta = [[(q + 1) % n, (q + 1 + 2 * rng.randrange(n // 2)) % n] for q in range(n)]
@@ -529,9 +560,10 @@ def test_stationary_validity_check(monkeypatch):
 
 
 def test_residue_limits_consistency_check(monkeypatch):
-    # the second _limit_vector call is the product's; raising the value of
-    # (initial state, phase 0) by 1 moves one residue limit but not the
-    # Cesàro density
+    # the second _limit_vector call is residue block 2's; raising the
+    # initial state's value there by 1 would move the two residue limits by
+    # +1 and −1, which keeps their sum, but it breaks the initial state's
+    # row of the block
     expected = natural_density(tail_then_cycle())
     assert expected.modulus == 2
     limit_vector = density_module._limit_vector
@@ -553,8 +585,8 @@ def test_residue_limits_consistency_check(monkeypatch):
 
 def test_large_periodic_class_behind_one_transient_state():
     # the 600-state period-2 machine above behind one transient state, which
-    # reads a into its state 0 and b into its state 1: two unknowns in the
-    # product, one per phase of the transient state
+    # reads a into its state 0 and b into its state 1: one unknown in
+    # residue block 2
     rng = random.Random(600)
     n = 600
     delta = [[(q + 1) % n, (q + 1 + 2 * rng.randrange(n // 2)) % n] for q in range(n)]
@@ -597,8 +629,8 @@ def test_letter_cycles_residue_limits_are_exact():
 
 
 def test_modulus_past_the_state_budget_raises_before_exploring(monkeypatch):
-    # c = 360,360 needs more (state, phase) starts than the state budget
-    # allows, so the product is never explored
+    # c = 360,360 residue limits are more than the state budget allows, so
+    # the command refuses before any block is built
     machine = letter_cycles((5, 7, 8, 9, 11, 13))
     assert machine.n_states == 54
     assert density(machine) == sum(Fraction(1, 6 * n) for n in (5, 7, 8, 9, 11, 13))
@@ -610,24 +642,31 @@ def test_modulus_past_the_state_budget_raises_before_exploring(monkeypatch):
         return explore(initial, successors)
 
     monkeypatch.setattr(density_module, "explore", recorded)
+    monkeypatch.setattr(density_module, "_block_value", None)
     with pytest.raises(BudgetExceededError, match="modulus 360360"):
         natural_density(machine)
     # the chain and the six classes' levels, all from single chain states
     assert len(starts) == 7 and all(len(initial) == 1 for initial in starts)
-    # small moduli are explored: c = 6 over three letters
+    monkeypatch.undo()
+    # small moduli answer: c = 6 over three letters
     report = natural_density(letter_cycles((2, 3, 6)))
     assert report.modulus == 6
     assert sum(report.accumulation_points) == 6 * report.density
 
 
 def test_residue_pairs_past_the_explorer_budget():
-    # c = 72,072 is under the state budget, but the transient state and the
-    # five cycles' first states give 6·72,072 (state, phase) pairs
-    machine = letter_cycles((7, 8, 9, 11, 13))
+    # c = 72,072 is under the state budget, and the transient state and the
+    # five cycles' first states give 6·72,072 (state, phase) pairs, past it;
+    # the blocks need (7 − 1) + (8 − 1) + (9 − 1) + (11 − 1) + (13 − 1) = 43
+    # unknowns, as Σ_{d|p} φ(d) = p, and the limits are the closed form of
+    # test_letter_cycles_residue_limits_are_exact
+    lengths = (7, 8, 9, 11, 13)
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match="exceeds 200000 reachable states"):
-        natural_density(machine)
+    report = natural_density(letter_cycles(lengths))
     assert time.perf_counter() - start < 5
+    assert report.modulus == 72072
+    expected = [sum((k - 1) % n == 0 for n in lengths) for k in range(72072)]
+    assert report.accumulation_points == tuple(Fraction(v, 5) for v in expected)
 
 
 @st.composite
@@ -648,10 +687,74 @@ def transient_periodic_dfas(draw):
     return Dfa(AB, n + c, delta, 0, draw(st.sets(st.integers(0, n + c - 1))))
 
 
+def into_cycles(seed, n, periods):
+    """n transient states, as in ``transient_periodic_dfas``, whose exits
+    enter one cycle of each of the given lengths at random phases."""
+    rng = random.Random(seed)
+    starts = [n + sum(periods[:i]) for i in range(len(periods))]
+    order = list(range(n))
+    rng.shuffle(order)
+    after = {q: order[(i + 1) % n] for i, q in enumerate(order)}
+    exits = set(rng.sample(range(n), max(1, n // 2)))
+    entries = [start + i for start, length in zip(starts, periods) for i in range(length)]
+    delta = [[after[q], rng.choice(entries) if q in exits else rng.randrange(n)] for q in range(n)]
+    for start, length in zip(starts, periods):
+        delta += [[start + (i + 1) % length] * 2 for i in range(length)]
+    size = n + sum(periods)
+    return Dfa(AB, size, delta, 0, {q for q in range(size) if rng.random() < 0.5})
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(dfas(14), phased_dfas(), transient_periodic_dfas()))
+@example(into_cycles(8, 9, (8,)))
+@example(into_cycles(12, 7, (12,)))
+@example(into_cycles(24, 6, (8, 12)))
 def test_natural_density_matches_the_c_step_chain(machine):
-    assert natural_density(machine) == ref.natural_density_by_c_step(machine)
+    # both references: the c-step count chain and the (state, phase)
+    # product; c = 8 and 12 exercise blocks of φ(d) = 4, and periods 8 and
+    # 12 together give c = 24 with blocks only for the divisors of either
+    report = natural_density(machine)
+    assert report == ref.natural_density_by_c_step(machine)
+    assert report == ref.natural_density_by_phase_product(machine)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(phased_dfas(), transient_periodic_dfas()))
+def test_residue_limits_match_berlekamp_massey(machine):
+    # an oracle that reads only count_words: rational reconstruction of
+    # each decimated ratio sequence
+    report = natural_density(machine)
+    assert report.accumulation_points == ref.residue_limits_by_berlekamp_massey(
+        machine, report.modulus
+    )
+
+
+def test_residue_blocks_past_the_state_budget_exit_quickly():
+    # ten transient states in front of a 20,011-cycle (a prime): block
+    # 20,011 alone needs 10·20,010 unknowns, past the state budget, so the
+    # command refuses before any row is built; the Cesàro density answers
+    n, period = 10, 20011
+    delta = [[q + 1 if q + 1 < n else n, n + 7 * q] for q in range(n)]
+    delta += [[n + (i + 1) % period] * 2 for i in range(period)]
+    machine = Dfa(AB, n + period, delta, 0, {n})
+    assert density(machine) == Fraction(1, period)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="200100 unknowns exceed the 200000-state"):
+        natural_density(machine)
+    assert time.perf_counter() - start < 1
+
+
+def test_single_cycle_from_a_recurrent_initial_state_solves_no_block(monkeypatch):
+    # every state of a 100,000-cycle is recurrent: the limits are the phase
+    # masses, read off from the initial state's level, and no block is built
+    n = 100_000
+    machine = Dfa(AB, n, [[(q + 1) % n] * 2 for q in range(n)], 0, {0, 3})
+    monkeypatch.setattr(density_module, "_block_value", None)
+    start = time.perf_counter()
+    report = natural_density(machine)
+    assert time.perf_counter() - start < 10
+    assert report.modulus == n and report.density == Fraction(2, n)
+    assert report.accumulation_points == tuple(Fraction(j in (0, 3)) for j in range(n))
 
 
 def permuted(machine, perm):
