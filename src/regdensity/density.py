@@ -4,14 +4,16 @@ Reading uniformly random letters turns a total DFA into a finite Markov
 chain on its states.  The density of the language is the Cesàro limit of
 the probability of sitting in an accepting state.  One analysis per chain
 computes it exactly: a single strongly-connected decomposition gives the
-bottom (recurrent) classes, whose stationary distributions are solved once,
-and the same decomposition orders the transient solve that propagates their
-values.  ``density`` reads the Cesàro value from that analysis;
-``natural_density`` adds the class periods and, only when their lcm c
-exceeds 1 and the initial state is transient, the per-residue limits: the
-factors Φ_d of x^c − 1 split them into one harmonic extension on the
-transient states per d > 1 that divides a period, φ(d) unknowns a state,
-and Ramanujan sums put the blocks back together.  The chain is kept as
+bottom (recurrent) classes and orders the harmonic extension of their
+values over the transient states.  Each class's stationary law is one more
+harmonic extension, from one pinned state over the class's in-edge graph.
+``density`` reads the Cesàro value from that analysis; ``natural_density``
+adds the class periods and, only when their lcm c exceeds 1 and the initial
+state is transient, the per-residue limits: the factors Φ_d of x^c − 1
+split them into one harmonic extension on the transient states per d > 1
+that divides a period, φ(d) unknowns a state, and Ramanujan sums put the
+blocks back together.  So one routine, ``_limit_vector``, serves three row
+graphs: the chain, the in-edge graphs and the blocks.  The chain is kept as
 integer letter counts (each row sums to the alphabet size s), and every
 linear system is solved exactly by sparse integer elimination, each pivot
 taken in a row of fewest nonzeros.  Arithmetic stays on Python ints: a
@@ -234,31 +236,26 @@ def _stationary(comp, count_rows, s):
     """Exact stationary law of a closed class as integer weights {q: w_q ≥ 0}
     and their total > 0, π_q = w_q / total.
 
-    The balance equations Σ_p c_pq·π_p = s·π_q have rank n − 1 on an
-    irreducible class, so the first state's equation is replaced by the pin
-    π_root = 1; the weights are the solution times its denominators' lcm.
+    The balance equations s·π_q = Σ_p c_pq·π_p are ``_limit_vector``'s rows
+    on the class's in-edge graph, row q mapping each predecessor p to c_pq.
+    Their rank is n − 1, so the state of most distinct predecessors, lowest
+    index on ties, is pinned at 1 with its row emptied; the weights are the
+    extension times its denominators' lcm, the law's primitive integer
+    vector whichever state is pinned.
     """
-    comp = list(comp)
-    comp_set = set(comp)
-    col = {q: 0 for q in comp}
-    for p in comp:
-        for t, c in count_rows[p].items():
-            if t in comp_set:
-                col[t] += c
-    if all(v == s for v in col.values()):
+    pos = {q: i for i, q in enumerate(comp)}
+    in_rows = [{} for _ in comp]
+    for i, p in enumerate(comp):
+        for q, c in count_rows[p].items():
+            in_rows[pos[q]][i] = c
+    if all(sum(row.values()) == s for row in in_rows):
         # doubly stochastic on an irreducible class: uniform is stationary
         return dict.fromkeys(comp, 1), len(comp)
-    pos = {q: i for i, q in enumerate(comp)}
-    rows = [{i: -s} for i in range(len(comp))]
-    for p in comp:
-        for q, c in count_rows[p].items():
-            row = rows[pos[q]]
-            row[pos[p]] = row.get(pos[p], 0) + c
-    rows[0] = {0: 1}
-    rhs = [1] + [0] * (len(comp) - 1)
-    solution = solve_exact(rows, rhs)
-    scale = lcm(*(d for _, d in solution))
-    weights = {q: n * (scale // d) for q, (n, d) in zip(comp, solution)}
+    pin = max(range(len(comp)), key=lambda i: (len(in_rows[i]), -comp[i]))
+    in_rows[pin] = {}
+    law = _limit_vector(in_rows, s, {pin: (1, 1)}, strongly_connected_components(in_rows))
+    scale = lcm(*(d for _, d in law.values()))
+    weights = {q: law[i][0] * (scale // law[i][1]) for i, q in enumerate(comp)}
     total = sum(weights.values())
     if total <= 0 or any(w < 0 for w in weights.values()):
         raise ArithmeticError("stationary solve produced an invalid distribution")
@@ -269,8 +266,10 @@ def _limit_vector(step_rows, scale, fixed, sccs):
     """Harmonic extension of ``fixed`` (values as reduced pairs): scale·f_p =
     Σ_q c_pq·f_q on non-fixed states, where ``step_rows[p]`` maps q to the
     integer weight c_pq.  The row graph is the letter-count chain for the
-    Cesàro values, whose rows sum to scale, or a residue block's, whose
-    weights may be negative; scale is the alphabet size in both.
+    Cesàro values, whose rows sum to scale, a residue block's, whose weights
+    may be negative, or a closed class's in-edge graph for its stationary
+    law, whose rows sum to scale only if it is doubly stochastic; scale is
+    the alphabet size in all three.
 
     ``fixed`` must cover every recurrent state of the row graph; the
     transient ones among ``sccs``, the row graph's strongly-connected
@@ -313,8 +312,8 @@ def _limit_vector(step_rows, scale, fixed, sccs):
                     row[pos[q]] = row.get(pos[q], 0) - c
                 else:
                     outside.append((c, f[q]))
-            num, den = _weighted_sum(outside)
-            rows.append({j: v * den for j, v in row.items()})
+            num, den = _weighted_sum(outside) if outside else (0, 1)
+            rows.append(row if den == 1 else {j: v * den for j, v in row.items()})
             rhs.append(num)
         f.update(zip(comp, solve_exact(rows, rhs)))
     return f
@@ -322,9 +321,9 @@ def _limit_vector(step_rows, scale, fixed, sccs):
 
 def _analyse(dfa):
     """The uniform chain of a DFA, its recurrent classes as (states,
-    stationary weights, their total) triples in chain numbering, and the
-    per-state Cesàro limit of acceptance probability as reduced pairs: one
-    strongly-connected decomposition and one transient solve."""
+    stationary weights, total) triples in chain numbering, and the per-state
+    Cesàro limit of acceptance as reduced pairs: one decomposition and one
+    transient solve of the chain, after one of each per non-uniform law."""
     chain = UniformChain(dfa)
     rows = chain.count_rows
     sccs = strongly_connected_components(rows)

@@ -26,6 +26,11 @@ Cayley rows composed element by generator and ``bracket`` composing one
 pair at a time; the library's monoid on bytes elements with BFS parents and
 per-letter Cayley columns is compared against it.
 
+``stationary_by_pinned_solve`` solves a closed class's balance equations as
+one system, the first state's equation replaced by the pin π = 1; the
+library extends the law from the state of most predecessors along the
+class's in-edge graph, component by component.
+
 ``natural_density_by_c_step`` computes the residue limits on the c-step
 count chain: the harmonic extension of the phase masses under the c-th
 power of the letter-count chain, read off along the first c steps of the
@@ -67,6 +72,7 @@ from regdensity.density import (
     _class_period_and_levels,
     _limit_vector,
     _weighted_sum,
+    solve_exact,
 )
 from regdensity.languages import _multinomial3, staircase_word_prefix
 from regdensity.monoid import DEFAULT_MONOID_BUDGET
@@ -572,6 +578,24 @@ def _step_counts(count_rows, vec):
         for t, c in count_rows[q].items():
             nxt[t] = nxt.get(t, 0) + w * c
     return nxt
+
+
+def stationary_by_pinned_solve(comp, count_rows, s):
+    """A closed class's stationary law as integer weights and their total,
+    from one exact solve of all its balance equations Σ_p c_pq·π_p = s·π_q
+    with the first state's equation replaced by the pin π_root = 1; the
+    weights are the solution times its denominators' lcm."""
+    pos = {q: i for i, q in enumerate(comp)}
+    rows = [{i: -s} for i in range(len(comp))]
+    for p in comp:
+        for q, c in count_rows[p].items():
+            row = rows[pos[q]]
+            row[pos[p]] = row.get(pos[p], 0) + c
+    rows[0] = {0: 1}
+    solution = solve_exact(rows, [1] + [0] * (len(comp) - 1))
+    scale = lcm(*(d for _, d in solution))
+    weights = {q: n * (scale // d) for q, (n, d) in zip(comp, solution)}
+    return weights, sum(weights.values())
 
 
 def _phase_masses(chain, classes):

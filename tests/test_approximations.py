@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -249,6 +250,27 @@ def test_prefix_family_on_a_membership_only_base():
     for n in (1, 2, 4):
         assert verify_containment(fam.inner(n), fam.target, "inner", 7) is None
         assert verify_containment(fam.outer(n), fam.target, "outer", 7) is None
+
+
+def test_prefix_machines_at_k_200_answer_exactly(monkeypatch):
+    # _trie_alphabet's count of the Σ|B|^i trie words refuses k >= 18 for a
+    # binary base; with that count out (the bound check kept), each k = 200
+    # prefix machine is one recurrent class of 5,051-16,920 states in which
+    # every fresh letter returns to the trie root, and its stationary law
+    # is extended along in-edges from one pinned state
+    def uncounted(base, letter, n):
+        approximations._check_bound(n)
+        return Alphabet(base.alphabet.symbols + (letter,)), 1
+
+    monkeypatch.setattr(approximations, "_trie_alphabet", uncounted)
+    bases = [load_oracle("dyck"), load_oracle("counteq:a,b"), load_oracle("majority:1")]
+    for base in bases + [kemp_base()]:
+        fam = prefix_extension_family(base, "c")
+        for machine, claim in ((fam.inner, fam.inner_claim), (fam.outer, fam.outer_claim)):
+            start = time.perf_counter()
+            value = density(machine(200))
+            assert time.perf_counter() - start < 2
+            assert value == claim(200)
 
 
 def test_infix_family():

@@ -165,25 +165,13 @@ def solved(step_rows, scale, fixed, comp, f):
     return len(boundary) > 1 or any(sum(step_rows[p].values()) != scale for p in comp)
 
 
-def expected_solves(limit_calls):
-    """The ``solve_exact`` calls an analysis needs: one per closed class that
-    is not doubly stochastic, read from the chain rows and components of the
-    first ``_limit_vector`` call, plus one per component ``solved`` in each
-    ``_limit_vector`` call (its arguments and the values it returned)."""
-    (rows, scale, _, sccs), _ = limit_calls[0]
-    stationary = 0
-    for comp in sccs:
-        if all(t in comp for q in comp for t in rows[q]):
-            inflow = Counter()
-            for q in comp:
-                inflow.update(rows[q])
-            stationary += any(inflow[q] != scale for q in comp)
-    transient = sum(
-        solved(step_rows, scale, fixed, comp, f)
+def solves_per_call(limit_calls):
+    """The ``solve_exact`` calls that each ``_limit_vector`` call needs: one
+    per component ``solved`` (its arguments and the values it returned)."""
+    return [
+        sum(solved(step_rows, scale, fixed, comp, f) for comp in sccs)
         for (step_rows, scale, fixed, sccs), f in limit_calls
-        for comp in sccs
-    )
-    return stationary, transient
+    ]
 
 
 def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
@@ -237,39 +225,72 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
     solves = Counter()
     most_blocks = 0
     for machine in machines:
+        # a class's law is extended unless it is uniform, which it is
+        # exactly when the class is doubly stochastic
+        _, classes, _ = density_module._analyse(machine)
+        laws = sum(set(weights.values()) != {1} for _, weights, _ in classes)
         calls.clear()
         limit_calls.clear()
         periods.clear()
         density(machine)
         # no residue work: no periods and no blocks; the chain is the one
-        # exploration, and every exact solve goes through the one solver
-        stationary, transient = expected_solves(limit_calls)
-        solves.update(stationary=stationary, transient=transient)
+        # exploration, each law that is not uniform is one decomposition
+        # and one extension on the class's in-edge graph, pinned at one
+        # state, and every exact solve goes through the one solver
+        per_call = solves_per_call(limit_calls)
         assert calls == Counter(
-            strongly_connected_components=1,
-            _limit_vector=1,
+            strongly_connected_components=1 + laws,
+            _limit_vector=1 + laws,
             explore=1,
-            solve_exact=stationary + transient,
+            solve_exact=sum(per_call),
         )
+        assert all(list(fixed.values()) == [(1, 1)] for (_, _, fixed, _), _ in limit_calls[:laws])
+        solves.update(stationary=sum(per_call[:laws]), transient=per_call[laws])
         calls.clear()
         limit_calls.clear()
         report = natural_density(machine)
         aperiodic += report.modulus == 1
         # with a transient initial state, one decomposition and one
         # extension per block: per d > 1 that divides a class's period
-        (rows, _, fixed, _), _ = limit_calls[0]
+        (rows, _, fixed, _), _ = limit_calls[laws]
         blocks = {d for p in periods for d in range(2, p + 1) if p % d == 0}
         passes = 1 + len(blocks) * (len(fixed) < len(rows))
         most_blocks = max(most_blocks, passes - 1)
-        assert calls["strongly_connected_components"] == passes
-        assert calls["_limit_vector"] == passes
+        assert calls["strongly_connected_components"] == laws + passes
+        assert calls["_limit_vector"] == laws + passes
         # the chain and each class's levels; the blocks explore nothing
         assert calls["explore"] == 1 + calls["_class_period_and_levels"]
-        assert calls["solve_exact"] == sum(expected_solves(limit_calls))
+        assert calls["solve_exact"] == sum(solves_per_call(limit_calls))
     assert 0 < aperiodic < len(machines)
     assert most_blocks == 2
     # both kinds of system occur, so neither count is vacuous
     assert solves["stationary"] > 0 and solves["transient"] > 0
+
+
+def relabelled(comp, count_rows, perm):
+    """A class and its chain rows with chain state q renamed perm[q]."""
+    rows = [None] * len(count_rows)
+    for p, row in enumerate(count_rows):
+        rows[perm[p]] = {perm[q]: c for q, c in row.items()}
+    return [perm[q] for q in comp], rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(dfas(12), phased_dfas()), st.randoms(use_true_random=False))
+def test_stationary_laws_match_the_pinned_solve(machine, rng):
+    # the law is unique and its weights primitive, so the extension from the
+    # state of most predecessors gives the one pinned solve's weights; a
+    # relabelling of the chain moves the pin among tied states, and
+    # reorders the class and its components, but not the weights
+    chain, classes, _ = density_module._analyse(machine)
+    s = chain.alphabet_size
+    for comp, weights, total in classes:
+        assert (weights, total) == ref.stationary_by_pinned_solve(comp, chain.count_rows, s)
+        perm = list(range(chain.n))
+        rng.shuffle(perm)
+        moved, total_moved = density_module._stationary(*relabelled(comp, chain.count_rows, perm), s)
+        assert total_moved == total
+        assert {q: moved[perm[q]] for q in comp} == weights
 
 
 @settings(max_examples=40, deadline=None)
@@ -542,21 +563,27 @@ def test_large_periodic_machine_without_transients():
 
 def test_stationary_validity_check(monkeypatch):
     # a -> 0, b -> 1 from state 0 and both letters 1 -> 0: one class that is
-    # not doubly stochastic, with law (2/3, 1/3); a negated entry of the
-    # pinned solution makes a weight negative
+    # not doubly stochastic, with law (2/3, 1/3); its law is the first
+    # _limit_vector call, and a negated value of the state that is not
+    # pinned makes a weight negative
     machine = Dfa(AB, 2, [[0, 1], [0, 0]], 0, {0})
     assert density(machine) == Fraction(2, 3)
-    solve = density_module.solve_exact
+    limit_vector = density_module._limit_vector
+    vectors = []
 
-    def negated(rows, rhs):
-        solution = solve(rows, rhs)
-        num, den = solution[-1]
-        solution[-1] = -num, den
-        return solution
+    def negated(step_rows, scale, fixed, sccs):
+        f = limit_vector(step_rows, scale, fixed, sccs)
+        vectors.append(f)
+        if len(vectors) == 1:
+            (q,) = (q for q in f if q not in fixed)
+            num, den = f[q]
+            f[q] = -num, den
+        return f
 
-    monkeypatch.setattr(density_module, "solve_exact", negated)
+    monkeypatch.setattr(density_module, "_limit_vector", negated)
     with pytest.raises(ArithmeticError, match="stationary solve"):
         density(machine)
+    assert len(vectors) == 1
 
 
 def test_residue_limits_consistency_check(monkeypatch):

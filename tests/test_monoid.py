@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from regdensity import (
@@ -205,6 +205,39 @@ def test_non_j_minimal_elements_are_null():
         for element in range(len(monoid)):
             if greens.j_class[element] not in greens.j_minimal:
                 assert density(element_language(monoid, element)) == 0
+
+
+@st.composite
+def zero_one_dfas(draw):
+    alphabet = Alphabet(draw(st.sampled_from(("a", "ab", "abc"))))
+    n = draw(st.integers(1, 8))
+    delta = [[draw(st.integers(0, n - 1)) for _ in alphabet.symbols] for _ in range(n)]
+    return Dfa(alphabet, n, delta, 0, draw(st.sets(st.integers(0, n - 1))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_one_dfas())
+@example(all_words())
+@example(Dfa(AB, 2, [[0, 1], [1, 1]], 0, {0}))  # a*, density 0
+@example(evens())  # K is the whole group Z/2, half of it accepting
+@example(starts_with_a())
+def test_zero_one_law_from_the_minimal_ideal(machine):
+    # Sin'ya (GandALF 2015): the density is 1 iff the monoid's minimal ideal
+    # K lies inside the accept set, and 0 iff K misses it.  K is also the
+    # set of elements of least rank: for x of least rank and k in K, k·x
+    # permutes im(x), so x = x·(k·x)^m for some m >= 1 lies in K.  The
+    # monoid and the density engine share no code.
+    try:
+        monoid, accept = transition_monoid(machine, budget=5000)
+    except BudgetExceededError:
+        assume(False)
+    greens = green_classes(monoid)
+    ideal = {i for i, j in enumerate(greens.j_class) if j in greens.j_minimal}
+    rank = [len(set(element)) for element in monoid.elements]
+    assert ideal == {i for i, r in enumerate(rank) if r == min(rank)}
+    value = density(machine)
+    assert (value == 1) == (ideal <= accept)
+    assert (value == 0) == ideal.isdisjoint(accept)
 
 
 def test_element_languages_partition_all_words():
