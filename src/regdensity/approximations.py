@@ -3,9 +3,10 @@ containment verification against membership oracles, and gap reports.
 
 Each family pairs a target oracle with inner (subset) and/or outer
 (superset) DFA generators.  A missing inner generator contributes density 0
-(the empty language) and a missing outer generator density 1 (all words);
-claimed densities, where a closed form exists, must match the engine's
-exact value with zero tolerance.
+(the empty language) and a missing outer generator density 1 (all words).
+A claimed density, where a closed form exists, must equal the engine's
+exact value.  ``gap_report`` compares no claim: ``check``'s sandwiches
+compare the inner claims, and the tests both sides, with zero tolerance.
 """
 
 from dataclasses import dataclass

@@ -7,9 +7,9 @@ Every machine the package constructs comes from ``build_dfa``: the states
 reachable from a start state under a successor function, numbered in BFS
 discovery order with letters taken in alphabet order.  All operations are
 pure and return such canonical machines, so structurally equal results are
-language-equal and vice versa after minimization.  The explorer refuses to
-discover more than ``STATE_BUDGET`` states, which bounds every automaton
-built or read.
+language-equal and vice versa after minimization.  The explorer, and any
+least-word search not bounded by length, refuses to discover more than
+``STATE_BUDGET`` states, which bounds every automaton built or searched.
 """
 
 import json
@@ -117,16 +117,13 @@ class Dfa:
     def reachable_states(self):
         return set(explore([self.initial], self.delta.__getitem__)[0])
 
-    def coaccessible_states(self):
-        """States from which some accepting state can be reached."""
+    def useful_states(self):
+        """Reachable states from which some accepting state can be reached."""
         rev = [[] for _ in range(self.n_states)]
         for q, row in enumerate(self.delta):
             for t in row:
                 rev[t].append(q)
-        return set(explore(self.accepting, rev.__getitem__)[0])
-
-    def useful_states(self):
-        return self.reachable_states() & self.coaccessible_states()
+        return self.reachable_states() & set(explore(self.accepting, rev.__getitem__)[0])
 
     def minimized(self):
         """The unique minimal DFA, states renumbered canonically.
@@ -266,8 +263,10 @@ def least_word(start, successors, symbols, goal, max_length):
 
     ``successors(state)`` lists one successor per letter of ``symbols``, in
     order.  The search is layered by length, and a state's first word is its
-    least one, so each state is expanded at most once.
+    least one, so each state is expanded at most once.  Unbounded by length,
+    it stops at ``STATE_BUDGET`` states as ``explore`` does.
     """
+    limit = STATE_BUDGET if max_length is None else float("inf")
     seen = {start}
     layer = [(start, "")]
     length = 0
@@ -281,6 +280,8 @@ def least_word(start, successors, symbols, goal, max_length):
         for state, word in layer:
             for ch, t in zip(symbols, successors(state)):
                 if t not in seen:
+                    if len(seen) >= limit:
+                        raise BudgetExceededError("automaton exceeds %d reachable states" % limit)
                     seen.add(t)
                     grown.append((t, word + ch))
         layer = grown
@@ -350,13 +351,13 @@ def has_forbidden_word(dfa):
     useful = frozenset(dfa.useful_states())
     delta = dfa.delta
     letters = range(len(dfa.alphabet))
-    subsets = build_dfa(
-        dfa.alphabet,
+    return least_word(
         useful,
         lambda subset: [frozenset([delta[q][a] for q in subset]) & useful for a in letters],
+        dfa.alphabet.symbols,
         lambda subset: not subset,
+        None,
     )
-    return shortlex_least_member(subsets)
 
 
 def strongly_connected_components(successors):

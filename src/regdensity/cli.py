@@ -25,7 +25,7 @@ from .core import (
     format_fraction,
     ratio_and_cesaro,
 )
-from .density import density, natural_density
+from .density import natural_density
 from .languages import Morphism
 from .monoid import DEFAULT_MONOID_BUDGET, green_classes, transition_monoid, witness_in_monoid
 
@@ -290,14 +290,14 @@ def cmd_monoid(args, out):
     budget = DEFAULT_MONOID_BUDGET if args.budget is None else args.budget
     monoid, accept = transition_monoid(machine, budget=budget)
     greens = green_classes(monoid)
-    null_language = density(machine) == 0
-    witness = None if null_language else witness_in_monoid(machine, monoid, accept, greens)
+    minimal_accept = greens.in_minimal_ideal(accept)
+    null_language = not minimal_accept
+    witness = None if null_language else witness_in_monoid(machine, monoid, minimal_accept)
     counts = {
         name: max(assignment) + 1  # ids run from 0 without a gap
         for name, assignment in zip("JRLH", (greens.j_class, greens.r_class, greens.l_class,
                                              greens.h_class))
     }
-    minimal_accept = sorted(i for i in accept if greens.j_class[i] in greens.j_minimal)
     if args.format == "json":
         payload = {
             "elements": len(monoid),

@@ -1,4 +1,5 @@
-"""Alphabets, shortlex word enumeration, and exact length censuses.
+"""Alphabets, shortlex word enumeration, exact length censuses, and the
+Möbius terms that count primitive words and split residue limits.
 
 Words are plain Python strings; every count is an ``int`` and every ratio a
 ``fractions.Fraction`` in lowest terms.  No floating point is used anywhere
@@ -136,6 +137,20 @@ def format_fraction(value):
     if value.denominator == 1:
         return str(value.numerator)
     return "%d/%d" % (value.numerator, value.denominator)
+
+
+def moebius_terms(d):
+    """(e, μ(d/e)) for each divisor e of d with d/e squarefree."""
+    terms, n, r = [(d, 1)], d, 2
+    while n > 1:
+        if r * r > n:
+            r = n
+        if n % r == 0:
+            terms += [(e // r, -m) for e, m in terms]
+            while n % r == 0:
+                n //= r
+        r += 1
+    return terms
 
 
 def check_enumeration_budget(alphabet_size, max_length, budget, what):

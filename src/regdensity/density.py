@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import add
 
 from .automata import STATE_BUDGET, explore, has_forbidden_word, strongly_connected_components
-from .core import BudgetExceededError
+from .core import BudgetExceededError, moebius_terms
 
 _SOLVE_WORK_LIMIT = 4_000_000
 
@@ -346,23 +346,9 @@ def density(dfa):
     return Fraction(*cesaro[0])
 
 
-def _moebius_terms(d):
-    """(e, μ(d/e)) for each divisor e of d with d/e squarefree."""
-    terms, n, r = [(d, 1)], d, 2
-    while n > 1:
-        if r * r > n:
-            r = n
-        if n % r == 0:
-            terms += [(e // r, -m) for e, m in terms]
-            while n % r == 0:
-                n //= r
-        r += 1
-    return terms
-
-
 def _cyclotomic(terms):
     """Coefficients of the cyclotomic polynomial Φ_d, d > 1, lowest first,
-    from ``_moebius_terms(d)``: the power series Π_e (1 − x^e)^μ(d/e) cut at
+    from ``moebius_terms(d)``: the power series Π_e (1 − x^e)^μ(d/e) cut at
     its degree φ(d) = Σ_e μ(d/e)·e.  Φ_d is monic with constant term 1."""
     phi = sum(m * e for e, m in terms)
     a = [1] + [0] * phi
@@ -495,7 +481,7 @@ def natural_density(dfa):
         transient = [q for q in range(chain.n) if q not in where]
         periods = {period for period, _, _ in phased}
         blocks = sorted({d for p in periods for d in range(2, p + 1) if p % d == 0})
-        terms = [_moebius_terms(d) for d in blocks]
+        terms = [moebius_terms(d) for d in blocks]
         unknowns = len(transient) * sum(m * e for block in terms for e, m in block)
         if unknowns > STATE_BUDGET:
             raise BudgetExceededError(

@@ -10,7 +10,7 @@ from math import comb, factorial
 from operator import add
 
 from .automata import Dfa, shortlex_least_member
-from .core import Alphabet, BudgetExceededError, Stepper, ThinSide, reader
+from .core import Alphabet, BudgetExceededError, Stepper, ThinSide, moebius_terms, reader
 
 # how far the diagonal language may go: machines enumerated, and the length
 # of the longest picked word
@@ -102,30 +102,11 @@ def is_primitive(word):
     return word != "" and (word + word).find(word, 1) == len(word)
 
 
-def _mobius(n):
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def primitive_count(length):
-    """Number of primitive binary words of a given length (divisor inclusion-exclusion)."""
+    """Number of primitive binary words of length n: Σ_{e | n} μ(n/e)·2^e."""
     if length == 0:
         return 0
-    total = 0
-    for d in range(1, length + 1):
-        if length % d == 0:
-            total += _mobius(d) * 2 ** (length // d)
-    return total
+    return sum(m * 2 ** e for e, m in moebius_terms(length))
 
 
 def catalan(n):

@@ -231,6 +231,11 @@ class GreenClasses:
     j_classes = property(lambda self: _members(self.j_class))
     h_classes = property(lambda self: _members(self.h_class))
 
+    def in_minimal_ideal(self, elements):
+        """The given elements that lie in the minimal ideal, in index order.
+        A language is null exactly when none of its accept set does."""
+        return sorted(i for i in elements if self.j_class[i] in self.j_minimal)
+
 
 def _members(assignment):
     groups = [[] for _ in range(max(assignment) + 1)]
@@ -324,16 +329,12 @@ def nonprimitive_witness(dfa):
     if density(dfa) == 0:
         raise ValueError("language is null: no non-primitive member is guaranteed")
     monoid, accept = transition_monoid(dfa)
-    return witness_in_monoid(dfa, monoid, accept, green_classes(monoid))
+    return witness_in_monoid(dfa, monoid, green_classes(monoid).in_minimal_ideal(accept))
 
 
-def witness_in_monoid(dfa, monoid, accept, greens):
-    """``nonprimitive_witness`` for a non-null ``dfa`` whose transition
-    monoid, accept set and Green classes are already built."""
-    minimal_ids = set(greens.j_minimal)
-    candidates = [
-        i for i in accept if greens.j_class[i] in minimal_ids
-    ]
+def witness_in_monoid(dfa, monoid, candidates):
+    """``nonprimitive_witness`` for a non-null ``dfa`` from its transition
+    monoid and the accept elements of its minimal ideal, ``candidates``."""
     if not candidates:
         raise AssertionError("non-null language must meet a J-minimal element")
     t = min(candidates)  # element indices follow the shortlex order of witnesses

@@ -366,7 +366,17 @@ def test_build_dfa_numbers_states_in_discovery_order():
     assert machine.initial == 0
 
 
+def parity_counter(k):
+    """The a-b count difference mod k, accepting when it is odd: for even k
+    the language is the words of odd length."""
+    return build_dfa(AB, 0, lambda i: ((i + 1) % k, (i - 1) % k), lambda i: i % 2 == 1)
+
+
 def test_every_exploration_stops_at_the_state_budget(monkeypatch):
+    # two counters of one language: a product search sees all 20 reachable
+    # pairs before it can answer
+    odd10, odd4 = parity_counter(10), parity_counter(4)
+    assert equivalent(odd10, odd4)
     monkeypatch.setattr(automata, "STATE_BUDGET", 10)
     assert mod_counter_dfa(10).n_states == 10
     with pytest.raises(BudgetExceededError):
@@ -376,16 +386,41 @@ def test_every_exploration_stops_at_the_state_budget(monkeypatch):
     cycle = Nfa(AB, 11, {(q, 0): {(q + 1) % 11} for q in range(11)}, {0}, {0})
     # all states useful: the full set, then {0}, {1}, ..., {10} under a and b
     shift = Dfa(AB, 11, [[(q + 1) % 11, 0] for q in range(11)], 0, {0})
+    # its least member has 10 letters: 11 (state, letters still needed) pairs
+    tenth = Dfa(AB, 11, [[(q + 1) % 11] * 2 for q in range(11)], 0, {10})
     for operation in (
         big.minimized,
         big.reachable_states,
         cycle.determinize,
         lambda: has_forbidden_word(shift),
+        lambda: is_subset(odd10, odd4),
+        lambda: equivalent(odd10, odd4),
+        lambda: find_difference_witness(odd10, odd4),
+        lambda: shortlex_least_member(tenth),
     ):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="exceeds 10 reachable states"):
             operation()
     with pytest.raises(BudgetExceededError):
         mod_counter_dfa(4).union(mod_counter_dfa(3))
+
+
+def test_forbidden_word_search_stops_at_the_goal(monkeypatch):
+    # the subset machine has 18 reachable subsets, past a budget of 10, but
+    # the search for the empty set meets it after one letter
+    machine = Dfa(
+        ABC,
+        8,
+        ((2, 5, 7), (2, 6, 7), (5, 6, 7), (5, 5, 7), (4, 0, 7), (6, 3, 7), (6, 1, 7), (7, 7, 7)),
+        0,
+        {2, 3, 4},
+    )
+    useful = frozenset(machine.useful_states())
+    subsets, _ = automata.explore(
+        [useful], lambda s: [frozenset(machine.delta[q][a] for q in s) & useful for a in range(3)]
+    )
+    assert len(subsets) == 18
+    monkeypatch.setattr(automata, "STATE_BUDGET", 10)
+    assert has_forbidden_word(machine) == "c"
 
 
 def escaped_by_the_diagonal(machine):

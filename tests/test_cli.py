@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import importlib
 import json
 import random
@@ -12,6 +13,7 @@ from regdensity import (
     Alphabet,
     Dfa,
     approximations,
+    density,
     dfa_to_json,
     mod_counter_dfa,
     random_dfa,
@@ -357,6 +359,27 @@ def test_gap_json_and_bad_k(capsys):
     assert code == 2
 
 
+def test_gap_containment_failure_exits_1(capsys, monkeypatch):
+    # an inner side that accepts every word and an outer side that accepts
+    # none: the empty word is no goldstine member, and b is the least one
+    everything = Dfa(Alphabet("ab"), 1, [[0, 0]], 0, {0})
+    broken = dataclasses.replace(
+        approximations.family("goldstine"),
+        inner=lambda k: everything,
+        outer=lambda k: everything.complement(),
+    )
+    cli = importlib.import_module("regdensity.cli")
+    monkeypatch.setattr(cli, "load_family", lambda spec: broken)
+    argv = ["gap", "--family", "goldstine", "--k", "2", "--max", "6"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.splitlines() == ["k,inner,outer,gap,containment", "2,1,0,-1,inner:;outer:b"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 1
+    (row,) = json.loads(out)["rows"]
+    assert row["containment"] == "inner:;outer:b"
+
+
 @pytest.mark.parametrize("ks", ["2,,4", "3,", ",", ""])
 def test_gap_rejects_an_empty_k_element(capsys, ks):
     code, out, err = run_cli(capsys, "gap", "--family", "modk", "--k", ks, "--max", "4")
@@ -442,6 +465,34 @@ def test_monoid_null_language(tmp_path, capsys):
     assert code == 0
     assert "status=NULL-LANGUAGE" in out
     assert "witness" not in out
+
+
+def test_monoid_status_is_null_exactly_when_the_minimal_ideal_misses_the_accept_set(
+    tmp_path, capsys, monkeypatch
+):
+    # the report reads nullness off its own minimal ideal and asks the
+    # density engine nothing; the engine agrees with it afterwards
+    rng = random.Random(28)
+    machines = [
+        random_dfa(rng, rng.randint(1, 5), Alphabet(rng.choice(["a", "ab", "abc"])))
+        for _ in range(40)
+    ]
+    payloads = []
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.import_module("regdensity.density"), "_analyse", None)
+        for i, machine in enumerate(machines):
+            path = tmp_path / ("machine%d.json" % i)
+            path.write_text(json.dumps(dfa_to_json(machine)))
+            code, out, _ = run_cli(capsys, "monoid", "--dfa", str(path), "--format", "json")
+            assert code == 0
+            payloads.append(json.loads(out))
+    nulls = 0
+    for machine, payload in zip(machines, payloads):
+        null = payload["status"] == "NULL-LANGUAGE"
+        assert null == (payload["j_minimal_accept"] == []) == (density(machine) == 0)
+        assert null == (payload["witness"] is None)
+        nulls += null
+    assert 0 < nulls < len(machines)
 
 
 def test_monoid_single_state(capsys):
@@ -695,6 +746,10 @@ def test_counteq_oracle_spec(capsys):
         ("gap --k 1 --family infix-ext:dyck", "infix-ext needs infix-ext:<base>:<letter>"),
         ("gap --k 1 --family infix-ext:nope:c", "unknown oracle 'nope'"),
         ("gap --k 1 --family suffix-ext", "unknown approximation family 'suffix-ext'"),
+        ("census --oracle coprefix:ab", "morphism rule 'ab' must look like letter=image"),
+        ("census --oracle coprefix:ab=a", "morphism maps single letters, got 'ab'"),
+        ("census --oracle counteq:a", "counteq needs two letters, e.g. counteq:a,b"),
+        ("census --oracle counteq:a,b,c", "counteq needs two letters, e.g. counteq:a,b"),
     ],
 )
 def test_extension_spec_errors(capsys, argv, message):

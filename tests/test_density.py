@@ -827,6 +827,22 @@ def test_natural_density_invariant_under_minimization(machine):
     assert residue_limits(reduced, original.modulus) == list(original.accumulation_points)
 
 
+@settings(max_examples=100, deadline=None)
+@given(dfas())
+@example(Dfa(AB, 2, [[1, 1], [0, 0]], 0, {0, 1}))  # every word: c = 2, reversed c = 1
+def test_density_report_invariant_under_reversal(machine):
+    # a word and its reversal have one length, so the two languages have
+    # equal counts at every length and so equal limits; the moduli belong to
+    # the machines and may differ, so the limits are compared along the lcm
+    flipped = ref.reverse(machine).determinize()
+    assert flipped.count_words(20) == machine.count_words(20)
+    assert density(flipped) == density(machine)
+    original, reversed_ = natural_density(machine), natural_density(flipped)
+    assert reversed_.natural_density == original.natural_density
+    modulus = lcm(original.modulus, reversed_.modulus)
+    assert residue_limits(reversed_, modulus) == residue_limits(original, modulus)
+
+
 def test_stationarity_of_large_recurrent_class():
     rng = random.Random(160)
     n = 160

@@ -155,6 +155,14 @@ def test_counters_match_brute_force_binary():
         assert census.counts == [counter(n) for n in range(bound + 1)]
 
 
+def test_primitive_count_sums_to_every_word_over_the_divisors():
+    # every non-empty word is a power of exactly one primitive root, whose
+    # length divides the word's: Σ_{d | n} primitive_count(d) = 2^n
+    assert primitive_count(0) == 0
+    for n in range(1, 401):
+        assert sum(primitive_count(d) for d in range(1, n + 1) if n % d == 0) == 2 ** n, n
+
+
 def test_counters_match_brute_force_bigger_alphabets():
     census = census_by_enumeration(o3(), 9)
     assert census.counts == [o3_count(n) for n in range(10)]
