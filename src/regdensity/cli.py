@@ -293,11 +293,7 @@ def cmd_monoid(args, out):
     minimal_accept = greens.in_minimal_ideal(accept)
     null_language = not minimal_accept
     witness = None if null_language else witness_in_monoid(machine, monoid, minimal_accept)
-    counts = {
-        name: max(assignment) + 1  # ids run from 0 without a gap
-        for name, assignment in zip("JRLH", (greens.j_class, greens.r_class, greens.l_class,
-                                             greens.h_class))
-    }
+    counts = dict(zip("JRLH", greens.counts))
     if args.format == "json":
         payload = {
             "elements": len(monoid),

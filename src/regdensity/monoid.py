@@ -21,9 +21,19 @@ stays in its J-class stays in its R-class (right) or L-class (left).  So
 J = D is the SCCs of the small graph of left edges on the R-classes, and the
 L-classes are spanned by the left edges that keep the J-class.  Everything
 stays linear in the number of monoid elements.
+
+The class counts need no L-class of every element.  By Green's lemma
+("On the structure of semigroups", 1951) every R-class of a D-class meets
+every L-class of it, in H-classes of one size: that is the egg-box, and
+|D| = #R(D)·#L(D)·|H|.  So one L-class L_x per J-class D, found by
+composing its least member x on the left, gives #L(D) = |D| / |L_x| and
+#H(D) = #R(D)·#L(D).  The full L and H assignments, which need the left
+Cayley graph of every element, are computed when first read.
 """
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, count
 from operator import itemgetter
 
@@ -212,19 +222,32 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
 @dataclass(frozen=True)
 class GreenClasses:
     """Green's R, L, J and H classes of a monoid, one class id per element,
-    plus the minimal J-class.
+    plus the minimal J-class and the class counts.
 
     Ids are canonical: R, L and J classes are numbered by least member, H
     classes by the first (R, L) pair in index order.  ``j_minimal`` holds
     the one J-class id that is J-below every other, the monoid's minimal
-    ideal.  The ``*_classes`` properties group the members of each class.
+    ideal.  ``counts`` is the number of (J, R, L, H) classes.  ``l_class``
+    and ``h_class`` are computed on first read, from the monoid's left
+    Cayley graph.  The ``*_classes`` properties group the members of each
+    class.
     """
 
     r_class: tuple
-    l_class: tuple
     j_class: tuple
-    h_class: tuple
     j_minimal: tuple
+    counts: tuple
+    monoid: Monoid = field(repr=False, compare=False)
+
+    @cached_property
+    def l_class(self):
+        # stability again, on the left: the left edges that keep the J-class
+        return tuple(_keyed_classes(self.monoid._left_columns(), self.j_class)[0])
+
+    @cached_property
+    def h_class(self):
+        h_ids = {}
+        return tuple(h_ids.setdefault(key, len(h_ids)) for key in zip(self.r_class, self.l_class))
 
     r_classes = property(lambda self: _members(self.r_class))
     l_classes = property(lambda self: _members(self.l_class))
@@ -275,8 +298,8 @@ def _component_ids(successors):
 
 
 def green_classes(monoid):
-    """Green's classes of ``monoid`` from its image orbit and Cayley graphs."""
-    right, left = monoid._columns, monoid._left_columns()
+    """Green's classes of ``monoid`` from its image orbit, its right Cayley
+    graph and left compositions at one element per R-class and per L_x."""
     delta, letters = monoid.minimal_dfa.delta, range(len(monoid.alphabet))
     _, steps = explore(
         [frozenset(range(monoid.minimal_dfa.n_states))],
@@ -284,28 +307,46 @@ def green_classes(monoid):
     )
     (image,) = monoid._along([0], list(zip(*steps)))  # im(p·a) = im(p)·a, down the BFS tree
     component = _component_ids(steps)
-    r_class, r_roots = _keyed_classes(right, [component[v] for v in image])
+    r_class, r_roots = _keyed_classes(monoid._columns, [component[v] for v in image])
 
     # R is a left congruence, so g·x lands in one R-class for every x of an
     # R-class: the left edges of each least member span the R-quotient.
     # Right edges that leave an R-class leave its J-class (stability), so
     # the J-classes are the SCCs of this quotient.
-    quotient = [[r_class[column[x]] for column in left] for x in r_roots]
+    compose, generators = monoid.compose, monoid.generators
+    quotient = [[r_class[compose(g, x)] for g in generators] for x in r_roots]
     j_of_r = _component_ids(quotient)
     j_class = [j_of_r[r] for r in r_class]
-    l_class, _ = _keyed_classes(left, j_class)  # stability again, on the left
 
-    h_ids = {}
-    h_class = [h_ids.setdefault(key, len(h_ids)) for key in zip(r_class, l_class)]
+    # The egg-box: the left edges from D's least member x that keep D span
+    # L_x (stability), and every L-class of D has |L_x| elements.
+    size, r_count = Counter(j_class), Counter(j_of_r)
+    least = {}
+    for r, c in enumerate(j_of_r):
+        least.setdefault(c, r_roots[r])
+    l_total = h_total = 0
+    for c, x in least.items():
+        l_x, stack = {x}, [x]
+        while stack:
+            y = stack.pop()
+            for g in generators:
+                t = compose(g, y)
+                if t not in l_x and j_class[t] == c:
+                    l_x.add(t)
+                    stack.append(t)
+        l_count = size[c] // len(l_x)
+        l_total += l_count
+        h_total += r_count[c] * l_count
 
     # A finite monoid has exactly one minimal J-class, its minimal ideal K.
     # No generator leads out of K, as K is an ideal.  From x outside K,
     # k·x lies in K for every k in K, so the left Cayley graph leads out of
     # the class of x: K is the one class that no quotient edge leaves.
     exits = {j_of_r[r] for r, row in enumerate(quotient) for s in row if j_of_r[s] != j_of_r[r]}
-    j_minimal = tuple(c for c in range(max(j_of_r) + 1) if c not in exits)
+    j_minimal = tuple(c for c in range(len(least)) if c not in exits)
 
-    return GreenClasses(tuple(r_class), tuple(l_class), tuple(j_class), tuple(h_class), j_minimal)
+    counts = (len(least), len(r_roots), l_total, h_total)
+    return GreenClasses(tuple(r_class), tuple(j_class), j_minimal, counts, monoid)
 
 
 def idempotent_power(monoid, element):

@@ -138,6 +138,23 @@ def test_cli_output_matches_golden_digest(case):
     assert digest(case["argv"]) == case["sha256"]
 
 
+def _no_left_columns(monoid):
+    raise AssertionError("the monoid report must not build the left Cayley graph")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [case for case in _load() if case["argv"][0] == "monoid"],
+    ids=lambda case: " ".join(case["argv"]),
+)
+def test_monoid_report_builds_no_left_cayley_graph(case, monkeypatch):
+    # the class counts come from the egg-box, not from every L-class
+    from regdensity.monoid import Monoid
+
+    monkeypatch.setattr(Monoid, "_left_columns", _no_left_columns)
+    assert digest(case["argv"]) == case["sha256"]
+
+
 def test_golden_digests_hold_under_fixed_hash_seeds():
     # string hashing is randomised per process; output must not depend on it
     here = pathlib.Path(__file__).parent

@@ -1,7 +1,10 @@
 """Tests for transition monoids, Green's relations, and witnesses."""
 
+import collections
 import itertools
+import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from regdensity import (
     BudgetExceededError,
     Dfa,
     density,
+    dfa_to_json,
     green_classes,
     is_primitive,
     majority_escape_witness,
@@ -22,7 +26,8 @@ from regdensity import (
     transition_monoid,
 )
 from regdensity.automata import strongly_connected_components
-from regdensity.monoid import GreenClasses, idempotent_power
+from regdensity.cli import main
+from regdensity.monoid import Monoid, idempotent_power
 
 import reference_languages as ref
 
@@ -300,6 +305,42 @@ def _partition_oracle(n, successors):
     return tuple(assignment), tuple(frozenset(c) for c in comps)
 
 
+@dataclass(frozen=True)
+class OracleClasses:
+    """The oracle's Green's classes: every assignment built eagerly, and
+    the class counts read off the assignments."""
+
+    r_class: tuple
+    l_class: tuple
+    j_class: tuple
+    h_class: tuple
+    j_minimal: tuple
+    j_classes: tuple
+
+    @property
+    def counts(self):
+        return tuple(len(set(a)) for a in (self.j_class, self.r_class, self.l_class, self.h_class))
+
+
+def assert_same_classes(greens, expected):
+    """All five assignments, the lazily computed L and H included, and the
+    counts; then the egg-box on the oracle's classes: in each J-class D
+    every H-class has one size, and |D| = #R(D)·#L(D)·|H|."""
+    assert greens.r_class == expected.r_class
+    assert greens.j_class == expected.j_class
+    assert greens.j_minimal == expected.j_minimal
+    assert greens.counts == expected.counts
+    assert greens.l_class == expected.l_class
+    assert greens.h_class == expected.h_class
+    for d in expected.j_classes:
+        r_ids = {expected.r_class[i] for i in d}
+        l_ids = {expected.l_class[i] for i in d}
+        h_sizes = collections.Counter(expected.h_class[i] for i in d)
+        (h_size,) = set(h_sizes.values())
+        assert len(h_sizes) == len(r_ids) * len(l_ids)
+        assert len(d) == len(r_ids) * len(l_ids) * h_size
+
+
 def green_classes_oracle(monoid):
     """R, L and J as the SCCs of the right, left and two-sided Cayley graphs,
     all three built from ``compose``; the J-minimal classes are read off the
@@ -325,12 +366,13 @@ def green_classes_oracle(monoid):
                         seen.add(j_class[t])
                         stack.append(j_class[t])
         j_below.append(frozenset(seen))
-    greens = GreenClasses(
+    greens = OracleClasses(
         r_class=r_class,
         l_class=l_class,
         j_class=j_class,
         h_class=h_class,
         j_minimal=tuple(c for c in range(len(j_classes)) if j_below[c] == {c}),
+        j_classes=j_classes,
     )
     return greens, right, left, j_below
 
@@ -370,7 +412,7 @@ def test_green_classes_match_three_tarjan_oracle(machine):
     monoid, _ = transition_monoid(machine)
     expected, right, left, _ = green_classes_oracle(monoid)
     greens = green_classes(monoid)
-    assert greens == expected
+    assert_same_classes(greens, expected)
     assert len(greens.j_minimal) == 1
     assert monoid.right_cayley() == right
     assert monoid.left_cayley() == left
@@ -387,6 +429,25 @@ def test_green_classes_match_three_tarjan_oracle(machine):
         assert monoid.element_of_word(word) == folded
 
 
+def _no_left_columns(monoid):
+    raise AssertionError("the monoid report must not build the left Cayley graph")
+
+
+@pytest.mark.parametrize("machine", oracle_machines())
+def test_monoid_report_counts_match_oracle_without_left_columns(
+    machine, tmp_path, monkeypatch, capsys
+):
+    monoid, _ = transition_monoid(machine)
+    expected, _, _, _ = green_classes_oracle(monoid)
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(dfa_to_json(machine)), encoding="utf-8")
+    monkeypatch.setattr(Monoid, "_left_columns", _no_left_columns)
+    assert main(["monoid", "--dfa", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["elements"] == len(monoid)
+    assert report["green"] == dict(zip("JRLH", expected.counts))
+
+
 def test_rank_is_not_an_r_class_key():
     """b·a keeps rank 2 but leaves the R-class of b: R-classes follow the
     strongly connected components of the image orbit, not the rank."""
@@ -399,7 +460,7 @@ def test_rank_is_not_an_r_class_key():
         for i, row in enumerate(right)
         for t in row
     )
-    assert green_classes(monoid) == expected
+    assert_same_classes(green_classes(monoid), expected)
 
 
 def test_image_is_not_an_l_class_key():
@@ -415,7 +476,7 @@ def test_image_is_not_an_l_class_key():
             expected.l_class[i]
         )
     assert any(len(ids) > 1 for ids in l_classes.values())
-    assert green_classes(monoid) == expected
+    assert_same_classes(green_classes(monoid), expected)
 
 
 @st.composite
@@ -434,7 +495,7 @@ def test_green_classes_match_oracle_on_random_machines(machine):
     except BudgetExceededError:
         assume(False)
     expected, _, _, _ = green_classes_oracle(monoid)
-    assert green_classes(monoid) == expected
+    assert_same_classes(green_classes(monoid), expected)
 
 
 # -- differential: bytes elements with BFS parents against tuple elements ------
