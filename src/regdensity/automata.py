@@ -13,6 +13,7 @@ least-word search not bounded by length, refuses to discover more than
 """
 
 import json
+from itertools import chain
 from operator import add, ne
 
 from .core import Alphabet, BudgetExceededError, LengthCensus
@@ -28,14 +29,17 @@ class Dfa:
     def __init__(self, alphabet, n_states, delta, initial, accepting):
         if n_states < 1:
             raise ValueError("a total DFA needs at least one state")
-        delta = tuple(tuple(row) for row in delta)
+        delta = tuple(map(tuple, delta))
         if len(delta) != n_states:
             raise ValueError("transition table must have one row per state")
-        for q, row in enumerate(delta):
-            if len(row) != len(alphabet):
-                raise ValueError("state %d: need one target per letter" % q)
-            if any(not 0 <= t < n_states for t in row):
-                raise ValueError("state %d: transition target out of range" % q)
+        targets = set(chain.from_iterable(delta))
+        if set(map(len, delta)) != {len(alphabet)} or not targets.issubset(range(n_states)):
+            # some row is bad: walk them in order to name the first
+            for q, row in enumerate(delta):
+                if len(row) != len(alphabet):
+                    raise ValueError("state %d: need one target per letter" % q)
+                if any(not 0 <= t < n_states for t in row):
+                    raise ValueError("state %d: transition target out of range" % q)
         if not 0 <= initial < n_states:
             raise ValueError("initial state out of range")
         accepting = frozenset(accepting)

@@ -85,13 +85,34 @@ def _sandwich(prefix, fam, ks, max_length):
     return items
 
 
+def _verdicts(predicate, words_by_length):
+    """The predicate's answers on each list of words in turn, the words over
+    ab of lengths 0, 1, ... in shortlex order.  A stepped oracle over a and
+    b takes one step per word, from the state of the word's prefix: the
+    word of index i // 2 one length shorter.  Any other predicate is mapped
+    over the words."""
+    stepper = getattr(predicate, "stepper", None)
+    if stepper is None or not set(AB.symbols) <= set(predicate.alphabet.symbols):
+        for words in words_by_length:
+            yield list(map(predicate, words))
+        return
+    start, step, accepting = stepper
+    states = [start]
+    for n in range(len(words_by_length)):
+        if n:
+            states = [step(q, a) for q in states for a in AB.symbols]
+        yield list(map(accepting, states))
+
+
 def _disagreement(first, second, max_length):
     """The shortlex-least word over ab of length at most ``max_length`` on
     which the two predicates differ, or None."""
-    for n in range(max_length + 1):
-        for word in enumerate_words(AB, n):
-            if first(word) != second(word):
-                return word
+    words_by_length = [enumerate_words(AB, n) for n in range(max_length + 1)]
+    for words, x, y in zip(
+        words_by_length, _verdicts(first, words_by_length), _verdicts(second, words_by_length)
+    ):
+        if x != y:
+            return next(w for w, u, v in zip(words, x, y) if u != v)
     return None
 
 

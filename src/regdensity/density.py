@@ -5,8 +5,12 @@ chain on its states.  The density of the language is the Cesàro limit of
 the probability of sitting in an accepting state.  One analysis per chain
 computes it exactly: a single strongly-connected decomposition gives the
 bottom (recurrent) classes and orders the harmonic extension of their
-values over the transient states.  Each class's stationary law is one more
-harmonic extension, from one pinned state over the class's in-edge graph.
+values over the transient states.  The stationary law of a class that
+mixes accepting and rejecting states is one more harmonic extension, from
+one pinned state over the class's in-edge graph.  A class whose states all
+accept or all reject carries no law: its mass is 1 or 0 under any law, and
+each of the p phases of a p-periodic class has mass 1/p, since the chain
+moves all of one phase's mass to the next.
 ``density`` reads the Cesàro value from that analysis; ``natural_density``
 adds the class periods and, only when their lcm c exceeds 1 and the initial
 state is transient, the per-residue limits: the factors Φ_d of x^c − 1
@@ -323,20 +327,35 @@ def _analyse(dfa):
     """The uniform chain of a DFA, its recurrent classes as (states,
     stationary weights, total) triples in chain numbering, and the per-state
     Cesàro limit of acceptance as reduced pairs: one decomposition and one
-    transient solve of the chain, after one of each per non-uniform law."""
+    transient solve of the chain, after one of each per non-uniform law.
+    A class whose states all accept or all reject carries no law and is
+    (states, None, None): its mass is 1 or 0 under any law, and each of its
+    p phases holds 1/p of it, as the chain carries each phase onto the next."""
     chain = UniformChain(dfa)
     rows = chain.count_rows
+    s = chain.alphabet_size
+    accepting = chain.accepting
     sccs = strongly_connected_components(rows)
     classes = []
     fixed = {}
     for comp in sccs:
-        comp_set = set(comp)
-        if all(t in comp_set for q in comp for t in rows[q]):
-            weights, total = _stationary(comp, rows, chain.alphabet_size)
+        if len(comp) == 1:
+            closed = rows[comp[0]].get(comp[0]) == s
+        else:
+            comp_set = set(comp)
+            closed = all(t in comp_set for q in comp for t in rows[q])
+        if not closed:
+            continue
+        verdicts = {q in accepting for q in comp}
+        if len(verdicts) == 1:
+            classes.append((comp, None, None))
+            value = int(verdicts.pop()), 1
+        else:
+            weights, total = _stationary(comp, rows, s)
             classes.append((comp, weights, total))
-            value = _weighted_sum((weights[q], (1, total)) for q in comp if q in chain.accepting)
-            fixed.update(dict.fromkeys(comp, value))
-    cesaro = _limit_vector(rows, chain.alphabet_size, fixed, sccs)
+            value = _weighted_sum((weights[q], (1, total)) for q in comp if q in accepting)
+        fixed.update(dict.fromkeys(comp, value))
+    cesaro = _limit_vector(rows, s, fixed, sccs)
     return chain, classes, cesaro
 
 
@@ -463,8 +482,11 @@ def natural_density(dfa):
         accepting = [0] * period
         for q in comp:
             where[q] = index, level[q]
-            if q in chain.accepting:
+            if weights is not None and q in chain.accepting:
                 accepting[level[q] % period] += weights[q]
+        if weights is None:
+            # one verdict: each phase has 1/period of the class's mass
+            accepting, total = [int(comp[0] in chain.accepting)] * period, period
         phased.append((period, accepting, total))
     c = lcm(*(period for period, _, _ in phased))
     if c > STATE_BUDGET:

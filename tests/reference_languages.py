@@ -601,10 +601,15 @@ def stationary_by_pinned_solve(comp, count_rows, s):
 def _phase_masses(chain, classes):
     """The lcm c of the class periods and, for each recurrent state, its
     class's limit of acceptance per phase, as reduced pairs, and its level:
-    p times the accepting stationary mass of each phase, for period p."""
+    p times the accepting stationary mass of each phase, for period p.  A
+    class given no law by the analysis takes it from the pinned solve."""
     phases = {}
     periods = []
     for comp, weights, total in classes:
+        if weights is None:
+            weights, total = stationary_by_pinned_solve(
+                comp, chain.count_rows, chain.alphabet_size
+            )
         period, level = _class_period_and_levels(comp, chain.count_rows)
         periods.append(period)
         accepting_by_phase = [[] for _ in range(period)]

@@ -79,6 +79,24 @@ def test_dfa_validation():
         Dfa(AB, 2, [[0, 1], [0, 0]], 0, {5})
 
 
+@pytest.mark.parametrize(
+    "delta, error, message",
+    [
+        # the first bad state is named, whatever is wrong with later rows
+        ([[0, 1], [0, 4], [1, 1], [2]], ValueError, "state 1: transition target out of range"),
+        ([[-1, 1], [0, 0], [1, 1], [2]], ValueError, "state 0: transition target out of range"),
+        ([[0, 1], [0, 0], [1, 1], [2, 2, 2]], ValueError, "state 3: need one target per letter"),
+        ([[0, 1], [0, 0], [1, 1]], ValueError, "transition table must have one row per state"),
+        # a row's length is checked before its targets
+        ([[0, 1], [9], [1, 1], [2, 2]], ValueError, "state 1: need one target per letter"),
+        ([[0, 1], [0, "b"], [1, 1], [2, 2]], TypeError, "not supported between"),
+    ],
+)
+def test_dfa_validation_names_the_first_bad_state(delta, error, message):
+    with pytest.raises(error, match=message):
+        Dfa(AB, 4, delta, 0, set())
+
+
 def test_accepts():
     m = starts_with_a()
     assert m.accepts("a") and m.accepts("abba")

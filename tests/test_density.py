@@ -86,10 +86,16 @@ def test_is_null_is_dense_examples():
 
 def recurrent_classes(machine):
     """(states, period, stationary law) of each recurrent class of the chain
-    analysis, in the machine's own state numbering, ordered by states."""
+    analysis, in the machine's own state numbering, ordered by states; a
+    class that the analysis gives no law, one whose states all accept or
+    all reject, takes it from the reference solve."""
     chain, classes, _ = density_module._analyse(machine)
     out = []
     for comp, weights, total in classes:
+        if weights is None:
+            weights, total = ref.stationary_by_pinned_solve(
+                comp, chain.count_rows, chain.alphabet_size
+            )
         period, _ = density_module._class_period_and_levels(comp, chain.count_rows)
         states = tuple(sorted(chain.original[q] for q in comp))
         law = {chain.original[q]: Fraction(w, total) for q, w in weights.items()}
@@ -226,9 +232,12 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
     most_blocks = 0
     for machine in machines:
         # a class's law is extended unless it is uniform, which it is
-        # exactly when the class is doubly stochastic
+        # exactly when the class is doubly stochastic, or not needed, when
+        # its states all accept or all reject
         _, classes, _ = density_module._analyse(machine)
-        laws = sum(set(weights.values()) != {1} for _, weights, _ in classes)
+        laws = sum(
+            weights is not None and set(weights.values()) != {1} for _, weights, _ in classes
+        )
         calls.clear()
         limit_calls.clear()
         periods.clear()
@@ -281,11 +290,15 @@ def test_stationary_laws_match_the_pinned_solve(machine, rng):
     # the law is unique and its weights primitive, so the extension from the
     # state of most predecessors gives the one pinned solve's weights; a
     # relabelling of the chain moves the pin among tied states, and
-    # reorders the class and its components, but not the weights
+    # reorders the class and its components, but not the weights; a class
+    # that the analysis gives no law is still solved after relabelling
     chain, classes, _ = density_module._analyse(machine)
     s = chain.alphabet_size
     for comp, weights, total in classes:
-        assert (weights, total) == ref.stationary_by_pinned_solve(comp, chain.count_rows, s)
+        law = ref.stationary_by_pinned_solve(comp, chain.count_rows, s)
+        if weights is not None:
+            assert (weights, total) == law
+        weights, total = law
         perm = list(range(chain.n))
         rng.shuffle(perm)
         moved, total_moved = density_module._stationary(*relabelled(comp, chain.count_rows, perm), s)
@@ -742,6 +755,40 @@ def test_natural_density_matches_the_c_step_chain(machine):
     # 12 together give c = 24 with blocks only for the divisors of either
     report = natural_density(machine)
     assert report == ref.natural_density_by_c_step(machine)
+    assert report == ref.natural_density_by_phase_product(machine)
+
+
+@st.composite
+def one_verdict_dfas(draw):
+    """Phased machines whose accepting set is a union of whole closed
+    classes, with any transient states added: every closed class then
+    accepts or rejects as a whole."""
+    machine = draw(phased_dfas())
+    closed, transient = [], []
+    for comp in density_module.strongly_connected_components(machine.delta):
+        if all(t in comp for q in comp for t in machine.delta[q]):
+            closed.append(comp)
+        else:
+            transient += comp
+    accepting = set(draw(st.sets(st.sampled_from(transient)))) if transient else set()
+    for comp in closed:
+        if draw(st.booleans()):
+            accepting.update(comp)
+    return Dfa(AB, machine.n_states, machine.delta, 0, accepting)
+
+
+def no_law(*args):
+    raise AssertionError("a class that accepts or rejects as a whole needs no law")
+
+
+@settings(max_examples=80, deadline=None)
+@given(one_verdict_dfas())
+def test_one_verdict_classes_need_no_stationary_law(machine):
+    # each of a p-periodic class's p phases has mass 1/p, so the class
+    # limits need no law; the reference solves every class's law
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density_module, "_stationary", no_law)
+        report = natural_density(machine)
     assert report == ref.natural_density_by_phase_product(machine)
 
 
