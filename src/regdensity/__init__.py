@@ -15,7 +15,6 @@ from .automata import (
     Dfa,
     Nfa,
     dfa_from_json,
-    dfa_to_json,
     equivalent,
     find_difference_witness,
     has_forbidden_word,

@@ -33,18 +33,31 @@ class Dfa:
         if len(delta) != n_states:
             raise ValueError("transition table must have one row per state")
         targets = set(chain.from_iterable(delta))
-        if set(map(len, delta)) != {len(alphabet)} or not targets.issubset(range(n_states)):
+        if (
+            set(map(len, delta)) != {len(alphabet)}
+            or not targets.issubset(range(n_states))
+            # every target's type: in the set, a 1.0 may hide behind an int 1
+            or set(map(type, chain.from_iterable(delta))) != {int}
+        ):
             # some row is bad: walk them in order to name the first
             for q, row in enumerate(delta):
                 if len(row) != len(alphabet):
                     raise ValueError("state %d: need one target per letter" % q)
                 if any(not 0 <= t < n_states for t in row):
                     raise ValueError("state %d: transition target out of range" % q)
+                if set(map(type, row)) - {int}:
+                    bad = next(t for t in row if type(t) is not int)
+                    raise ValueError("state %d: transition target %r is not an integer" % (q, bad))
         if not 0 <= initial < n_states:
             raise ValueError("initial state out of range")
+        if type(initial) is not int:
+            raise ValueError("initial state %r is not an integer" % (initial,))
         accepting = frozenset(accepting)
         if any(not 0 <= q < n_states for q in accepting):
             raise ValueError("accepting state out of range")
+        if set(map(type, accepting)) - {int}:
+            bad = next(q for q in accepting if type(q) is not int)
+            raise ValueError("accepting state %r is not an integer" % (bad,))
         self.alphabet = alphabet
         self.n_states = n_states
         self.delta = delta
@@ -449,17 +462,6 @@ def random_dfa(rng, n_states, alphabet):
 
 
 # -- JSON interchange -------------------------------------------------------
-
-def dfa_to_json(dfa):
-    """Serialise a DFA to the JSON interchange dict."""
-    return {
-        "alphabet": list(dfa.alphabet.symbols),
-        "states": dfa.n_states,
-        "initial": dfa.initial,
-        "accepting": sorted(dfa.accepting),
-        "delta": [list(row) for row in dfa.delta],
-    }
-
 
 def _json_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):

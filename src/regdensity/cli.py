@@ -1,9 +1,9 @@
 """Command-line surface: exact density reports, censuses, approximation gap
 sweeps, monoid reports, and the verification suite.
 
-Exit codes: 0 success, 1 check/containment failure, 2 usage error,
-3 resource budget exceeded.  All fractions are printed as p/q (integers
-plain); output is byte-deterministic for a fixed invocation.
+Exit codes: 0 success, 1 check/containment failure or a closed stdout,
+2 usage error, 3 resource budget exceeded.  All fractions are printed as
+p/q (integers plain); output is byte-deterministic for a fixed invocation.
 """
 
 import argparse
@@ -407,7 +407,9 @@ def main(argv=None):
         if getattr(args, "max", 0) < 0:
             raise UsageError("--max must be non-negative, got %d" % args.max)
         if args.output is None:
-            return handler(args, sys.stdout)
+            code = handler(args, sys.stdout)
+            sys.stdout.flush()  # a closed stdout shows here, not at exit
+            return code
         # the file is opened only after the command has returned (exit 0 or
         # 1), so a run that exits 2 or 3 leaves any previous output in place
         buffer = io.StringIO()
@@ -424,6 +426,10 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print("resource budget exceeded: %s" % exc, file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader has gone: what is left goes to devnull at exit, and the run fails
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

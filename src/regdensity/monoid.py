@@ -7,33 +7,29 @@ enumerated breadth-first, and each new element records its BFS parent, the
 element and letter it was first reached from; its shortlex-least witness
 word is read off that parent chain.  The right Cayley graph is recorded
 while the elements are enumerated (Froidure & Pin), as one column per
-letter: ``columns[a][i]`` is the index of element_i·a.  The left Cayley
-graph is one column per generator too, each entry derived from its
-element's BFS parent through the right Cayley graph.
+letter: ``columns[a][i]`` is the index of element_i·a.
 
 Green's relations need no pass of Tarjan's algorithm over the elements
 (East, Egri-Nagy, Mitchell & Péresse, "Computing finite semigroups").
 Images move along the orbit of the state set, im(x·a) = im(x)·a, and x R x·a
 exactly when im(x·a) lies in the strongly connected component of im(x) in
 that orbit: if im(x)·a·w = im(x), then s = a·w permutes im(x), so x·s^k = x
-for some k.  Finite monoids are stable: an edge of either Cayley graph that
-stays in its J-class stays in its R-class (right) or L-class (left).  So
-J = D is the SCCs of the small graph of left edges on the R-classes, and the
-L-classes are spanned by the left edges that keep the J-class.  Everything
-stays linear in the number of monoid elements.
+for some k.  Finite monoids are stable: a right edge x -> x·a that stays
+in its J-class stays in its R-class, and a left edge x -> g·x that stays in
+its J-class stays in its L-class.  So J = D is the SCCs of the small graph
+of left edges on the R-classes.  Everything stays linear in the number of
+monoid elements.
 
 The class counts need no L-class of every element.  By Green's lemma
 ("On the structure of semigroups", 1951) every R-class of a D-class meets
 every L-class of it, in H-classes of one size: that is the egg-box, and
 |D| = #R(D)·#L(D)·|H|.  So one L-class L_x per J-class D, found by
 composing its least member x on the left, gives #L(D) = |D| / |L_x| and
-#H(D) = #R(D)·#L(D).  The full L and H assignments, which need the left
-Cayley graph of every element, are computed when first read.
+#H(D) = #R(D)·#L(D).  No element's own L- or H-class is computed.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import compress, count
 from operator import itemgetter
 
@@ -68,7 +64,8 @@ def _composition(n):
 
 
 class Monoid:
-    """Transition monoid of a minimal DFA, with BFS parents and Cayley graphs."""
+    """Transition monoid of a minimal DFA, with BFS parents and its right
+    Cayley graph."""
 
     __slots__ = (
         "alphabet",
@@ -81,7 +78,6 @@ class Monoid:
         "_parent",
         "_letter",
         "_columns",
-        "_left",
     )
 
     def __init__(self, alphabet, elements, index, minimal_dfa, parent, letter, columns, compose):
@@ -95,7 +91,6 @@ class Monoid:
         self._parent = parent
         self._letter = letter
         self._columns = columns
-        self._left = None
 
     def __len__(self):
         return len(self.elements)
@@ -133,34 +128,16 @@ class Monoid:
                     return x, y
         return None
 
-    def right_cayley(self):
-        """right_cayley()[i][g] = index of element_i · generator_g."""
-        return list(zip(*self._columns))
-
-    def _along(self, firsts, columns):
-        """Values down the BFS tree, one list per first value: value 0 is the
-        first, and element i = j·a, with j its BFS parent and a its letter,
-        takes columns[a][value j].  The columns are looked up once for all."""
+    def _along(self, first, columns):
+        """Values down the BFS tree: value 0 is ``first``, and element
+        i = j·a, with j its BFS parent and a its letter, takes
+        columns[a][value j].  The columns are looked up once."""
         parents, steps = self._parent[1:], [columns[a] for a in self._letter[1:]]
-        walks = []
-        for first in firsts:
-            values = [first]
-            append = values.append
-            for j, step in zip(parents, steps):
-                append(step[values[j]])
-            walks.append(values)
-        return walks
-
-    def _left_columns(self):
-        """_left_columns()[g][i] = index of generator_g · element_i, read
-        down the BFS tree as g·i = (g·j)·a for i = j·a: g·1 = g."""
-        if self._left is None:
-            self._left = self._along(self.generators, self._columns)
-        return self._left
-
-    def left_cayley(self):
-        """left_cayley()[i][g] = index of generator_g · element_i."""
-        return list(zip(*self._left_columns()))
+        values = [first]
+        append = values.append
+        for j, step in zip(parents, steps):
+            append(step[values[j]])
+        return values
 
     def element_of_word(self, word):
         columns, rank = self._columns, self.alphabet.rank
@@ -180,9 +157,9 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
     first reached from, spells its shortlex-least witness, and element
     indices increase in shortlex order of the witnesses.  Entry i of each
     letter's right Cayley column is appended when element i leaves the
-    frontier; the left columns and witnesses are derived from the parents
-    when asked for.  Elements are ``bytes`` state maps, extended by a letter
-    with one ``bytes.translate``, up to BYTE_STATES states, and tuples above.
+    frontier; the witnesses are read off the parents when asked for.
+    Elements are ``bytes`` state maps, extended by a letter with one
+    ``bytes.translate``, up to BYTE_STATES states, and tuples above.
     """
     minimal = dfa.minimized()
     n = minimal.n_states
@@ -221,50 +198,24 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
 
 @dataclass(frozen=True)
 class GreenClasses:
-    """Green's R, L, J and H classes of a monoid, one class id per element,
-    plus the minimal J-class and the class counts.
+    """Green's R and J classes of a monoid, one class id per element, plus
+    the minimal J-class and the class counts.
 
-    Ids are canonical: R, L and J classes are numbered by least member, H
-    classes by the first (R, L) pair in index order.  ``j_minimal`` holds
-    the one J-class id that is J-below every other, the monoid's minimal
-    ideal.  ``counts`` is the number of (J, R, L, H) classes.  ``l_class``
-    and ``h_class`` are computed on first read, from the monoid's left
-    Cayley graph.  The ``*_classes`` properties group the members of each
-    class.
+    Ids are canonical: R and J classes are numbered by least member.
+    ``j_minimal`` holds the one J-class id that is J-below every other, the
+    monoid's minimal ideal.  ``counts`` is the number of (J, R, L, H)
+    classes, from the egg-box: no element's own L- or H-class is kept.
     """
 
     r_class: tuple
     j_class: tuple
     j_minimal: tuple
     counts: tuple
-    monoid: Monoid = field(repr=False, compare=False)
-
-    @cached_property
-    def l_class(self):
-        # stability again, on the left: the left edges that keep the J-class
-        return tuple(_keyed_classes(self.monoid._left_columns(), self.j_class)[0])
-
-    @cached_property
-    def h_class(self):
-        h_ids = {}
-        return tuple(h_ids.setdefault(key, len(h_ids)) for key in zip(self.r_class, self.l_class))
-
-    r_classes = property(lambda self: _members(self.r_class))
-    l_classes = property(lambda self: _members(self.l_class))
-    j_classes = property(lambda self: _members(self.j_class))
-    h_classes = property(lambda self: _members(self.h_class))
 
     def in_minimal_ideal(self, elements):
         """The given elements that lie in the minimal ideal, in index order.
         A language is null exactly when none of its accept set does."""
         return sorted(i for i in elements if self.j_class[i] in self.j_minimal)
-
-
-def _members(assignment):
-    groups = [[] for _ in range(max(assignment) + 1)]
-    for i, c in enumerate(assignment):
-        groups[c].append(i)
-    return tuple(frozenset(g) for g in groups)
 
 
 def _keyed_classes(columns, key):
@@ -305,7 +256,7 @@ def green_classes(monoid):
         [frozenset(range(monoid.minimal_dfa.n_states))],
         lambda subset: [frozenset([delta[q][a] for q in subset]) for a in letters],
     )
-    (image,) = monoid._along([0], list(zip(*steps)))  # im(p·a) = im(p)·a, down the BFS tree
+    image = monoid._along(0, list(zip(*steps)))  # im(p·a) = im(p)·a, down the BFS tree
     component = _component_ids(steps)
     r_class, r_roots = _keyed_classes(monoid._columns, [component[v] for v in image])
 
@@ -346,7 +297,7 @@ def green_classes(monoid):
     j_minimal = tuple(c for c in range(len(least)) if c not in exits)
 
     counts = (len(least), len(r_roots), l_total, h_total)
-    return GreenClasses(tuple(r_class), tuple(j_class), j_minimal, counts, monoid)
+    return GreenClasses(tuple(r_class), tuple(j_class), j_minimal, counts)
 
 
 def idempotent_power(monoid, element):

