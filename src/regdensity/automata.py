@@ -27,6 +27,8 @@ class Dfa:
     __slots__ = ("alphabet", "n_states", "delta", "initial", "accepting")
 
     def __init__(self, alphabet, n_states, delta, initial, accepting):
+        if type(n_states) is not int:  # a bool is no count of states either
+            raise ValueError("number of states %r is not an integer" % (n_states,))
         if n_states < 1:
             raise ValueError("a total DFA needs at least one state")
         delta = tuple(map(tuple, delta))
@@ -43,21 +45,22 @@ class Dfa:
             for q, row in enumerate(delta):
                 if len(row) != len(alphabet):
                     raise ValueError("state %d: need one target per letter" % q)
-                if any(not 0 <= t < n_states for t in row):
-                    raise ValueError("state %d: transition target out of range" % q)
+                # types first: a string does not compare with the bounds
                 if set(map(type, row)) - {int}:
                     bad = next(t for t in row if type(t) is not int)
                     raise ValueError("state %d: transition target %r is not an integer" % (q, bad))
-        if not 0 <= initial < n_states:
-            raise ValueError("initial state out of range")
+                if any(not 0 <= t < n_states for t in row):
+                    raise ValueError("state %d: transition target out of range" % q)
         if type(initial) is not int:
             raise ValueError("initial state %r is not an integer" % (initial,))
+        if not 0 <= initial < n_states:
+            raise ValueError("initial state out of range")
         accepting = frozenset(accepting)
-        if any(not 0 <= q < n_states for q in accepting):
-            raise ValueError("accepting state out of range")
         if set(map(type, accepting)) - {int}:
             bad = next(q for q in accepting if type(q) is not int)
             raise ValueError("accepting state %r is not an integer" % (bad,))
+        if any(not 0 <= q < n_states for q in accepting):
+            raise ValueError("accepting state out of range")
         self.alphabet = alphabet
         self.n_states = n_states
         self.delta = delta
@@ -237,15 +240,17 @@ class Nfa:
         )
 
 
-def explore(starts, successors):
+def explore(starts, successors, budget=None):
     """Breadth-first search from the start states.
 
     Returns the states in discovery order and, for each of them, the
     discovery indices of ``successors(state)`` in the order listed (letter
     order for automata).  States must be hashable.  Raises
-    BudgetExceededError rather than discover more than ``STATE_BUDGET``
-    states.
+    BudgetExceededError rather than discover more than ``budget`` states,
+    ``STATE_BUDGET`` (read at the call) by default.
     """
+    if budget is None:
+        budget = STATE_BUDGET
     order = list(dict.fromkeys(starts))
     index = {q: i for i, q in enumerate(order)}
     rows = []
@@ -254,9 +259,9 @@ def explore(starts, successors):
         for t in successors(q):
             i = index.get(t)
             if i is None:
-                if len(order) >= STATE_BUDGET:
+                if len(order) >= budget:
                     raise BudgetExceededError(
-                        "automaton exceeds %d reachable states" % STATE_BUDGET
+                        "automaton exceeds %d reachable states" % budget
                     )
                 i = index[t] = len(order)
                 order.append(t)

@@ -26,6 +26,28 @@ every L-class of it, in H-classes of one size: that is the egg-box, and
 |D| = #R(D)·#L(D)·|H|.  So one L-class L_x per J-class D, found by
 composing its least member x on the left, gives #L(D) = |D| / |L_x| and
 #H(D) = #R(D)·#L(D).  No element's own L- or H-class is computed.
+
+A monoid past its element budget is mostly refused from its orbits, before
+it is enumerated (Linton, Pfeiffer, Robertson & Ruškuc, "Groups and actions
+in transformation semigroups", 1998).  Kernels move along the orbit ρ of
+the discrete partition under ker(a·x) = {(p, q) : a(p) ~ a(q)}, ~ = ker x,
+and for every x
+
+    |D_x| >= |λ-SCC(im x)|·|ρ-SCC(ker x)|·|G|,
+
+with λ the image orbit and G the group of permutations that the Schreier
+generators of the λ-SCC of im x induce on im x:
+1. x·g·u, for g in G and u taking im x onto an image of its λ-SCC, are
+   |λ-SCC|·|G| distinct elements of R_x, as above.
+2. If ker(s·x) = ker x, then s permutes the classes of ker x, so
+   s^k·x = x.  So every kernel of the ρ-SCC of ker x is that of some w·x
+   L x, and distinct kernels lie in distinct R-classes of D_x.
+3. Every R-class of D_x has |R_x| elements (Green's lemma).
+4. D-classes of different rank are different, so the sum over ranks of
+   the best bound of that rank is at most |M|.  The x are the image
+   orbit's BFS-tree elements u_Y, one per image Y.
+An element has one image and one kernel, so an orbit past the budget
+refuses the monoid alone.
 """
 
 from collections import Counter
@@ -160,6 +182,13 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
     frontier; the witnesses are read off the parents when asked for.
     Elements are ``bytes`` state maps, extended by a letter with one
     ``bytes.translate``, up to BYTE_STATES states, and tuples above.
+
+    When element ⌊budget/2⌋ is about to be added, the monoid is refused at
+    once if ``_size_lower_bound`` exceeds the budget: the sum over ranks of
+    the best |λ-SCC(im x)|·|ρ-SCC(ker x)|·|G| of the module docstring, sound
+    for the four reasons given there.  So BudgetExceededError is raised
+    exactly when the monoid has more than ``budget`` elements, and an
+    enumeration that goes on is the same as without the bound.
     """
     minimal = dfa.minimized()
     n = minimal.n_states
@@ -174,19 +203,22 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
         (a, columns[a].append, _operand(_transformation([minimal.delta[q][a] for q in range(n)])))
         for a in range(len(minimal.alphabet))
     ]
-    find = index.get
+    setdefault = index.setdefault
     new_element, new_parent, new_letter = elements.append, parent.append, letter.append
+    size, limit = 1, budget // 2  # the orbits are asked once, at limit elements
     for frontier, element in enumerate(elements):  # elements grows while it is read
         for a, record, letter_map in letter_maps:
             composed = compose(element, letter_map)
-            target = find(composed)
-            if target is None:
-                target = len(elements)
-                if target >= budget:
-                    raise BudgetExceededError(
-                        "transition monoid exceeds %d elements" % budget
-                    )
-                index[composed] = target
+            target = setdefault(composed, size)
+            if target == size:
+                if size >= limit:
+                    # the new element is tested against the full budget too
+                    if size >= budget or _size_lower_bound(minimal, budget) > budget:
+                        raise BudgetExceededError(
+                            "transition monoid exceeds %d elements" % budget
+                        )
+                    limit = budget
+                size += 1
                 new_element(composed)
                 new_parent(frontier)
                 new_letter(a)
@@ -248,16 +280,84 @@ def _component_ids(successors):
     return ids
 
 
+def _image_orbit(minimal, budget):
+    """The orbit of the state set of ``minimal`` under its letters, which is
+    the set of images of its monoid's elements, as ``explore`` returns it,
+    and each image's SCC id.  Raises BudgetExceededError past ``budget``."""
+    delta, letters = minimal.delta, range(len(minimal.alphabet))
+    images, steps = explore(
+        [frozenset(range(minimal.n_states))],
+        lambda subset: [frozenset([delta[q][a] for q in subset]) for a in letters],
+        budget,
+    )
+    return images, steps, _component_ids(steps)
+
+
+def _size_lower_bound(minimal, cap):
+    """A lower bound on the size of the transition monoid of ``minimal``:
+    over ranks, the largest |λ-SCC(Y)|·|ρ-SCC(ker u_Y)|·|G| of an image Y
+    (module docstring), with G closed only until that passes ``cap``."""
+    n = minimal.n_states
+    compose, identity = _composition(n), _transformation(range(n))
+    letters = [_transformation([row[a] for row in minimal.delta]) for a in range(len(minimal.alphabet))]
+    operands = list(map(_operand, letters))
+
+    def kernel(x):  # x's values renumbered in order of first appearance
+        first = {}
+        return _transformation([first.setdefault(v, len(first)) for v in x])
+
+    try:  # an element has one image and one kernel: more than cap of either decide
+        images, steps, component = _image_orbit(minimal, cap)
+        # ker(a·x) = {(p, q) : a(p) ~ a(q)} for ~ = ker x
+        kernels, rows = explore([identity], lambda k: [kernel(compose(a, _operand(k))) for a in letters], cap)
+    except BudgetExceededError:
+        return cap + 1
+    ids = _component_ids(rows)
+    rho_size = dict(zip(kernels, map(Counter(ids).__getitem__, ids)))  # |ρ-SCC| of each kernel
+    u = [identity] + [None] * (len(images) - 1)  # u_Y, down the BFS tree
+    for y, row in enumerate(steps):
+        for a, z in enumerate(row):
+            if u[z] is None:
+                u[z] = compose(u[y], operands[a])
+    sccs = {}
+    for y, c in enumerate(component):
+        sccs.setdefault(c, []).append(y)
+    best = Counter()
+    for c, scc in sccs.items():
+        # maps root -> Y and Y -> root inside the SCC, through its edges
+        edges = [(y, a, z) for y in scc for a, z in enumerate(steps[y]) if component[z] == c]
+        root, x = scc[0], u[scc[0]]
+        forward, back = {root: identity}, {root: identity}
+        while len(forward) < len(scc) or len(back) < len(scc):
+            for y, a, z in edges:
+                if y in forward and z not in forward:
+                    forward[z] = compose(forward[y], operands[a])
+                if z in back and y not in back:
+                    back[y] = compose(letters[a], _operand(back[z]))
+        # the Schreier generators of G, one per permutation of the root
+        schreier = (_operand(compose(compose(forward[y], operands[a]), _operand(back[z]))) for y, a, z in edges)
+        generators = list({compose(x, s): s for s in schreier}.values())
+        factor = len(scc) * max(rho_size[kernel(u[y])] for y in scc)
+        group = [x]  # x·G
+        seen = set(group)
+        for g in group:  # group grows while it is read
+            if factor * len(group) > cap:
+                return factor * len(group)
+            for s in generators:
+                h = compose(g, s)
+                if h not in seen:
+                    seen.add(h)
+                    group.append(h)
+        rank = len(images[root])
+        best[rank] = max(best[rank], factor * len(group))
+    return sum(best.values())
+
+
 def green_classes(monoid):
     """Green's classes of ``monoid`` from its image orbit, its right Cayley
     graph and left compositions at one element per R-class and per L_x."""
-    delta, letters = monoid.minimal_dfa.delta, range(len(monoid.alphabet))
-    _, steps = explore(
-        [frozenset(range(monoid.minimal_dfa.n_states))],
-        lambda subset: [frozenset([delta[q][a] for q in subset]) for a in letters],
-    )
+    _, steps, component = _image_orbit(monoid.minimal_dfa, len(monoid))  # one image per element
     image = monoid._along(0, list(zip(*steps)))  # im(p·a) = im(p)·a, down the BFS tree
-    component = _component_ids(steps)
     r_class, r_roots = _keyed_classes(monoid._columns, [component[v] for v in image])
 
     # R is a left congruence, so g·x lands in one R-class for every x of an

@@ -85,6 +85,14 @@ def test_dfa_validation():
         Dfa(AB, 2, [[0, 1], [0, 0]], 1.0, {1})
     with pytest.raises(ValueError, match="accepting state 1.0 is not an integer"):
         Dfa(AB, 2, [[0, 1], [0, 0]], 0, {1.0})
+    with pytest.raises(ValueError, match="number of states 2.0 is not an integer"):
+        Dfa(AB, 2.0, [[0, 1], [0, 0]], 0, {1})
+    with pytest.raises(ValueError, match="number of states True is not an integer"):
+        Dfa(AB, True, [[0, 0]], 0, {0})
+    with pytest.raises(ValueError, match="initial state '0' is not an integer"):
+        Dfa(AB, 2, [[0, 1], [0, 0]], "0", {1})
+    with pytest.raises(ValueError, match="accepting state '1' is not an integer"):
+        Dfa(AB, 2, [[0, 1], [0, 0]], 0, {"1"})
 
 
 @pytest.mark.parametrize(
@@ -97,7 +105,8 @@ def test_dfa_validation():
         ([[0, 1], [0, 0], [1, 1]], ValueError, "transition table must have one row per state"),
         # a row's length is checked before its targets
         ([[0, 1], [9], [1, 1], [2, 2]], ValueError, "state 1: need one target per letter"),
-        ([[0, 1], [0, "b"], [1, 1], [2, 2]], TypeError, "not supported between"),
+        # a type is checked before the range, which a string cannot compare with
+        ([[0, 1], [0, "b"], [1, 1], [2, 2]], ValueError, "state 1: transition target 'b' is not an integer"),
     ],
 )
 def test_dfa_validation_names_the_first_bad_state(delta, error, message):

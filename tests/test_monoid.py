@@ -26,7 +26,8 @@ from regdensity import (
 )
 from regdensity.automata import strongly_connected_components
 from regdensity.cli import main
-from regdensity.monoid import idempotent_power
+from regdensity import monoid as monoid_module
+from regdensity.monoid import DEFAULT_MONOID_BUDGET, _size_lower_bound, idempotent_power
 
 import reference_languages as ref
 from reference_languages import dfa_to_json
@@ -542,6 +543,83 @@ def test_budget_is_exact_on_both_element_kinds(machine, kind):
         with pytest.raises(BudgetExceededError) as raised:
             build(machine, budget=size - 1)
         assert str(raised.value) == "transition monoid exceeds %d elements" % (size - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_one_dfas())
+@example(starts_with_a())
+@example(mod_counter_dfa(3))
+def test_budget_edges_match_tuple_reference(machine):
+    """The switch comes at the first element added at index ⌊B/2⌋ or more:
+    at B = 1 that element is already past the budget, at B = 2 it is the
+    last one allowed, at 2|M| - 2 and 2|M| - 1 it is the monoid's last
+    element, and at 2|M| it never comes."""
+    try:
+        size = len(ref.tuple_transition_monoid(machine, budget=3000)[0])
+    except BudgetExceededError:
+        assume(False)
+    budgets = {1, 2, size - 1, size, 2 * size - 2, 2 * size - 1, 2 * size} - {0}
+    for budget, build in itertools.product(sorted(budgets), (transition_monoid, ref.tuple_transition_monoid)):
+        if size > budget:
+            with pytest.raises(BudgetExceededError) as raised:
+                build(machine, budget=budget)
+            assert str(raised.value) == "transition monoid exceeds %d elements" % budget
+        else:
+            assert len(build(machine, budget=budget)[0]) == size
+
+
+# -- the orbit bound on the monoid's size --------------------------------------
+
+def full_transformation_dfa(n):
+    """``a`` is an n-cycle, ``b`` swaps states 0 and 1 and ``c`` sends 1 to 0:
+    a minimal machine whose monoid is all n**n maps of its states."""
+    return Dfa(
+        Alphabet("abc"), n, [[(q + 1) % n, (1, 0, *range(2, n))[q], q if q != 1 else 0] for q in range(n)], 0, {0}
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(zero_one_dfas())
+@example(full_transformation_dfa(3))
+def test_size_lower_bound_is_sound(machine):
+    try:
+        monoid, _ = transition_monoid(machine, budget=20_000)
+    except BudgetExceededError:
+        assume(False)
+    assert _size_lower_bound(machine.minimized(), 10**9) <= len(monoid)
+
+
+@pytest.mark.parametrize(
+    "machine, size",
+    [(mod_counter_dfa(k), k) for k in (1, 2, 7, 300)]
+    + [(full_transformation_dfa(3), 27), (full_transformation_dfa(4), 256)],
+    ids=["modk-1", "modk-2", "modk-7", "modk-300-tuple", "T3", "T4"],
+)
+def test_size_lower_bound_is_exact_on_groups_and_full_transformation_monoids(machine, size):
+    assert len(transition_monoid(machine)[0]) == size
+    assert _size_lower_bound(machine.minimized(), 10**9) == size
+
+
+def test_full_transformation_monoid_on_seven_states_is_refused_by_one_bound(
+    tmp_path, capsys, monkeypatch
+):
+    """|T_7| = 823,543: the orbits refuse it at 25,000 elements, with the
+    message the enumeration would give at 50,000."""
+    machine = full_transformation_dfa(7)
+    assert machine.minimized().n_states == 7
+    bounds = []
+
+    def counted(minimal, cap):
+        bounds.append(_size_lower_bound(minimal, cap))
+        return bounds[-1]
+
+    monkeypatch.setattr(monoid_module, "_size_lower_bound", counted)
+    path = tmp_path / "t7.json"
+    path.write_text(json.dumps(dfa_to_json(machine)), encoding="utf-8")
+    assert main(["monoid", "--dfa", str(path)]) == 3
+    assert len(bounds) == 1 and bounds[0] > DEFAULT_MONOID_BUDGET
+    out, err = capsys.readouterr()
+    assert out == "" and "transition monoid exceeds %d elements" % DEFAULT_MONOID_BUDGET in err
 
 
 @settings(max_examples=120, deadline=None)
