@@ -5,12 +5,14 @@ chain on its states.  The density of the language is the Cesàro limit of
 the probability of sitting in an accepting state.  One analysis per chain
 computes it exactly: a single strongly-connected decomposition gives the
 bottom (recurrent) classes and orders the harmonic extension of their
-values over the transient states.  The stationary law of a class that
-mixes accepting and rejecting states is one more harmonic extension, from
-one pinned state over the class's in-edge graph.  A class whose states all
-accept or all reject carries no law: its mass is 1 or 0 under any law, and
-each of the p phases of a p-periodic class has mass 1/p, since the chain
-moves all of one phase's mass to the next.
+values over the transient states, which is skipped when every class has
+the same value, since the extension of a constant is that constant.  The
+stationary law of a class that mixes accepting and rejecting states is one
+more harmonic extension, from one pinned state over the class's in-edge
+graph.  A class whose states all accept or all reject carries no law: its
+mass is 1 or 0 under any law, and each of the p phases of a p-periodic
+class has mass 1/p, since the chain moves all of one phase's mass to the
+next.
 ``density`` reads the Cesàro value from that analysis; ``natural_density``
 adds the class periods and, only when their lcm c exceeds 1 and the initial
 state is transient, the per-residue limits: the factors Φ_d of x^c − 1
@@ -326,11 +328,15 @@ def _limit_vector(step_rows, scale, fixed, sccs):
 def _analyse(dfa):
     """The uniform chain of a DFA, its recurrent classes as (states,
     stationary weights, total) triples in chain numbering, and the per-state
-    Cesàro limit of acceptance as reduced pairs: one decomposition and one
-    transient solve of the chain, after one of each per non-uniform law.
-    A class whose states all accept or all reject carries no law and is
-    (states, None, None): its mass is 1 or 0 under any law, and each of its
-    p phases holds 1/p of it, as the chain carries each phase onto the next."""
+    Cesàro limit of acceptance as reduced pairs: one decomposition of the
+    chain, one decomposition and one extension per non-uniform law, and one
+    transient solve of the chain when the classes' values differ.  When
+    they are all one value, every state takes it with no solve: absorption
+    probabilities sum to 1, so that constant solves every row, and the
+    extension is unique.  A class whose states all accept or all reject
+    carries no law and is (states, None, None): its mass is 1 or 0 under any
+    law, and each of its p phases holds 1/p of it, as the chain carries each
+    phase onto the next."""
     chain = UniformChain(dfa)
     rows = chain.count_rows
     s = chain.alphabet_size
@@ -338,6 +344,7 @@ def _analyse(dfa):
     sccs = strongly_connected_components(rows)
     classes = []
     fixed = {}
+    values = set()
     for comp in sccs:
         if len(comp) == 1:
             closed = rows[comp[0]].get(comp[0]) == s
@@ -355,8 +362,10 @@ def _analyse(dfa):
             classes.append((comp, weights, total))
             value = _weighted_sum((weights[q], (1, total)) for q in comp if q in accepting)
         fixed.update(dict.fromkeys(comp, value))
-    cesaro = _limit_vector(rows, s, fixed, sccs)
-    return chain, classes, cesaro
+        values.add(value)
+    if len(values) == 1:
+        return chain, classes, dict.fromkeys(range(chain.n), values.pop())
+    return chain, classes, _limit_vector(rows, s, fixed, sccs)
 
 
 def density(dfa):

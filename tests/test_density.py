@@ -25,6 +25,7 @@ from regdensity import (
     ratio_and_cesaro,
     solve_exact,
 )
+from regdensity.approximations import nonpalindrome_window_dfa
 
 import reference_languages as ref
 
@@ -227,17 +228,27 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
             {1, 3, 4},
         )
     )
+    # classes of one value: the 8 prefix classes of the window machine, each
+    # of mass 7/8, and two accepting sinks behind state 0; the chain needs
+    # no extension
+    machines.append(nonpalindrome_window_dfa(3))
+    machines.append(Dfa(AB, 3, [[1, 2], [1, 1], [2, 2]], 0, {1, 2}))
     aperiodic = 0
     solves = Counter()
     most_blocks = 0
+    extended = Counter()
     for machine in machines:
         # a class's law is extended unless it is uniform, which it is
         # exactly when the class is doubly stochastic, or not needed, when
-        # its states all accept or all reject
-        _, classes, _ = density_module._analyse(machine)
+        # its states all accept or all reject; the chain is extended only
+        # when the classes' values differ
+        chain, classes, cesaro = density_module._analyse(machine)
         laws = sum(
             weights is not None and set(weights.values()) != {1} for _, weights, _ in classes
         )
+        chained = len({cesaro[comp[0]] for comp, _, _ in classes}) > 1
+        extended[chained] += 1
+        transient_initial = all(chain.initial not in comp for comp, _, _ in classes)
         calls.clear()
         limit_calls.clear()
         periods.clear()
@@ -249,29 +260,35 @@ def test_one_decomposition_and_transient_solve_per_call(monkeypatch):
         per_call = solves_per_call(limit_calls)
         assert calls == Counter(
             strongly_connected_components=1 + laws,
-            _limit_vector=1 + laws,
+            _limit_vector=chained + laws,
             explore=1,
             solve_exact=sum(per_call),
         )
         assert all(list(fixed.values()) == [(1, 1)] for (_, _, fixed, _), _ in limit_calls[:laws])
-        solves.update(stationary=sum(per_call[:laws]), transient=per_call[laws])
+        solves.update(stationary=sum(per_call[:laws]), transient=sum(per_call[laws:]))
+        if chained:
+            # the chain's extension follows the laws', fixed at the classes
+            (_, _, fixed, _), _ = limit_calls[laws]
+            assert len(fixed) == sum(len(comp) for comp, _, _ in classes)
         calls.clear()
         limit_calls.clear()
         report = natural_density(machine)
         aperiodic += report.modulus == 1
         # with a transient initial state, one decomposition and one
         # extension per block: per d > 1 that divides a class's period
-        (rows, _, fixed, _), _ = limit_calls[laws]
         blocks = {d for p in periods for d in range(2, p + 1) if p % d == 0}
-        passes = 1 + len(blocks) * (len(fixed) < len(rows))
-        most_blocks = max(most_blocks, passes - 1)
-        assert calls["strongly_connected_components"] == laws + passes
-        assert calls["_limit_vector"] == laws + passes
+        passes = len(blocks) * transient_initial
+        most_blocks = max(most_blocks, passes)
+        assert calls["strongly_connected_components"] == 1 + laws + passes
+        assert calls["_limit_vector"] == chained + laws + passes
         # the chain and each class's levels; the blocks explore nothing
         assert calls["explore"] == 1 + calls["_class_period_and_levels"]
         assert calls["solve_exact"] == sum(solves_per_call(limit_calls))
     assert 0 < aperiodic < len(machines)
     assert most_blocks == 2
+    # machines with and without the chain's extension, so neither branch
+    # is vacuous
+    assert extended[True] > 0 and extended[False] > 0
     # both kinds of system occur, so neither count is vacuous
     assert solves["stationary"] > 0 and solves["transient"] > 0
 
@@ -600,27 +617,37 @@ def test_stationary_validity_check(monkeypatch):
 
 
 def test_residue_limits_consistency_check(monkeypatch):
-    # the second _limit_vector call is residue block 2's; raising the
-    # initial state's value there by 1 would move the two residue limits by
-    # +1 and −1, which keeps their sum, but it breaks the initial state's
-    # row of the block
+    # the _limit_vector call made inside _block_value(2, ...) is residue
+    # block 2's; raising the initial state's value there by 1 would move the
+    # two residue limits by +1 and −1, which keeps their sum, but it breaks
+    # the initial state's row of the block
     expected = natural_density(tail_then_cycle())
     assert expected.modulus == 2
+    block_value = density_module._block_value
     limit_vector = density_module._limit_vector
-    vectors = []
+    blocks = []
+    perturbed_blocks = []
+
+    def in_block(d, *args):
+        blocks.append(d)
+        try:
+            return block_value(d, *args)
+        finally:
+            blocks.pop()
 
     def perturbed(*args):
         f = limit_vector(*args)
-        vectors.append(f)
-        if len(vectors) == 2:
+        if blocks == [2]:
+            perturbed_blocks.append(2)
             num, den = f[0]
             f[0] = num + den, den
         return f
 
+    monkeypatch.setattr(density_module, "_block_value", in_block)
     monkeypatch.setattr(density_module, "_limit_vector", perturbed)
-    with pytest.raises(ArithmeticError, match="residue limits inconsistent"):
+    with pytest.raises(ArithmeticError, match="residue limits inconsistent with block 2"):
         natural_density(tail_then_cycle())
-    assert len(vectors) == 2
+    assert perturbed_blocks == [2]
 
 
 def test_large_periodic_class_behind_one_transient_state():
@@ -801,6 +828,76 @@ def test_residue_limits_match_berlekamp_massey(machine):
     assert report.accumulation_points == ref.residue_limits_by_berlekamp_massey(
         machine, report.modulus
     )
+
+
+@st.composite
+def copies_behind_fan_out(draw, flip=False):
+    """k ≥ 2 copies of one strongly connected machine of m states, where a
+    walks a cycle, behind t ≥ k transient states: transient state i reads a
+    into a random state of copy i mod k and b into state i + 1, the last
+    one anywhere, so every copy is reached and every transient state can
+    leave for one.  The copies are closed classes of one value; with
+    ``flip``, copy 0 accepts exactly where the others reject."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 4))
+    t = draw(st.integers(k, 7))
+    inner = [[(q + 1) % m, draw(st.integers(0, m - 1))] for q in range(m)]
+    verdicts = draw(st.sets(st.integers(0, m - 1)))
+    n = t + k * m
+    delta = [
+        [
+            t + i % k * m + draw(st.integers(0, m - 1)),
+            i + 1 if i + 1 < t else draw(st.integers(0, n - 1)),
+        ]
+        for i in range(t)
+    ]
+    accepting = draw(st.sets(st.integers(0, t - 1)))
+    for j in range(k):
+        base = t + j * m
+        delta += [[base + q for q in row] for row in inner]
+        copy = set(range(m)) - verdicts if flip and j == 0 else verdicts
+        accepting |= {base + q for q in copy}
+    return Dfa(AB, n, delta, 0, accepting)
+
+
+def cesaro_by_full_extension(machine):
+    """The initial state's Cesàro value from one ``_limit_vector`` pass over
+    the whole chain, each class fixed at its accepting mass under the
+    reference law."""
+    chain, classes, _ = density_module._analyse(machine)
+    rows, s = chain.count_rows, chain.alphabet_size
+    fixed = {}
+    for comp, _, _ in classes:
+        weights, total = ref.stationary_by_pinned_solve(comp, rows, s)
+        mass = density_module._weighted_sum(
+            (weights[q], (1, total)) for q in comp if q in chain.accepting
+        )
+        fixed.update(dict.fromkeys(comp, mass))
+    sccs = density_module.strongly_connected_components(rows)
+    return Fraction(*density_module._limit_vector(rows, s, fixed, sccs)[chain.initial])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(copies_behind_fan_out(), copies_behind_fan_out(flip=True)))
+def test_classes_of_one_value_match_the_full_extension(machine):
+    # equal-valued classes give every state their value with no transient
+    # pass; the full extension and the residue limits read off count_words
+    # must agree, and a flipped copy, whose value differs unless it is 1/2,
+    # must not take that shortcut
+    value = density(machine)
+    assert value == cesaro_by_full_extension(machine)
+    report = natural_density(machine)
+    limits = ref.residue_limits_by_berlekamp_massey(machine, report.modulus)
+    assert value == report.density == sum(limits) / report.modulus
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_window_machines_have_one_class_value(k):
+    # one closed class per k-letter prefix, each of mass 1 − 2^−k
+    machine = nonpalindrome_window_dfa(k)
+    _, classes, _ = density_module._analyse(machine)
+    assert len(classes) == 2**k
+    assert density(machine) == 1 - Fraction(1, 2**k)
 
 
 def test_residue_blocks_past_the_state_budget_exit_quickly():
