@@ -4,9 +4,9 @@ containment verification against membership oracles, and gap reports.
 Each family pairs a target oracle with inner (subset) and/or outer
 (superset) DFA generators.  A missing inner generator contributes density 0
 (the empty language) and a missing outer generator density 1 (all words).
-A claimed density, where a closed form exists, must equal the engine's
-exact value.  ``gap_report`` compares no claim: ``check``'s sandwiches
-compare the inner claims, and the tests both sides, with zero tolerance.
+A family holds machines, not densities: the engine computes each side's
+density exactly, and the closed forms live where they are asserted, in
+``check`` and in the tests.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,6 @@ from .core import (
     census_by_enumeration,
     check_enumeration_budget,
     layers,
-    member_counts,
     ratio_and_cesaro,
     reader,
 )
@@ -46,14 +45,12 @@ MEMBER_SEARCH_LENGTH = 12  # longest base word the infix family looks for
 
 @dataclass(frozen=True)
 class ApproxFamily:
-    """Inner/outer DFA generators converging to a target oracle."""
+    """Inner/outer DFA generators converging to a target oracle, without density claims."""
 
     name: str
     target: LanguageOracle
     inner: Optional[Callable[[int], Dfa]] = None
     outer: Optional[Callable[[int], Dfa]] = None
-    inner_claim: Optional[Callable[[int], Optional[Fraction]]] = None
-    outer_claim: Optional[Callable[[int], Optional[Fraction]]] = None
 
 
 @dataclass(frozen=True)
@@ -262,17 +259,6 @@ def suffix_outer_dfa(base, letter, n):
     return _extension_trie_dfa(base, letter, n, outer=True, suffix=True)
 
 
-def _cylinder_mass(base, letter, n, members):
-    """Exact density sum of the cylinders picked below length n, from the
-    base's census (see ``member_counts``)."""
-    size = len(base.alphabet)
-    total = Fraction(0)
-    for length, count in enumerate(member_counts(base, n - 1)):
-        hits = count if members else size ** length - count
-        total += Fraction(hits, (size + 1) ** (length + 1))
-    return total
-
-
 def suffix_extension_family(base, letter):
     """Sandwich approximations of the suffix extension of a base language."""
     target = suffix_extension(base, letter)
@@ -281,8 +267,6 @@ def suffix_extension_family(base, letter):
         target=target,
         inner=lambda n: suffix_inner_dfa(base, letter, n),
         outer=lambda n: suffix_outer_dfa(base, letter, n),
-        inner_claim=lambda n: _cylinder_mass(base, letter, n, True),
-        outer_claim=lambda n: 1 - _cylinder_mass(base, letter, n, False),
     )
 
 
@@ -294,8 +278,6 @@ def prefix_extension_family(base, letter):
         target=prefix_extension(base, letter),
         inner=lambda n: _extension_trie_dfa(base, letter, n, outer=False, suffix=False),
         outer=lambda n: _extension_trie_dfa(base, letter, n, outer=True, suffix=False),
-        inner_claim=lambda n: _cylinder_mass(base, letter, n, True),
-        outer_claim=lambda n: 1 - _cylinder_mass(base, letter, n, False),
     )
 
 
@@ -328,8 +310,6 @@ def infix_extension_family(base, letter):
         target=target,
         inner=machine,
         outer=machine if empty else None,
-        inner_claim=lambda n: Fraction(0 if empty else 1),
-        outer_claim=(lambda n: Fraction(0)) if empty else None,
     )
 
 
@@ -340,14 +320,12 @@ def family(name):
             name="modk",
             target=count_eq(),
             outer=lambda k: mod_counter_dfa(k).complement(),
-            outer_claim=lambda k: Fraction(1, k) if k % 2 == 1 else None,
         )
     if name == "pal":
         return ApproxFamily(
             name="pal",
             target=palindromes().complement(),
             inner=lambda k: nonpalindrome_window_dfa(k),
-            inner_claim=lambda k: 1 - Fraction(1, 2 ** k),
         )
     if name == "goldstine":
         return ApproxFamily(
@@ -355,8 +333,6 @@ def family(name):
             target=goldstine(),
             inner=goldstine_inner_dfa,
             outer=lambda k: ends_with_letter_dfa("b", Alphabet("ab")),
-            inner_claim=lambda k: Fraction(1, 2) - Fraction(1, 2 ** (k + 1)),
-            outer_claim=lambda k: Fraction(1, 2),
         )
     if name == "o3":
         outer = _pair_counters_outer(Alphabet("abc"), "ab", "ac")

@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import comb
 
 from .approximations import (
-    ApproxFamily,
     family,
     majority_escape_witness,
     suffix_extension_family,
@@ -73,14 +72,14 @@ def _contained(label, cex):
     return _item(label, cex is None, cex or "ok")
 
 
-def _sandwich(prefix, fam, ks, max_length):
-    """Each k's inner machine of a family: its density against the family's
-    claim, and its containment in the target up to a length."""
+def _sandwich(prefix, target, inner, claim, ks, max_length):
+    """Each k's inner machine: its density against the criterion's closed
+    form ``claim(k)``, and its containment in the target up to a length."""
     items = []
     for k in ks:
-        machine = fam.inner(k)
-        items.append(_equal("%s-density-k%d" % (prefix, k), density(machine), fam.inner_claim(k)))
-        cex = verify_containment(machine, fam.target, "inner", max_length)
+        machine = inner(k)
+        items.append(_equal("%s-density-k%d" % (prefix, k), density(machine), claim(k)))
+        cex = verify_containment(machine, target, "inner", max_length)
         items.append(_contained("%s-containment-k%d" % (prefix, k), cex))
     return items
 
@@ -176,9 +175,8 @@ def check_textbook():
 
 
 def check_modk():
-    counters = ApproxFamily("modk", count_eq().complement(), inner=mod_counter_dfa,
-                            inner_claim=lambda k: Fraction(k - 1, k))
-    return _sandwich("modk", counters, (3, 5, 7, 9), 12)
+    return _sandwich("modk", count_eq().complement(), mod_counter_dfa,
+                     lambda k: Fraction(k - 1, k), (3, 5, 7, 9), 12)
 
 
 def check_dyck():
@@ -203,12 +201,15 @@ def check_dyck():
 
 
 def check_palindromes():
-    return _sandwich("pal-inner", family("pal"), range(1, 7), 14)
+    fam = family("pal")
+    return _sandwich("pal-inner", fam.target, fam.inner,
+                     lambda k: 1 - Fraction(1, 2 ** k), range(1, 7), 14)
 
 
 def check_goldstine():
     fam = family("goldstine")
-    items = _sandwich("goldstine-inner", fam, range(1, 11), 16)
+    items = _sandwich("goldstine-inner", fam.target, fam.inner,
+                      lambda k: Fraction(1, 2) - Fraction(1, 2 ** (k + 1)), range(1, 11), 16)
     outer_cex = verify_containment(fam.outer(1), fam.target, "outer", 16)  # one machine, any k
     items.append(_contained("goldstine-outer-containment", outer_cex))
 

@@ -58,7 +58,7 @@ class DensityReport:
 
 
 class UniformChain:
-    """Letter-count chain on the reachable states of a DFA.
+    """Letter-count chain on the reachable states of a DFA, numbered in ``explore`` order.
 
     ``count_rows[p][q]`` is the number of letters moving p to q; every row
     sums to ``alphabet_size``, so dividing by it gives the transition
@@ -71,7 +71,6 @@ class UniformChain:
         "accepting",
         "count_rows",
         "alphabet_size",
-        "original",
     )
 
     def __init__(self, dfa):
@@ -88,7 +87,6 @@ class UniformChain:
         self.accepting = frozenset(i for i, q in enumerate(order) if q in dfa.accepting)
         self.count_rows = count_rows
         self.alphabet_size = s
-        self.original = order
         for row in count_rows:
             if sum(row.values()) != s:
                 raise AssertionError("chain row is not stochastic")

@@ -17,7 +17,8 @@ after minimization.  ``prefix_trie_by_reversal`` builds the prefix
 extension's sandwich machines the long way round: the suffix machine of
 the reversed base, reversed into an NFA, determinized and minimized.
 ``tail_trie_dfa`` builds them as a raw trie of the tail words, each decided
-from the base's start, and minimizes it.  ``forbidden_word_by_factor_nfa``
+from the base's start, and minimizes it.  ``cylinder_mass`` is the closed
+form of the extension sandwiches' densities, summed from the base's census.  ``forbidden_word_by_factor_nfa``
 finds a forbidden word the long way round too: it determinizes the factor
 language's NFA and searches the complement.
 
@@ -68,6 +69,7 @@ from regdensity import (
 )
 from regdensity.approximations import _matcher_rows, _trie_alphabet
 from regdensity.automata import build_dfa, explore, strongly_connected_components
+from regdensity.core import member_counts
 from regdensity.density import (
     _analyse,
     _class_period_and_levels,
@@ -382,6 +384,22 @@ def cylinder_trie_dfa(base, letter, n, outer):
     delta.append([dead] * (s + 1))
     accepting = {free, *range(len(order))} if outer else {free}
     return Dfa(alphabet, len(order) + 2, delta, index.get("", beyond), accepting)
+
+
+def cylinder_mass(base, n, members):
+    """The density of the cylinders w·letter·B* over the base words w shorter
+    than n that are members (non-members if ``members`` is false), for one
+    fresh letter: a word of length l and the letter after it pick a cylinder
+    of mass 1/(|A| + 1)^(l + 1).  Summed from ``member_counts``, which is
+    unguarded, so a stepped base answers far past the enumeration budget
+    (n = 200).  The inner extension sandwich below n has the members' mass,
+    the outer one 1 minus the non-members' mass."""
+    size = len(base.alphabet)
+    total = Fraction(0)
+    for length, count in enumerate(member_counts(base, n - 1)):
+        hits = count if members else size ** length - count
+        total += Fraction(hits, (size + 1) ** (length + 1))
+    return total
 
 
 def reverse(dfa):

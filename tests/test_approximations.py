@@ -59,7 +59,7 @@ from regdensity.approximations import (
     suffix_outer_dfa,
 )
 from regdensity.cli import load_oracle
-from regdensity.languages import kemp_base, staircase_word_prefix
+from regdensity.languages import dyck_count, kemp_base, staircase_word_prefix
 
 import reference_languages as ref
 
@@ -70,8 +70,7 @@ def test_modk_family_claims():
     fam = family("modk")
     for k in (3, 5, 7):
         outer = fam.outer(k)
-        assert density(outer) == fam.outer_claim(k) == Fraction(1, k)
-    assert fam.outer_claim(4) is None
+        assert density(outer) == Fraction(1, k)
     # densities still computable for even parameters
     assert density(mod_counter_dfa(2)) == Fraction(1, 2)
     assert density(mod_counter_dfa(4)) == Fraction(3, 4)
@@ -80,7 +79,7 @@ def test_modk_family_claims():
 def test_pal_family_claims():
     fam = family("pal")
     for k in (1, 2, 3, 4):
-        assert density(fam.inner(k)) == fam.inner_claim(k) == 1 - Fraction(1, 2 ** k)
+        assert density(fam.inner(k)) == 1 - Fraction(1, 2 ** k)
 
 
 def test_pal_inner_is_exactly_the_window_language():
@@ -109,7 +108,7 @@ def test_window_machine_is_the_hand_indexed_machine():
 def test_goldstine_family_claims():
     fam = family("goldstine")
     for k in (1, 2, 5):
-        assert density(fam.inner(k)) == fam.inner_claim(k)
+        assert density(fam.inner(k)) == Fraction(1, 2) - Fraction(1, 2 ** (k + 1))
         assert density(fam.outer(k)) == Fraction(1, 2)
 
 
@@ -163,6 +162,17 @@ def test_gap_monotonicity():
     assert gold_gaps == sorted(gold_gaps, reverse=True)
 
 
+def test_cylinder_mass_on_dyck_is_the_catalan_sum():
+    # the reference counts dyck words through the stepper, dyck_count by
+    # the Catalan numbers
+    inner, outer = Fraction(0), Fraction(1)
+    for n in range(13):
+        assert ref.cylinder_mass(semi_dyck(), n, True) == inner
+        assert 1 - ref.cylinder_mass(semi_dyck(), n, False) == outer
+        inner += Fraction(dyck_count(n), 3 ** (n + 1))
+        outer -= Fraction(2 ** n - dyck_count(n), 3 ** (n + 1))
+
+
 def test_suffix_family_sandwich():
     fam = suffix_extension_family(semi_dyck(), "c")
     previous_inner = None
@@ -175,8 +185,8 @@ def test_suffix_family_sandwich():
             assert is_subset(outer, previous_outer)
         previous_inner, previous_outer = inner, outer
         di, do = density(inner), density(outer)
-        assert di == fam.inner_claim(n)
-        assert do == fam.outer_claim(n)
+        assert di == ref.cylinder_mass(semi_dyck(), n, True)
+        assert do == 1 - ref.cylinder_mass(semi_dyck(), n, False)
         assert do - di == Fraction(2, 3) ** n
 
 
@@ -186,8 +196,8 @@ def test_extension_family_claims_from_zero(build):
     fam = build(semi_dyck(), "c")
     for n in range(5):
         inner, outer = fam.inner(n), fam.outer(n)
-        assert density(inner) == fam.inner_claim(n)
-        assert density(outer) == fam.outer_claim(n)
+        assert density(inner) == ref.cylinder_mass(semi_dyck(), n, True)
+        assert density(outer) == 1 - ref.cylinder_mass(semi_dyck(), n, False)
         assert is_subset(inner, outer)
     assert density(fam.inner(0)) == 0 and density(fam.outer(0)) == 1
 
@@ -217,8 +227,8 @@ def test_extension_machines_match_cylinder_mass_on_random_bases(case):
     n, base = case
     for build in (suffix_extension_family, prefix_extension_family):
         fam = build(base, "c")
-        for machine, claim in ((fam.inner(n), fam.inner_claim(n)),
-                               (fam.outer(n), fam.outer_claim(n))):
+        for machine, claim in ((fam.inner(n), ref.cylinder_mass(base, n, True)),
+                               (fam.outer(n), 1 - ref.cylinder_mass(base, n, False))):
             assert density(machine) == claim
             assert natural_density(machine).natural_density == claim
     _prefix_machines_match_the_reversal_route(base, n)
@@ -245,8 +255,8 @@ def test_suffix_family_respects_target():
 def test_prefix_family_on_a_membership_only_base():
     base = LanguageOracle("ends-a", AB, lambda w: w.endswith("a"))
     fam = prefix_extension_family(base, "c")
-    assert density(fam.inner(3)) == fam.inner_claim(3) == Fraction(5, 27)
-    assert density(fam.outer(3)) == fam.outer_claim(3) == Fraction(13, 27)
+    assert density(fam.inner(3)) == ref.cylinder_mass(base, 3, True) == Fraction(5, 27)
+    assert density(fam.outer(3)) == 1 - ref.cylinder_mass(base, 3, False) == Fraction(13, 27)
     for n in (1, 2, 4):
         assert verify_containment(fam.inner(n), fam.target, "inner", 7) is None
         assert verify_containment(fam.outer(n), fam.target, "outer", 7) is None
@@ -266,11 +276,12 @@ def test_prefix_machines_at_k_200_answer_exactly(monkeypatch):
     bases = [load_oracle("dyck"), load_oracle("counteq:a,b"), load_oracle("majority:1")]
     for base in bases + [kemp_base()]:
         fam = prefix_extension_family(base, "c")
-        for machine, claim in ((fam.inner, fam.inner_claim), (fam.outer, fam.outer_claim)):
+        claims = (ref.cylinder_mass(base, 200, True), 1 - ref.cylinder_mass(base, 200, False))
+        for machine, claim in zip((fam.inner, fam.outer), claims):
             start = time.perf_counter()
             value = density(machine(200))
             assert time.perf_counter() - start < 2
-            assert value == claim(200)
+            assert value == claim
 
 
 def test_infix_family():

@@ -26,6 +26,7 @@ from regdensity import (
     solve_exact,
 )
 from regdensity.approximations import nonpalindrome_window_dfa
+from regdensity.automata import explore
 
 import reference_languages as ref
 
@@ -91,6 +92,7 @@ def recurrent_classes(machine):
     class that the analysis gives no law, one whose states all accept or
     all reject, takes it from the reference solve."""
     chain, classes, _ = density_module._analyse(machine)
+    order = explore([machine.initial], machine.delta.__getitem__)[0]
     out = []
     for comp, weights, total in classes:
         if weights is None:
@@ -98,8 +100,8 @@ def recurrent_classes(machine):
                 comp, chain.count_rows, chain.alphabet_size
             )
         period, _ = density_module._class_period_and_levels(comp, chain.count_rows)
-        states = tuple(sorted(chain.original[q] for q in comp))
-        law = {chain.original[q]: Fraction(w, total) for q, w in weights.items()}
+        states = tuple(sorted(order[q] for q in comp))
+        law = {order[q]: Fraction(w, total) for q, w in weights.items()}
         out.append((states, period, law))
     return sorted(out, key=lambda cls: cls[0])
 

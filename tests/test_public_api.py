@@ -1,6 +1,8 @@
 """The public API holds only what the program, its README or its benchmark
 trace reads: a scan of the package source, so that test-only API cannot
-creep back into ``src/``."""
+creep back into ``src/``.  The same holds for the fields of public classes:
+a field no package code reads and README.md does not name is state kept
+for the tests."""
 
 import ast
 import collections
@@ -9,6 +11,11 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "regdensity"
+
+
+def _package_trees():
+    """Each module of the package, by name, as a parsed tree."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
 
 
 def _references(tree):
@@ -35,7 +42,7 @@ def _public_definitions(tree, module):
 def unread_public_names():
     """Public definitions that no code in the package reads outside their
     own body and that neither README.md nor perfbench/tracing.py names."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    trees = _package_trees()
     read = sum((_references(tree) for tree in trees.values()), collections.Counter())
     named = set()
     for path in (ROOT / "README.md", ROOT / "perfbench" / "tracing.py"):
@@ -52,3 +59,42 @@ def unread_public_names():
 
 def test_every_public_name_is_read_by_the_program_or_documented():
     assert unread_public_names() == []
+
+
+def _fields(node):
+    """A class's fields: its annotated names (dataclass or NamedTuple
+    fields) and its ``__slots__`` entries."""
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            yield item.target.id
+        elif isinstance(item, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__slots__" for target in item.targets
+        ):
+            yield from (ast.literal_eval(elt) for elt in item.value.elts)
+
+
+def unread_public_fields():
+    """Fields of public classes that no package code loads as an attribute
+    and that README.md names in no code span."""
+    trees = _package_trees().values()
+    loaded = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"(`+)(.+?)\1", readme, re.S)
+    documented = {word for _, span in spans for word in re.findall(r"\w+", span)}
+    return [
+        "%s.%s" % (node.name, field)
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for field in _fields(node)
+        if field not in loaded and field not in documented
+    ]
+
+
+def test_every_public_field_is_read_by_the_program_or_documented():
+    assert unread_public_fields() == []
