@@ -27,11 +27,11 @@ every L-class of it, in H-classes of one size: that is the egg-box, and
 composing its least member x on the left, gives #L(D) = |D| / |L_x| and
 #H(D) = #R(D)·#L(D).  No element's own L- or H-class is computed.
 
-A monoid past its element budget is mostly refused from its orbits, before
-it is enumerated (Linton, Pfeiffer, Robertson & Ruškuc, "Groups and actions
-in transformation semigroups", 1998).  Kernels move along the orbit ρ of
-the discrete partition under ker(a·x) = {(p, q) : a(p) ~ a(q)}, ~ = ker x,
-and for every x
+A monoid past its element budget is mostly refused from its orbits, with
+an eighth of the budget enumerated (Linton, Pfeiffer, Robertson & Ruškuc,
+"Groups and actions in transformation semigroups", 1998).  Kernels move
+along the orbit ρ of the discrete partition under ker(a·x) = {(p, q) :
+a(p) ~ a(q)}, ~ = ker x, and for every x
 
     |D_x| >= |λ-SCC(im x)|·|ρ-SCC(ker x)|·|G|,
 
@@ -47,7 +47,9 @@ generators of the λ-SCC of im x induce on im x:
    the best bound of that rank is at most |M|.  The x are the image
    orbit's BFS-tree elements u_Y, one per image Y.
 An element has one image and one kernel, so an orbit past the budget
-refuses the monoid alone.
+refuses the monoid alone.  The bound is asked once, at ⌊budget/8⌋ elements,
+and never for an n-state machine with n^n <= budget: then |M| <= |T_n| = n^n
+cannot exceed the budget.
 """
 
 from collections import Counter
@@ -183,12 +185,14 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
     Elements are ``bytes`` state maps, extended by a letter with one
     ``bytes.translate``, up to BYTE_STATES states, and tuples above.
 
-    When element ⌊budget/2⌋ is about to be added, the monoid is refused at
-    once if ``_size_lower_bound`` exceeds the budget: the sum over ranks of
-    the best |λ-SCC(im x)|·|ρ-SCC(ker x)|·|G| of the module docstring, sound
-    for the four reasons given there.  So BudgetExceededError is raised
-    exactly when the monoid has more than ``budget`` elements, and an
-    enumeration that goes on is the same as without the bound.
+    Unless the minimal DFA's n states have n^n <= budget, so that the monoid
+    of at most |T_n| = n^n elements fits, the monoid is refused at once when
+    element ⌊budget/8⌋ is about to be added if ``_size_lower_bound`` exceeds
+    the budget: the sum over ranks of the best |λ-SCC(im x)|·|ρ-SCC(ker x)|·|G|
+    of the module docstring, sound for the four reasons given there.  That
+    element is still tested against the full budget.  So BudgetExceededError
+    is raised exactly when the monoid has more than ``budget`` elements, and
+    an enumeration that goes on is the same as without the bound.
     """
     minimal = dfa.minimized()
     n = minimal.n_states
@@ -205,7 +209,10 @@ def transition_monoid(dfa, budget=DEFAULT_MONOID_BUDGET):
     ]
     setdefault = index.setdefault
     new_element, new_parent, new_letter = elements.append, parent.append, letter.append
-    size, limit = 1, budget // 2  # the orbits are asked once, at limit elements
+    # the orbits are asked once, at limit elements, unless |M| <= |T_n| = n**n
+    # fits the budget; past budget.bit_length() states n**n >= 2**n > budget
+    fits = n <= budget.bit_length() and n**n <= budget
+    size, limit = 1, budget if fits else budget // 8
     for frontier, element in enumerate(elements):  # elements grows while it is read
         for a, record, letter_map in letter_maps:
             composed = compose(element, letter_map)

@@ -550,15 +550,19 @@ def test_budget_is_exact_on_both_element_kinds(machine, kind):
 @example(starts_with_a())
 @example(mod_counter_dfa(3))
 def test_budget_edges_match_tuple_reference(machine):
-    """The switch comes at the first element added at index ⌊B/2⌋ or more:
-    at B = 1 that element is already past the budget, at B = 2 it is the
-    last one allowed, at 2|M| - 2 and 2|M| - 1 it is the monoid's last
-    element, and at 2|M| it never comes."""
+    """The switch comes at the first element added at index ⌊B/8⌋ or more,
+    unless n^n <= B for the minimal machine's n states: at B = 1 that
+    element is already past the budget, at B = 2 it is the last one allowed,
+    at 2|M| - 2, 2|M| - 1, 8|M| - 8 and 8|M| - 1 it is the monoid's last
+    element, and at 8|M| it never comes; at n^n it never comes either."""
     try:
         size = len(ref.tuple_transition_monoid(machine, budget=3000)[0])
     except BudgetExceededError:
         assume(False)
-    budgets = {1, 2, size - 1, size, 2 * size - 2, 2 * size - 1, 2 * size} - {0}
+    n = machine.minimized().n_states
+    budgets = {1, 2, size - 1, size, 2 * size - 2, 2 * size - 1, 2 * size}
+    budgets |= {8 * size - 8, 8 * size - 1, 8 * size, n**n - 1, n**n}
+    budgets -= {0}
     for budget, build in itertools.product(sorted(budgets), (transition_monoid, ref.tuple_transition_monoid)):
         if size > budget:
             with pytest.raises(BudgetExceededError) as raised:
@@ -600,26 +604,61 @@ def test_size_lower_bound_is_exact_on_groups_and_full_transformation_monoids(mac
     assert _size_lower_bound(machine.minimized(), 10**9) == size
 
 
-def test_full_transformation_monoid_on_seven_states_is_refused_by_one_bound(
-    tmp_path, capsys, monkeypatch
-):
-    """|T_7| = 823,543: the orbits refuse it at 25,000 elements, with the
+@pytest.fixture
+def bounds(monkeypatch):
+    """The values ``transition_monoid`` reads from ``_size_lower_bound``,
+    one per call."""
+    values = []
+
+    def counted(minimal, cap):
+        values.append(_size_lower_bound(minimal, cap))
+        return values[-1]
+
+    monkeypatch.setattr(monoid_module, "_size_lower_bound", counted)
+    return values
+
+
+def run_monoid(machine, tmp_path, *options):
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(dfa_to_json(machine)), encoding="utf-8")
+    return main(["monoid", "--dfa", str(path), *options])
+
+
+def test_full_transformation_monoid_on_seven_states_is_refused_by_one_bound(tmp_path, capsys, bounds):
+    """|T_7| = 823,543: the orbits refuse it at 6,250 elements, with the
     message the enumeration would give at 50,000."""
     machine = full_transformation_dfa(7)
     assert machine.minimized().n_states == 7
-    bounds = []
-
-    def counted(minimal, cap):
-        bounds.append(_size_lower_bound(minimal, cap))
-        return bounds[-1]
-
-    monkeypatch.setattr(monoid_module, "_size_lower_bound", counted)
-    path = tmp_path / "t7.json"
-    path.write_text(json.dumps(dfa_to_json(machine)), encoding="utf-8")
-    assert main(["monoid", "--dfa", str(path)]) == 3
+    assert run_monoid(machine, tmp_path) == 3
     assert len(bounds) == 1 and bounds[0] > DEFAULT_MONOID_BUDGET
     out, err = capsys.readouterr()
     assert out == "" and "transition monoid exceeds %d elements" % DEFAULT_MONOID_BUDGET in err
+
+
+def test_no_bound_is_asked_when_the_full_transformation_monoid_fits(bounds):
+    """|T_6| = 46,656 <= 50,000: no 6-state monoid can be refused."""
+    monoid, _ = transition_monoid(full_transformation_dfa(6))
+    assert len(monoid) == 6**6 and bounds == []
+
+
+def test_budget_at_the_size_of_the_full_transformation_monoid(tmp_path, capsys, bounds):
+    """T_3 at budget 27 = 3^3 asks no bound; at 26 one bound, at element
+    ⌊26/8⌋ = 3, refuses it."""
+    machine = full_transformation_dfa(3)
+    assert run_monoid(machine, tmp_path, "--budget", "27") == 0
+    assert bounds == [] and "|M|=27" in capsys.readouterr().out
+    assert run_monoid(machine, tmp_path, "--budget", "26") == 3
+    assert bounds == [27]
+    out, err = capsys.readouterr()
+    assert out == "" and "transition monoid exceeds 26 elements" in err
+
+
+def test_no_power_of_the_state_count_is_formed_past_the_budget(bounds):
+    """A machine of 200,000 states is past the budget's bit length, so n^n
+    is never built, and its orbits refuse it."""
+    with pytest.raises(BudgetExceededError, match="exceeds 16 elements"):
+        transition_monoid(random_dfa(random.Random(1), 200_000, AB), budget=16)
+    assert bounds == [17]
 
 
 @settings(max_examples=120, deadline=None)
